@@ -14,8 +14,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .fincat import FinCategory, FinFunctor, TableError, from_doc, pair_mor, pair_obj
-from .monoidal import MonoidalCategory, WhiskeredBifunctor
+from .fincat import (FinCategory, FinFunctor, TableError, _CatIndex, from_doc, pair_mor,
+                     pair_obj)
+from .monoidal import MonoidalCategory, WhiskeredBifunctor, _MonoidalIndex
 from .report import LawReport
 
 
@@ -93,77 +94,159 @@ class DisplayedCategory:
                 self.mor_info(m)
 
 
+class _DispIndex:
+    """Integer view of a validated displayed category over a ``_CatIndex``,
+    built by one checker call and dropped when it returns.
+
+    Displayed objects are numbered fiber by fiber in base object order,
+    displayed morphisms in bucket order.  ``base``, ``src`` and ``tgt``
+    give a displayed morphism's profile; ``ident`` holds None where a
+    displayed identity is absent; ``comp[gg]`` maps ff to gg after ff,
+    ``comp_items`` lists (gg, ff, gg after ff) in table order, and
+    ``out[xx]`` lists the displayed morphisms with source xx.
+    """
+
+    __slots__ = ("objs", "obj_no", "over", "fibers", "mors", "mor_no", "base", "src",
+                 "tgt", "buckets", "ident", "comp", "comp_items", "out")
+
+    def __init__(self, D: DisplayedCategory, cx: _CatIndex):
+        self.fibers = [[] for _ in cx.objects]
+        self.objs, self.over = [], []
+        for x, base_x in enumerate(cx.objects):
+            for xx in D.fiber(base_x):
+                self.fibers[x].append(len(self.objs))
+                self.objs.append(xx)
+                self.over.append(x)
+        self.obj_no = on = {xx: i for i, xx in enumerate(self.objs)}
+        self.mors = list(D._mor_info)
+        self.mor_no = mn = {ff: i for i, ff in enumerate(self.mors)}
+        self.base = [cx.mor_no[D._mor_info[ff][0]] for ff in self.mors]
+        self.src = [on[D._mor_info[ff][1]] for ff in self.mors]
+        self.tgt = [on[D._mor_info[ff][2]] for ff in self.mors]
+        self.buckets = {(cx.mor_no[f], on[xx], on[yy]): [mn[ff] for ff in bucket]
+                        for (f, xx, yy), bucket in D.disp_hom.items()}
+        self.ident = [None] * len(self.objs)
+        for xx, ff in D.disp_id.items():
+            self.ident[on[xx]] = mn[ff]
+        self.comp = [{} for _ in self.mors]
+        self.comp_items = []
+        for (gg, ff), hh in D.disp_comp.items():
+            gg, ff, hh = mn[gg], mn[ff], mn[hh]
+            self.comp[gg][ff] = hh
+            self.comp_items.append((gg, ff, hh))
+        self.out = [[] for _ in self.objs]
+        for ff, xx in enumerate(self.src):
+            self.out[xx].append(ff)
+
+    def name(self, m) -> str:
+        """Render a displayed morphism number; absent renders as None."""
+        return "None" if m is None else self.mors[m]
+
+
 def check_displayed_category(D: DisplayedCategory) -> LawReport:
     """Exhaustive displayed-category laws; assumes a lawful base (missing
-    base composites are simply skipped — the base checker owns those)."""
+    base composites are simply skipped — the base checker owns those).
+
+    The loops run over an integer index that lives for this call only,
+    and a witness is rendered only for an instance that fails."""
+    D.base.validate()
     D.validate()
-    C = D.base
+    cx = _CatIndex(D.base)
     rep = LawReport()
+    _check_displayed_category(rep, D, cx, _DispIndex(D, cx))
+    return rep
 
-    for x in C.objects:
-        for xx in D.fiber(x):
-            ff = D.disp_id.get(xx)
-            if not rep.check(ff is not None, "disp-id-totality",
-                             f"no displayed identity for {xx} over {x}"):
-                continue
-            rep.check(D.mor_info(ff) == (C.id_of(x), xx, xx), "disp-id-over",
-                      f"disp_id({xx}) = {ff} has profile {D.mor_info(ff)}, "
-                      f"expected ({C.id_of(x)}, {xx}, {xx})")
 
-    for (g, f), h in C.comp.items():
-        x, y, z = C.src(f), C.tgt(f), C.tgt(g)
-        if C.tgt(f) != C.src(g):
+def _check_displayed_category(rep: LawReport, D: DisplayedCategory,
+                              cx: _CatIndex, dx: _DispIndex) -> None:
+    objs, mors, over = dx.objs, dx.mors, dx.over
+    base, src, tgt, ident, comp = dx.base, dx.src, dx.tgt, dx.ident, dx.comp
+    C = D.base
+    passed = 0
+
+    for xx, ff in enumerate(ident):
+        x = cx.objects[over[xx]]
+        if ff is None:
+            rep.check(False, "disp-id-totality", f"no displayed identity for {objs[xx]} over {x}")
             continue
-        for xx in D.fiber(x):
-            for yy in D.fiber(y):
-                for zz in D.fiber(z):
-                    for ff in D.bucket(f, xx, yy):
-                        for gg in D.bucket(g, yy, zz):
-                            hh = D.disp_comp.get((gg, ff))
-                            if not rep.check(
-                                    hh is not None, "disp-comp-totality",
-                                    f"no composite for ({gg} over {g}) after "
-                                    f"({ff} over {f}) at fibers ({xx}, {yy}, {zz})"):
+        passed += 1
+        if base[ff] == cx.ident[over[xx]] and src[ff] == xx and tgt[ff] == xx:
+            passed += 1
+        else:
+            rep.check(False, "disp-id-over",
+                      f"disp_id({objs[xx]}) = {mors[ff]} has profile {D.mor_info(mors[ff])}, "
+                      f"expected ({C.id_of(x)}, {objs[xx]}, {objs[xx]})")
+
+    for g, f, h in cx.comp_items:
+        x, y, z = cx.src[f], cx.tgt[f], cx.tgt[g]
+        if y != cx.src[g]:
+            continue
+        for xx in dx.fibers[x]:
+            for yy in dx.fibers[y]:
+                for zz in dx.fibers[z]:
+                    for ff in dx.buckets.get((f, xx, yy), ()):
+                        for gg in dx.buckets.get((g, yy, zz), ()):
+                            hh = comp[gg].get(ff)
+                            if hh is None:
+                                rep.check(False, "disp-comp-totality",
+                                          f"no composite for ({mors[gg]} over {cx.mors[g]}) "
+                                          f"after ({mors[ff]} over {cx.mors[f]}) at fibers "
+                                          f"({objs[xx]}, {objs[yy]}, {objs[zz]})")
                                 continue
-                            rep.check(D.mor_info(hh) == (h, xx, zz), "disp-comp-over",
-                                      f"({gg} after {ff}) = {hh} has profile "
-                                      f"{D.mor_info(hh)}, expected ({h}, {xx}, {zz})")
+                            passed += 1
+                            if base[hh] == h and src[hh] == xx and tgt[hh] == zz:
+                                passed += 1
+                            else:
+                                rep.check(False, "disp-comp-over",
+                                          f"({mors[gg]} after {mors[ff]}) = {mors[hh]} has "
+                                          f"profile {D.mor_info(mors[hh])}, expected "
+                                          f"({cx.mors[h]}, {objs[xx]}, {objs[zz]})")
 
-    for (gg, ff), hh in D.disp_comp.items():
-        g, s_g, _ = D.mor_info(gg)
-        f, _, t_f = D.mor_info(ff)
-        rep.check((g, f) in C.comp and t_f == s_g, "disp-comp-composable",
-                  f"disp_comp entry ({gg}, {ff}) over non-composable pair ({g}, {f})")
+    for gg, ff, _ in dx.comp_items:
+        if base[ff] in cx.comp[base[gg]] and tgt[ff] == src[gg]:
+            passed += 1
+        else:
+            rep.check(False, "disp-comp-composable",
+                      f"disp_comp entry ({mors[gg]}, {mors[ff]}) over non-composable pair "
+                      f"({cx.mors[base[gg]]}, {cx.mors[base[ff]]})")
 
-    for ff, (f, xx, yy) in D._mor_info.items():
-        iy = D.disp_id.get(yy)
-        if iy is not None and (iy, ff) in D.disp_comp:
-            got = D.disp_comp[(iy, ff)]
-            rep.check(got == ff, "disp-unit-left",
-                      f"(disp_id({yy}) after {ff}) = {got}, expected {ff}")
-        ix = D.disp_id.get(xx)
-        if ix is not None and (ff, ix) in D.disp_comp:
-            got = D.disp_comp[(ff, ix)]
-            rep.check(got == ff, "disp-unit-right",
-                      f"({ff} after disp_id({xx})) = {got}, expected {ff}")
+    for ff in range(len(mors)):
+        iy = ident[tgt[ff]]
+        got = None if iy is None else comp[iy].get(ff)
+        if got is not None:
+            if got == ff:
+                passed += 1
+            else:
+                rep.check(False, "disp-unit-left",
+                          f"(disp_id({objs[tgt[ff]]}) after {mors[ff]}) = {mors[got]}, "
+                          f"expected {mors[ff]}")
+        ix = ident[src[ff]]
+        got = None if ix is None else comp[ff].get(ix)
+        if got is not None:
+            if got == ff:
+                passed += 1
+            else:
+                rep.check(False, "disp-unit-right",
+                          f"({mors[ff]} after disp_id({objs[src[ff]]})) = {mors[got]}, "
+                          f"expected {mors[ff]}")
 
-    for (gg, ff) in list(D.disp_comp):
-        for hh, (h, s_h, _) in D._mor_info.items():
-            _, _, t_g = D.mor_info(gg)
-            if t_g != s_h:
+    for gg, ff, gf in dx.comp_items:
+        for hh in dx.out[tgt[gg]]:
+            after_h = comp[hh]
+            hg = after_h.get(gg)
+            if hg is None:
                 continue
-            gf = D.disp_comp.get((gg, ff))
-            hg = D.disp_comp.get((hh, gg))
-            if gf is None or hg is None:
-                continue
-            left = D.disp_comp.get((hh, gf))
-            right = D.disp_comp.get((hg, ff))
+            left = after_h.get(gf)
+            right = comp[hg].get(ff)
             if left is None or right is None:
                 continue
-            rep.check(left == right, "disp-assoc",
-                      f"({hh} after ({gg} after {ff})) = {left} but "
-                      f"(({hh} after {gg}) after {ff}) = {right}")
-    return rep
+            if left == right:
+                passed += 1
+            else:
+                rep.check(False, "disp-assoc",
+                          f"({mors[hh]} after ({mors[gg]} after {mors[ff]})) = {mors[left]} but "
+                          f"(({mors[hh]} after {mors[gg]}) after {mors[ff]}) = {mors[right]}")
+    rep.tally(passed)
 
 
 def total_category(D: DisplayedCategory) -> tuple[FinCategory, FinFunctor]:
@@ -282,221 +365,321 @@ def _all_disp_objects(D: DisplayedCategory) -> list[str]:
     return [xx for x in D.base.objects for xx in D.fiber(x)]
 
 
+class _DispMonoidalIndex:
+    """Integer view of displayed monoidal tables over a ``_DispIndex``,
+    with None where an entry is absent: ``ten[xx][yy]``, ``lw[xx][ff]``,
+    ``rw[ff][zz]``, the unitors per displayed object and the associators
+    as ``a[xx][yy][zz]``.  Built by one checker call and dropped when it
+    returns."""
+
+    __slots__ = ("unit", "ten", "lw", "rw", "lu", "lu_inv", "ru", "ru_inv", "a", "a_inv")
+
+    def __init__(self, DM: DisplayedMonoidal, dx: _DispIndex):
+        on, mn = dx.obj_no, dx.mor_no
+        n, n_mor = len(dx.objs), len(dx.mors)
+        self.unit = on[DM.disp_unit]
+        self.ten = [[None] * n for _ in range(n)]
+        for (xx, yy), oo in DM.disp_tensor.items():
+            self.ten[on[xx]][on[yy]] = on[oo]
+        self.lw = [[None] * n_mor for _ in range(n)]
+        for (xx, ff), mm in DM.disp_lwhisker.items():
+            self.lw[on[xx]][mn[ff]] = mn[mm]
+        self.rw = [[None] * n for _ in range(n_mor)]
+        for (ff, zz), mm in DM.disp_rwhisker.items():
+            self.rw[mn[ff]][on[zz]] = mn[mm]
+        self.lu, self.lu_inv, self.ru, self.ru_inv = ([None] * n for _ in range(4))
+        for row, table in ((self.lu, DM.disp_lunitor), (self.lu_inv, DM.disp_lunitor_inv),
+                           (self.ru, DM.disp_runitor), (self.ru_inv, DM.disp_runitor_inv)):
+            for xx, mm in table.items():
+                row[on[xx]] = mn[mm]
+        self.a, self.a_inv = ([[[None] * n for _ in range(n)] for _ in range(n)]
+                              for _ in range(2))
+        for cube, table in ((self.a, DM.disp_associator),
+                            (self.a_inv, DM.disp_associator_inv)):
+            for (xx, yy, zz), mm in table.items():
+                cube[on[xx]][on[yy]][on[zz]] = mn[mm]
+
+
 def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
     """Displayed-category laws, then displayed whiskering/structural laws
-    mirroring the base monoidal laws fiberwise."""
+    mirroring the base monoidal laws fiberwise.
+
+    A missing displayed entry, structural inverses included, is a
+    totality violation.  The base and displayed tables are indexed by
+    integers for this call only, the index shared with the displayed
+    category checks; a witness is rendered only for an instance that
+    fails."""
     DM.validate()
     D = DM.disp_cat
     M = DM.base_monoidal
-    T = M.tensor
-    rep = check_displayed_category(D)
-    dobjs = _all_disp_objects(D)
-    dcomp = D.disp_comp.get
+    if D.base is not M.base and D.base != M.base:
+        raise TableError("displayed category is over a different base than its monoidal structure")
+    mx = _MonoidalIndex(M)
+    cx = mx.cat
+    dx = _DispIndex(D, cx)
+    dm = _DispMonoidalIndex(DM, dx)
+    rep = LawReport()
+    _check_displayed_category(rep, D, cx, dx)
+    objs, mors, over, name = dx.objs, dx.mors, dx.over, dx.name
+    base, src, tgt, ident, dcomp = dx.base, dx.src, dx.tgt, dx.ident, dx.comp
+    ten, lw, rw, A = dm.ten, dm.lw, dm.rw, dm.a
+    n, n_mor = len(objs), len(mors)
+    passed = 0
 
-    rep.check(D.obj_over(DM.disp_unit) == M.unit, "disp-unit-over",
-              f"displayed unit {DM.disp_unit} lies over "
-              f"{D.obj_over(DM.disp_unit)}, expected {M.unit}")
+    rep.check(over[dm.unit] == mx.unit, "disp-unit-over",
+              lambda: f"displayed unit {DM.disp_unit} lies over "
+                      f"{D.obj_over(DM.disp_unit)}, expected {M.unit}")
 
-    def ten(xx: str, yy: str):
-        oo = DM.disp_tensor.get((xx, yy))
-        if oo is None:
-            rep.fail("disp-tensor-totality", f"no displayed tensor for ({xx}, {yy})")
-            rep.tally()
-        return oo
-
-    for xx in dobjs:
-        for yy in dobjs:
-            oo = ten(xx, yy)
+    for xx in range(n):
+        ten_x, base_ten_x = ten[xx], mx.ten.obj[over[xx]]
+        for yy in range(n):
+            oo = ten_x[yy]
             if oo is None:
+                rep.fail("disp-tensor-totality", f"no displayed tensor for ({objs[xx]}, {objs[yy]})")
+                rep.tally()
                 continue
-            want = T.obj(D.obj_over(xx), D.obj_over(yy))
-            rep.check(D.obj_over(oo) == want, "disp-tensor-over",
-                      f"{xx}⊗̂{yy} = {oo} lies over {D.obj_over(oo)}, expected {want}")
+            want = base_ten_x[over[yy]]
+            if over[oo] == want:
+                passed += 1
+            else:
+                rep.check(False, "disp-tensor-over",
+                          f"{objs[xx]}⊗̂{objs[yy]} = {objs[oo]} lies over "
+                          f"{D.obj_over(objs[oo])}, expected {cx.objects[want]}")
 
-    def lw(xx: str, ff: str):
-        mm = DM.disp_lwhisker.get((xx, ff))
-        if mm is None:
-            rep.fail("disp-lwhisker-totality", f"no displayed left whisker ({xx}, {ff})")
-            rep.tally()
-        return mm
-
-    def rw(ff: str, zz: str):
-        mm = DM.disp_rwhisker.get((ff, zz))
-        if mm is None:
-            rep.fail("disp-rwhisker-totality", f"no displayed right whisker ({ff}, {zz})")
-            rep.tally()
-        return mm
-
-    all_dmors = list(D._mor_info.items())
-
-    for xx in dobjs:
-        x = D.obj_over(xx)
-        for ff, (f, yy, zz) in all_dmors:
-            mm = lw(xx, ff)
-            if mm is not None:
-                s, t = DM.disp_tensor.get((xx, yy)), DM.disp_tensor.get((xx, zz))
+    for xx in range(n):
+        x = over[xx]
+        lw_x, ten_x, base_lw_x = lw[xx], ten[xx], mx.ten.lw[x]
+        for ff in range(n_mor):
+            f, yy, zz = base[ff], src[ff], tgt[ff]
+            mm = lw_x[ff]
+            if mm is None:
+                rep.fail("disp-lwhisker-totality",
+                         f"no displayed left whisker ({objs[xx]}, {mors[ff]})")
+                rep.tally()
+            else:
+                s, t = ten_x[yy], ten_x[zz]
                 if s is not None and t is not None:
-                    rep.check(D.mor_info(mm) == (T.lw(x, f), s, t), "disp-lwhisker-over",
-                              f"{xx}⊗̂{ff} = {mm} has profile {D.mor_info(mm)}, "
-                              f"expected ({T.lw(x, f)}, {s}, {t})")
-            mm = rw(ff, xx)
-            if mm is not None:
-                s, t = DM.disp_tensor.get((yy, xx)), DM.disp_tensor.get((zz, xx))
+                    if base[mm] == base_lw_x[f] and src[mm] == s and tgt[mm] == t:
+                        passed += 1
+                    else:
+                        rep.check(False, "disp-lwhisker-over",
+                                  f"{objs[xx]}⊗̂{mors[ff]} = {mors[mm]} has profile "
+                                  f"{D.mor_info(mors[mm])}, expected "
+                                  f"({cx.mors[base_lw_x[f]]}, {objs[s]}, {objs[t]})")
+            mm = rw[ff][xx]
+            if mm is None:
+                rep.fail("disp-rwhisker-totality",
+                         f"no displayed right whisker ({mors[ff]}, {objs[xx]})")
+                rep.tally()
+            else:
+                s, t = ten[yy][xx], ten[zz][xx]
                 if s is not None and t is not None:
-                    rep.check(D.mor_info(mm) == (T.rw(f, x), s, t), "disp-rwhisker-over",
-                              f"{ff}⊗̂{xx} = {mm} has profile {D.mor_info(mm)}, "
-                              f"expected ({T.rw(f, x)}, {s}, {t})")
+                    want = mx.ten.rw[f][x]
+                    if base[mm] == want and src[mm] == s and tgt[mm] == t:
+                        passed += 1
+                    else:
+                        rep.check(False, "disp-rwhisker-over",
+                                  f"{mors[ff]}⊗̂{objs[xx]} = {mors[mm]} has profile "
+                                  f"{D.mor_info(mors[mm])}, expected "
+                                  f"({cx.mors[want]}, {objs[s]}, {objs[t]})")
 
-    for xx in dobjs:
-        for yy in dobjs:
-            oo = DM.disp_tensor.get((xx, yy))
-            io = None if oo is None else D.disp_id.get(oo)
-            iy = D.disp_id.get(yy)
-            if iy is not None and io is not None:
-                mm = DM.disp_lwhisker.get((xx, iy))
-                if mm is not None:
-                    rep.check(mm == io, "disp-lwhisker-identity",
-                              f"{xx}⊗̂disp_id({yy}) = {mm}, expected disp_id({oo})")
-            ix = D.disp_id.get(xx)
-            if ix is not None and io is not None:
-                mm = DM.disp_rwhisker.get((ix, yy))
-                if mm is not None:
-                    rep.check(mm == io, "disp-rwhisker-identity",
-                              f"disp_id({xx})⊗̂{yy} = {mm}, expected disp_id({oo})")
-
-    for (gg, ff), hh in D.disp_comp.items():
-        for xx in dobjs:
-            l_g, l_f, l_h = DM.disp_lwhisker.get((xx, gg)), \
-                DM.disp_lwhisker.get((xx, ff)), DM.disp_lwhisker.get((xx, hh))
-            if None not in (l_g, l_f, l_h):
-                got = dcomp((l_g, l_f))
-                rep.check(got == l_h, "disp-lwhisker-composition",
-                          f"{xx}⊗̂({gg} after {ff}) = {l_h} but "
-                          f"({xx}⊗̂{gg} after {xx}⊗̂{ff}) = {got}")
-            r_g, r_f, r_h = DM.disp_rwhisker.get((gg, xx)), \
-                DM.disp_rwhisker.get((ff, xx)), DM.disp_rwhisker.get((hh, xx))
-            if None not in (r_g, r_f, r_h):
-                got = dcomp((r_g, r_f))
-                rep.check(got == r_h, "disp-rwhisker-composition",
-                          f"({gg} after {ff})⊗̂{xx} = {r_h} but "
-                          f"({gg}⊗̂{xx} after {ff}⊗̂{xx}) = {got}")
-
-    for ff, (f, yy, yy1) in all_dmors:
-        for gg, (g, xx, xx1) in all_dmors:
-            a = DM.disp_rwhisker.get((gg, yy1))
-            b = DM.disp_lwhisker.get((xx, ff))
-            c = DM.disp_lwhisker.get((xx1, ff))
-            d = DM.disp_rwhisker.get((gg, yy))
-            if None in (a, b, c, d):
+    for xx in range(n):
+        ix = ident[xx]
+        for yy in range(n):
+            oo = ten[xx][yy]
+            io = None if oo is None else ident[oo]
+            if io is None:
                 continue
-            lhs, rhs = dcomp((a, b)), dcomp((c, d))
+            iy = ident[yy]
+            mm = None if iy is None else lw[xx][iy]
+            if mm is not None:
+                if mm == io:
+                    passed += 1
+                else:
+                    rep.check(False, "disp-lwhisker-identity",
+                              f"{objs[xx]}⊗̂disp_id({objs[yy]}) = {mors[mm]}, "
+                              f"expected disp_id({objs[oo]})")
+            mm = None if ix is None else rw[ix][yy]
+            if mm is not None:
+                if mm == io:
+                    passed += 1
+                else:
+                    rep.check(False, "disp-rwhisker-identity",
+                              f"disp_id({objs[xx]})⊗̂{objs[yy]} = {mors[mm]}, "
+                              f"expected disp_id({objs[oo]})")
+
+    for gg, ff, hh in dx.comp_items:
+        rw_g, rw_f, rw_h = rw[gg], rw[ff], rw[hh]
+        for xx in range(n):
+            lw_x = lw[xx]
+            l_g, l_f, l_h = lw_x[gg], lw_x[ff], lw_x[hh]
+            if l_g is not None and l_f is not None and l_h is not None:
+                got = dcomp[l_g].get(l_f)
+                if got == l_h:
+                    passed += 1
+                else:
+                    rep.check(False, "disp-lwhisker-composition",
+                              f"{objs[xx]}⊗̂({mors[gg]} after {mors[ff]}) = {mors[l_h]} but "
+                              f"({objs[xx]}⊗̂{mors[gg]} after {objs[xx]}⊗̂{mors[ff]}) = "
+                              f"{name(got)}")
+            r_g, r_f, r_h = rw_g[xx], rw_f[xx], rw_h[xx]
+            if r_g is not None and r_f is not None and r_h is not None:
+                got = dcomp[r_g].get(r_f)
+                if got == r_h:
+                    passed += 1
+                else:
+                    rep.check(False, "disp-rwhisker-composition",
+                              f"({mors[gg]} after {mors[ff]})⊗̂{objs[xx]} = {mors[r_h]} but "
+                              f"({mors[gg]}⊗̂{objs[xx]} after {mors[ff]}⊗̂{objs[xx]}) = "
+                              f"{name(got)}")
+
+    for ff in range(n_mor):
+        yy, yy1 = src[ff], tgt[ff]
+        lw_f = [lw_x[ff] for lw_x in lw]
+        for gg in range(n_mor):
+            xx, xx1 = src[gg], tgt[gg]
+            a, b = rw[gg][yy1], lw_f[xx]
+            c, d = lw_f[xx1], rw[gg][yy]
+            if a is None or b is None or c is None or d is None:
+                continue
+            lhs, rhs = dcomp[a].get(b), dcomp[c].get(d)
             if lhs is None or rhs is None:
                 continue
-            rep.check(lhs == rhs, "disp-interchange",
-                      f"at ff={ff}, gg={gg}: ({gg}⊗̂{yy1} after {xx}⊗̂{ff}) = {lhs} "
-                      f"but ({xx1}⊗̂{ff} after {gg}⊗̂{yy}) = {rhs}")
+            if lhs == rhs:
+                passed += 1
+            else:
+                rep.check(False, "disp-interchange",
+                          f"at ff={mors[ff]}, gg={mors[gg]}: ({mors[gg]}⊗̂{objs[yy1]} after "
+                          f"{objs[xx]}⊗̂{mors[ff]}) = {mors[lhs]} but ({objs[xx1]}⊗̂{mors[ff]} "
+                          f"after {mors[gg]}⊗̂{objs[yy]}) = {mors[rhs]}")
 
-    def disp_iso(fwd, bwd, src_oo, tgt_oo, law, where):
-        if None in (fwd, bwd, src_oo, tgt_oo):
-            return
-        i_t, i_s = D.disp_id.get(tgt_oo), D.disp_id.get(src_oo)
-        one = dcomp((fwd, bwd))
-        rep.check(one == i_t, law + "-iso",
-                  f"{where}: ({fwd} after {bwd}) = {one}, expected disp_id({tgt_oo})")
-        other = dcomp((bwd, fwd))
-        rep.check(other == i_s, law + "-iso",
-                  f"{where}: ({bwd} after {fwd}) = {other}, expected disp_id({src_oo})")
-
-    uu = DM.disp_unit
-    for xx in dobjs:
-        lu = DM.disp_lunitor.get(xx)
-        if lu is None:
-            rep.fail("disp-lunitor-totality", f"no displayed lunitor at {xx}")
-            rep.tally()
+    def disp_iso(fwd, bwd, s, t, law: str, where) -> int:
+        if fwd is None or bwd is None or s is None or t is None:
+            return 0
+        ok = 0
+        one = dcomp[fwd].get(bwd)
+        if one == ident[t]:
+            ok += 1
         else:
-            want = (M.lunitor[D.obj_over(xx)], DM.disp_tensor.get((uu, xx)), xx)
-            rep.check(D.mor_info(lu) == want, "disp-lunitor-over",
-                      f"disp lunitor at {xx} = {lu} has profile {D.mor_info(lu)}, "
-                      f"expected {want}")
-        disp_iso(lu, DM.disp_lunitor_inv.get(xx), DM.disp_tensor.get((uu, xx)), xx,
-                 "disp-lunitor", f"lunitor at {xx}")
-        ru = DM.disp_runitor.get(xx)
-        if ru is None:
-            rep.fail("disp-runitor-totality", f"no displayed runitor at {xx}")
-            rep.tally()
+            rep.check(False, law + "-iso",
+                      f"{where()}: ({mors[fwd]} after {mors[bwd]}) = {name(one)}, "
+                      f"expected disp_id({objs[t]})")
+        other = dcomp[bwd].get(fwd)
+        if other == ident[s]:
+            ok += 1
         else:
-            want = (M.runitor[D.obj_over(xx)], DM.disp_tensor.get((xx, uu)), xx)
-            rep.check(D.mor_info(ru) == want, "disp-runitor-over",
-                      f"disp runitor at {xx} = {ru} has profile {D.mor_info(ru)}, "
-                      f"expected {want}")
-        disp_iso(ru, DM.disp_runitor_inv.get(xx), DM.disp_tensor.get((xx, uu)), xx,
-                 "disp-runitor", f"runitor at {xx}")
+            rep.check(False, law + "-iso",
+                      f"{where()}: ({mors[bwd]} after {mors[fwd]}) = {name(other)}, "
+                      f"expected disp_id({objs[s]})")
+        return ok
 
-    def dten2(a, b, c):
-        ab = DM.disp_tensor.get((a, b))
-        return None if ab is None else DM.disp_tensor.get((ab, c))
+    uu = dm.unit
+    for xx in range(n):
+        x = over[xx]
+        for which, fwd, bwd, base_fwd, s in (
+                ("lunitor", dm.lu[xx], dm.lu_inv[xx], mx.lu[x], ten[uu][xx]),
+                ("runitor", dm.ru[xx], dm.ru_inv[xx], mx.ru[x], ten[xx][uu])):
+            if fwd is None:
+                rep.fail(f"disp-{which}-totality", f"no displayed {which} at {objs[xx]}")
+                rep.tally()
+            elif base[fwd] == base_fwd and src[fwd] == s and tgt[fwd] == xx:
+                passed += 1
+            else:
+                want = (cx.mors[base_fwd], None if s is None else objs[s], objs[xx])
+                rep.check(False, f"disp-{which}-over",
+                          f"disp {which} at {objs[xx]} = {mors[fwd]} has profile "
+                          f"{D.mor_info(mors[fwd])}, expected {want}")
+            if bwd is None:
+                rep.fail(f"disp-{which}-totality", f"no displayed {which} inverse at {objs[xx]}")
+                rep.tally()
+            passed += disp_iso(fwd, bwd, s, xx, f"disp-{which}",
+                               lambda: f"{which} at {objs[xx]}")
 
-    def dten2r(a, b, c):
-        bc = DM.disp_tensor.get((b, c))
-        return None if bc is None else DM.disp_tensor.get((a, bc))
+    for xx in range(n):
+        ten_x = ten[xx]
+        for yy in range(n):
+            xy = ten_x[yy]
+            ten_xy = None if xy is None else ten[xy]
+            for zz in range(n):
+                s = None if ten_xy is None else ten_xy[zz]
+                yz = ten[yy][zz]
+                t = None if yz is None else ten_x[yz]
+                at = lambda: f"({objs[xx]},{objs[yy]},{objs[zz]})"
+                al = A[xx][yy][zz]
+                if al is None:
+                    rep.fail("disp-associator-totality",
+                             f"no displayed associator at ({objs[xx]}, {objs[yy]}, {objs[zz]})")
+                    rep.tally()
+                elif s is not None and t is not None:
+                    base_al = mx.a[over[xx]][over[yy]][over[zz]]
+                    if base[al] == base_al and src[al] == s and tgt[al] == t:
+                        passed += 1
+                    else:
+                        rep.check(False, "disp-associator-over",
+                                  f"disp associator at {at()} = {mors[al]} has profile "
+                                  f"{D.mor_info(mors[al])}, expected "
+                                  f"({cx.mors[base_al]}, {objs[s]}, {objs[t]})")
+                al_inv = dm.a_inv[xx][yy][zz]
+                if al_inv is None:
+                    rep.fail("disp-associator-totality",
+                             f"no displayed associator inverse at "
+                             f"({objs[xx]}, {objs[yy]}, {objs[zz]})")
+                    rep.tally()
+                passed += disp_iso(al, al_inv, s, t, "disp-associator",
+                                   lambda: f"associator at {at()}")
 
-    for xx, yy, zz in itertools.product(dobjs, repeat=3):
-        al = DM.disp_associator.get((xx, yy, zz))
-        if al is None:
-            rep.fail("disp-associator-totality",
-                     f"no displayed associator at ({xx}, {yy}, {zz})")
-            rep.tally()
-        else:
-            base_al = M.associator[(D.obj_over(xx), D.obj_over(yy), D.obj_over(zz))]
-            s, t = dten2(xx, yy, zz), dten2r(xx, yy, zz)
-            if s is not None and t is not None:
-                rep.check(D.mor_info(al) == (base_al, s, t), "disp-associator-over",
-                          f"disp associator at ({xx},{yy},{zz}) = {al} has profile "
-                          f"{D.mor_info(al)}, expected ({base_al}, {s}, {t})")
-        disp_iso(al, DM.disp_associator_inv.get((xx, yy, zz)),
-                 dten2(xx, yy, zz), dten2r(xx, yy, zz),
-                 "disp-associator", f"associator at ({xx},{yy},{zz})")
+    for xx in range(n):
+        ru_x = dm.ru[xx]
+        for zz in range(n):
+            lu_z = dm.lu[zz]
+            al = A[xx][uu][zz]
+            if lu_z is None or al is None or ru_x is None:
+                continue
+            w, r = lw[xx][lu_z], rw[ru_x][zz]
+            if w is None or r is None:
+                continue
+            lhs = dcomp[w].get(al)
+            if lhs == r:
+                passed += 1
+            else:
+                rep.check(False, "disp-triangle",
+                          f"at ({objs[xx]},{objs[zz]}): ({objs[xx]}⊗̂lunitor after associator) "
+                          f"= {name(lhs)} but runitor⊗̂{objs[zz]} = {mors[r]}")
 
-    for xx, zz in itertools.product(dobjs, repeat=2):
-        lu_z = DM.disp_lunitor.get(zz)
-        al = DM.disp_associator.get((xx, uu, zz))
-        ru_x = DM.disp_runitor.get(xx)
-        if None in (lu_z, al, ru_x):
-            continue
-        w = DM.disp_lwhisker.get((xx, lu_z))
-        r = DM.disp_rwhisker.get((ru_x, zz))
-        if w is None or r is None:
-            continue
-        lhs = dcomp((w, al))
-        rep.check(lhs == r, "disp-triangle",
-                  f"at ({xx},{zz}): ({xx}⊗̂lunitor after associator) = {lhs} "
-                  f"but runitor⊗̂{zz} = {r}")
-
-    for ww, xx, yy, zz in itertools.product(dobjs, repeat=4):
-        yz = DM.disp_tensor.get((yy, zz))
-        wx = DM.disp_tensor.get((ww, xx))
-        xy = DM.disp_tensor.get((xx, yy))
-        if None in (yz, wx, xy):
-            continue
-        a1 = DM.disp_associator.get((ww, xx, yz))
-        a2 = DM.disp_associator.get((wx, yy, zz))
-        a3 = DM.disp_associator.get((xx, yy, zz))
-        a4 = DM.disp_associator.get((ww, xy, zz))
-        a5 = DM.disp_associator.get((ww, xx, yy))
-        if None in (a1, a2, a3, a4, a5):
-            continue
-        lw_w = DM.disp_lwhisker.get((ww, a3))
-        rw_z = DM.disp_rwhisker.get((a5, zz))
-        if lw_w is None or rw_z is None:
-            continue
-        lhs = dcomp((a1, a2))
-        inner = dcomp((a4, rw_z))
-        rhs = None if inner is None else dcomp((lw_w, inner))
-        if lhs is None or rhs is None:
-            continue
-        rep.check(lhs == rhs, "disp-pentagon",
-                  f"at ({ww},{xx},{yy},{zz}): two-step side = {lhs}, "
-                  f"three-step side = {rhs}")
+    for ww in range(n):
+        A_w, lw_w, ten_w = A[ww], lw[ww], ten[ww]
+        for xx in range(n):
+            wx, xy_row = ten_w[xx], ten[xx]
+            if wx is None:
+                continue
+            A_wx, A_wx_, A_x = A_w[xx], A[wx], A[xx]
+            for yy in range(n):
+                xy, a5 = xy_row[yy], A_wx[yy]
+                if xy is None or a5 is None:
+                    continue
+                rw_a5, A_w_xy, A_wx_y, A_xy, ten_y = rw[a5], A_w[xy], A_wx_[yy], A_x[yy], ten[yy]
+                for zz in range(n):
+                    yz = ten_y[zz]
+                    if yz is None:
+                        continue
+                    a1, a2, a3, a4 = A_wx[yz], A_wx_y[zz], A_xy[zz], A_w_xy[zz]
+                    if a1 is None or a2 is None or a3 is None or a4 is None:
+                        continue
+                    lw_a3, rw_z = lw_w[a3], rw_a5[zz]
+                    if lw_a3 is None or rw_z is None:
+                        continue
+                    lhs = dcomp[a1].get(a2)
+                    inner = dcomp[a4].get(rw_z)
+                    rhs = None if inner is None else dcomp[lw_a3].get(inner)
+                    if lhs is None or rhs is None:
+                        continue
+                    if lhs == rhs:
+                        passed += 1
+                    else:
+                        rep.check(False, "disp-pentagon",
+                                  f"at ({objs[ww]},{objs[xx]},{objs[yy]},{objs[zz]}): "
+                                  f"two-step side = {mors[lhs]}, three-step side = {mors[rhs]}")
+    rep.tally(passed)
     return rep
 
 

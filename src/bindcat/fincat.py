@@ -141,56 +141,118 @@ def mapping_tables_equal(F: FinFunctor, G: FinFunctor) -> bool:
 
 # --- law checking ----------------------------------------------------------
 
+class _CatIndex:
+    """Integer view of a validated category, built by one checker call and
+    dropped when it returns (callers change tables between checks).
+
+    Objects and morphisms are numbered in declaration order.  ``comp[g]``
+    maps f to g after f, ``comp_items`` lists (g, f, g after f) in table
+    order, and ``into[y]`` lists the morphisms with target y.
+    """
+
+    __slots__ = ("objects", "mors", "obj_no", "mor_no", "src", "tgt", "ident",
+                 "comp", "comp_items", "into")
+
+    def __init__(self, C: FinCategory):
+        self.objects = C.objects
+        self.mors = [m for m, _, _ in C.morphisms]
+        self.obj_no = obj_no = {x: i for i, x in enumerate(C.objects)}
+        self.mor_no = mor_no = {m: i for i, m in enumerate(self.mors)}
+        self.src = [obj_no[s] for _, s, _ in C.morphisms]
+        self.tgt = [obj_no[t] for _, _, t in C.morphisms]
+        self.ident = [mor_no[C.identity[x]] for x in C.objects]
+        self.comp = [{} for _ in self.mors]
+        self.comp_items = []
+        for (g, f), h in C.comp.items():
+            g, f, h = mor_no[g], mor_no[f], mor_no[h]
+            self.comp[g][f] = h
+            self.comp_items.append((g, f, h))
+        self.into = [[] for _ in C.objects]
+        for f, y in enumerate(self.tgt):
+            self.into[y].append(f)
+
+    def name(self, m) -> str:
+        """Render a morphism number; an absent composite renders as None."""
+        return "None" if m is None else self.mors[m]
+
+
 def check_category_laws(C: FinCategory) -> LawReport:
     """Exhaustive check of every category law instance.
 
     Raises TableError on dangling ids; law failures land in the report.
+    The loops run over an integer index that lives for this call only,
+    and a witness is rendered only for an instance that fails.
     """
     C.validate()
+    ix = _CatIndex(C)
+    objs, mors, src, tgt, comp = ix.objects, ix.mors, ix.src, ix.tgt, ix.comp
     rep = LawReport()
-    for x in C.objects:
-        i = C.identity[x]
-        rep.check(C.src(i) == x and C.tgt(i) == x, "identity-endpoints",
-                  lambda x=x, i=i: f"id_{x} = {i} has endpoints {C.src(i)}→{C.tgt(i)}")
+    passed = 0
+    for x, i in enumerate(ix.ident):
+        if src[i] == x and tgt[i] == x:
+            passed += 1
+        else:
+            rep.check(False, "identity-endpoints",
+                      f"id_{objs[x]} = {mors[i]} has endpoints {objs[src[i]]}→{objs[tgt[i]]}")
 
-    mor_ids = [m for m, _, _ in C.morphisms]
-    for (g, f), h in C.comp.items():
-        rep.check(C.tgt(f) == C.src(g), "comp-composable",
-                  f"comp entry ({g} after {f}) on a non-composable pair")
-        rep.check(C.src(h) == C.src(f) and C.tgt(h) == C.tgt(g), "comp-endpoints",
-                  f"({g} after {f}) = {h} should run {C.src(f)}→{C.tgt(g)}")
-    for g in mor_ids:
-        for f in mor_ids:
-            if C.tgt(f) == C.src(g):
-                rep.check((g, f) in C.comp, "comp-totality",
-                          f"composable pair ({g} after {f}) missing from comp table")
+    for g, f, h in ix.comp_items:
+        if tgt[f] == src[g]:
+            passed += 1
+        else:
+            rep.check(False, "comp-composable",
+                      f"comp entry ({mors[g]} after {mors[f]}) on a non-composable pair")
+        if src[h] == src[f] and tgt[h] == tgt[g]:
+            passed += 1
+        else:
+            rep.check(False, "comp-endpoints",
+                      f"({mors[g]} after {mors[f]}) = {mors[h]} should run "
+                      f"{objs[src[f]]}→{objs[tgt[g]]}")
+    for g, row in enumerate(comp):
+        for f in ix.into[src[g]]:
+            if f in row:
+                passed += 1
+            else:
+                rep.check(False, "comp-totality",
+                          f"composable pair ({mors[g]} after {mors[f]}) missing from comp table")
 
-    for f, x, y in C.morphisms:
-        gf = C.comp.get((C.identity.get(y, ""), f))
+    for f in range(len(mors)):
+        x, y = src[f], tgt[f]
+        gf = comp[ix.ident[y]].get(f)
         if gf is not None:
-            rep.check(gf == f, "unit-left", f"(id_{y} after {f}) = {gf}, expected {f}")
-        fg = C.comp.get((f, C.identity.get(x, "")))
+            if gf == f:
+                passed += 1
+            else:
+                rep.check(False, "unit-left",
+                          f"(id_{objs[y]} after {mors[f]}) = {mors[gf]}, expected {mors[f]}")
+        fg = comp[f].get(ix.ident[x])
         if fg is not None:
-            rep.check(fg == f, "unit-right", f"({f} after id_{x}) = {fg}, expected {f}")
+            if fg == f:
+                passed += 1
+            else:
+                rep.check(False, "unit-right",
+                          f"({mors[f]} after id_{objs[x]}) = {mors[fg]}, expected {mors[f]}")
 
-    for h in mor_ids:
-        for g in mor_ids:
-            if C.tgt(g) != C.src(h):
-                continue
-            hg = C.comp.get((h, g))
-            for f in mor_ids:
-                if C.tgt(f) != C.src(g):
+    for h, after_h in enumerate(comp):
+        for g in ix.into[src[h]]:
+            hg = after_h.get(g)
+            if hg is None:
+                continue  # already reported by comp-totality
+            after_g, after_hg = comp[g], comp[hg]
+            for f in ix.into[src[g]]:
+                gf = after_g.get(f)
+                if gf is None:
                     continue
-                gf = C.comp.get((g, f))
-                if hg is None or gf is None:
-                    continue  # already reported by comp-totality
-                left = C.comp.get((h, gf))
-                right = C.comp.get((hg, f))
+                left = after_h.get(gf)
+                right = after_hg.get(f)
                 if left is None or right is None:
                     continue
-                rep.check(left == right, "assoc",
-                          f"({h} after ({g} after {f})) = {left} but "
-                          f"(({h} after {g}) after {f}) = {right}")
+                if left == right:
+                    passed += 1
+                else:
+                    rep.check(False, "assoc",
+                              f"({mors[h]} after ({mors[g]} after {mors[f]})) = {mors[left]} but "
+                              f"(({mors[h]} after {mors[g]}) after {mors[f]}) = {mors[right]}")
+    rep.tally(passed)
     return rep
 
 

@@ -30,6 +30,7 @@ from .fincat import (
     pair_obj,
     product_category,
     to_doc,
+    _CatIndex,
 )
 from .report import LawReport
 
@@ -91,63 +92,117 @@ class WhiskeredBifunctor:
                     raise TableError(f"right whisker ({f!r},{x!r}) is an unknown morphism")
 
 
+class _TensorIndex:
+    """Integer view of a validated tensor over a ``_CatIndex``:
+    ``obj[x][y]``, ``lw[x][f]`` and ``rw[f][z]``.  Built by one checker
+    call and dropped when it returns."""
+
+    __slots__ = ("obj", "lw", "rw")
+
+    def __init__(self, T: WhiskeredBifunctor, cx: _CatIndex):
+        on, mn = cx.obj_no, cx.mor_no
+        objs, mors = cx.objects, cx.mors
+        self.obj = [[on[T.obj_table[(x, y)]] for y in objs] for x in objs]
+        self.lw = [[mn[T.lwhisker[(x, f)]] for f in mors] for x in objs]
+        self.rw = [[mn[T.rwhisker[(f, z)]] for z in objs] for f in mors]
+
+
 def check_whiskered_bifunctor(T: WhiskeredBifunctor) -> LawReport:
-    """Identity, composition, endpoint, and interchange laws, exhaustively."""
+    """Identity, composition, endpoint, and interchange laws, exhaustively.
+
+    The loops run over an integer index that lives for this call only,
+    and a witness is rendered only for an instance that fails."""
+    T.base.validate()
     T.validate()
-    C = T.base
+    cx = _CatIndex(T.base)
     rep = LawReport()
-    comp = C.comp.get
+    _check_whiskered(rep, cx, _TensorIndex(T, cx))
+    return rep
 
-    for x in C.objects:
-        for f, y, z in C.morphisms:
-            m = T.lw(x, f)
-            rep.check(C.src(m) == T.obj(x, y) and C.tgt(m) == T.obj(x, z),
-                      "lwhisker-endpoints",
-                      f"{x}⊗{f} = {m}: {C.src(m)}→{C.tgt(m)}, "
-                      f"expected {T.obj(x, y)}→{T.obj(x, z)}")
-            m = T.rw(f, x)
-            rep.check(C.src(m) == T.obj(y, x) and C.tgt(m) == T.obj(z, x),
-                      "rwhisker-endpoints",
-                      f"{f}⊗{x} = {m}: {C.src(m)}→{C.tgt(m)}, "
-                      f"expected {T.obj(y, x)}→{T.obj(z, x)}")
 
-    for x in C.objects:
-        for y in C.objects:
-            i = C.id_of(y)
-            rep.check(T.lw(x, i) == C.id_of(T.obj(x, y)), "lwhisker-identity",
-                      f"{x}⊗id_{y} = {T.lw(x, i)}, expected id_{T.obj(x, y)}")
-            i = C.id_of(x)
-            rep.check(T.rw(i, y) == C.id_of(T.obj(x, y)), "rwhisker-identity",
-                      f"id_{x}⊗{y} = {T.rw(i, y)}, expected id_{T.obj(x, y)}")
+def _check_whiskered(rep: LawReport, cx: _CatIndex, tx: _TensorIndex) -> None:
+    objs, mors = cx.objects, cx.mors
+    src, tgt, ident, comp = cx.src, cx.tgt, cx.ident, cx.comp
+    ten, lw, rw = tx.obj, tx.lw, tx.rw
+    n_obj, n_mor = len(objs), len(mors)
+    passed = 0
 
-    for (g, f), h in C.comp.items():
-        for x in C.objects:
-            lhs = T.lw(x, h)
-            rhs = comp((T.lw(x, g), T.lw(x, f)))
+    for x in range(n_obj):
+        tx_, lwx = ten[x], lw[x]
+        for f in range(n_mor):
+            y, z = src[f], tgt[f]
+            m = lwx[f]
+            if src[m] == tx_[y] and tgt[m] == tx_[z]:
+                passed += 1
+            else:
+                rep.check(False, "lwhisker-endpoints",
+                          f"{objs[x]}⊗{mors[f]} = {mors[m]}: {objs[src[m]]}→{objs[tgt[m]]}, "
+                          f"expected {objs[tx_[y]]}→{objs[tx_[z]]}")
+            m = rw[f][x]
+            if src[m] == ten[y][x] and tgt[m] == ten[z][x]:
+                passed += 1
+            else:
+                rep.check(False, "rwhisker-endpoints",
+                          f"{mors[f]}⊗{objs[x]} = {mors[m]}: {objs[src[m]]}→{objs[tgt[m]]}, "
+                          f"expected {objs[ten[y][x]]}→{objs[ten[z][x]]}")
+
+    for x in range(n_obj):
+        for y in range(n_obj):
+            xy = ten[x][y]
+            m = lw[x][ident[y]]
+            if m == ident[xy]:
+                passed += 1
+            else:
+                rep.check(False, "lwhisker-identity",
+                          f"{objs[x]}⊗id_{objs[y]} = {mors[m]}, expected id_{objs[xy]}")
+            m = rw[ident[x]][y]
+            if m == ident[xy]:
+                passed += 1
+            else:
+                rep.check(False, "rwhisker-identity",
+                          f"id_{objs[x]}⊗{objs[y]} = {mors[m]}, expected id_{objs[xy]}")
+
+    for g, f, h in cx.comp_items:
+        rw_g, rw_f, rw_h = rw[g], rw[f], rw[h]
+        for x in range(n_obj):
+            lwx = lw[x]
+            lhs, rhs = lwx[h], comp[lwx[g]].get(lwx[f])
             if rhs is not None:
-                rep.check(lhs == rhs, "lwhisker-composition",
-                          f"{x}⊗({g} after {f}) = {lhs} but "
-                          f"({x}⊗{g} after {x}⊗{f}) = {rhs}")
-            lhs = T.rw(h, x)
-            rhs = comp((T.rw(g, x), T.rw(f, x)))
+                if lhs == rhs:
+                    passed += 1
+                else:
+                    rep.check(False, "lwhisker-composition",
+                              f"{objs[x]}⊗({mors[g]} after {mors[f]}) = {mors[lhs]} but "
+                              f"({objs[x]}⊗{mors[g]} after {objs[x]}⊗{mors[f]}) = {mors[rhs]}")
+            lhs, rhs = rw_h[x], comp[rw_g[x]].get(rw_f[x])
             if rhs is not None:
-                rep.check(lhs == rhs, "rwhisker-composition",
-                          f"({g} after {f})⊗{x} = {lhs} but "
-                          f"({g}⊗{x} after {f}⊗{x}) = {rhs}")
+                if lhs == rhs:
+                    passed += 1
+                else:
+                    rep.check(False, "rwhisker-composition",
+                              f"({mors[g]} after {mors[f]})⊗{objs[x]} = {mors[lhs]} but "
+                              f"({mors[g]}⊗{objs[x]} after {mors[f]}⊗{objs[x]}) = {mors[rhs]}")
 
     # interchange: for f: y→y' and g: x→x',
     #   (g ⊗ y') ∘ (x ⊗ f)  =  (x' ⊗ f) ∘ (g ⊗ y)
-    for f, y, y1 in C.morphisms:
-        for g, x, x1 in C.morphisms:
-            lhs = comp((T.rw(g, y1), T.lw(x, f)))
-            rhs = comp((T.lw(x1, f), T.rw(g, y)))
+    for f in range(n_mor):
+        y, y1 = src[f], tgt[f]
+        lw_f = [lwx[f] for lwx in lw]
+        for g in range(n_mor):
+            x, x1 = src[g], tgt[g]
+            rw_g = rw[g]
+            lhs = comp[rw_g[y1]].get(lw_f[x])
+            rhs = comp[lw_f[x1]].get(rw_g[y])
             if lhs is None or rhs is None:
                 continue  # endpoint breakage already reported above
-            rep.check(lhs == rhs, "interchange",
-                      f"at f={f}: {y}→{y1}, g={g}: {x}→{x1}: "
-                      f"({g}⊗{y1} after {x}⊗{f}) = {lhs} but "
-                      f"({x1}⊗{f} after {g}⊗{y}) = {rhs}")
-    return rep
+            if lhs == rhs:
+                passed += 1
+            else:
+                rep.check(False, "interchange",
+                          f"at f={mors[f]}: {objs[y]}→{objs[y1]}, g={mors[g]}: {objs[x]}→{objs[x1]}: "
+                          f"({mors[g]}⊗{objs[y1]} after {objs[x]}⊗{mors[f]}) = {mors[lhs]} but "
+                          f"({objs[x1]}⊗{mors[f]} after {mors[g]}⊗{objs[y]}) = {mors[rhs]}")
+    rep.tally(passed)
 
 
 def whiskered_from_classical(F: FinFunctor) -> WhiskeredBifunctor:
@@ -230,84 +285,185 @@ class MonoidalCategory:
                     raise TableError(f"{label} at {key} is unknown morphism {table[key]!r}")
 
 
+class _MonoidalIndex:
+    """Integer view of a validated monoidal category: its ``_CatIndex``
+    and ``_TensorIndex``, the unit, the unitors per object and the
+    associators as ``a[x][y][z]``.  Built by one checker call and dropped
+    when it returns."""
+
+    __slots__ = ("cat", "ten", "unit", "lu", "lu_inv", "ru", "ru_inv", "a", "a_inv")
+
+    def __init__(self, M: MonoidalCategory):
+        M.base.validate()
+        if M.tensor.base is not M.base and M.tensor.base != M.base:
+            raise TableError("tensor is over a different category than its monoidal structure")
+        M.validate()
+        self.cat = cx = _CatIndex(M.base)
+        self.ten = _TensorIndex(M.tensor, cx)
+        self.unit = cx.obj_no[M.unit]
+        objs, mn = cx.objects, cx.mor_no
+        self.lu, self.lu_inv, self.ru, self.ru_inv = (
+            [mn[table[x]] for x in objs]
+            for table in (M.lunitor, M.lunitor_inv, M.runitor, M.runitor_inv))
+        self.a, self.a_inv = (
+            [[[mn[table[(x, y, z)]] for z in objs] for y in objs] for x in objs]
+            for table in (M.associator, M.associator_inv))
+
+
 def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
     """Whiskered-bifunctor laws for the tensor, then the structural-iso,
-    naturality, triangle, and pentagon laws.  Exhaustive on the tables."""
-    M.validate()
-    C, T, I = M.base, M.tensor, M.unit
-    rep = check_whiskered_bifunctor(T)
-    comp = C.comp.get
+    naturality, triangle, and pentagon laws.  Exhaustive on the tables.
 
-    def iso(fwd: str, bwd: str, src: str, tgt: str, law: str, where: str) -> None:
-        rep.check(C.src(fwd) == src and C.tgt(fwd) == tgt, law + "-endpoints",
-                  f"{where}: {fwd}: {C.src(fwd)}→{C.tgt(fwd)}, expected {src}→{tgt}")
-        one = comp((fwd, bwd))
-        rep.check(one == C.id_of(tgt), law + "-iso",
-                  f"{where}: ({fwd} after {bwd}) = {one}, expected id_{tgt}")
-        other = comp((bwd, fwd))
-        rep.check(other == C.id_of(src), law + "-iso",
-                  f"{where}: ({bwd} after {fwd}) = {other}, expected id_{src}")
+    One integer index, built for this call only and shared with the
+    whiskered checks, carries every loop; a witness is rendered only for
+    an instance that fails."""
+    mx = _MonoidalIndex(M)
+    cx, I = mx.cat, mx.unit
+    objs, mors, name = cx.objects, cx.mors, cx.name
+    src, tgt, ident, comp = cx.src, cx.tgt, cx.ident, cx.comp
+    ten, lw, rw = mx.ten.obj, mx.ten.lw, mx.ten.rw
+    lu, ru, A = mx.lu, mx.ru, mx.a
+    n_obj, n_mor = len(objs), len(mors)
+    rep = LawReport()
+    _check_whiskered(rep, cx, mx.ten)
+    passed = 0
 
-    for x in C.objects:
-        iso(M.lunitor[x], M.lunitor_inv[x], T.obj(I, x), x, "lunitor", f"lunitor at {x}")
-        iso(M.runitor[x], M.runitor_inv[x], T.obj(x, I), x, "runitor", f"runitor at {x}")
-    for x, y, z in itertools.product(C.objects, repeat=3):
-        iso(M.associator[(x, y, z)], M.associator_inv[(x, y, z)],
-            T.obj(T.obj(x, y), z), T.obj(x, T.obj(y, z)),
-            "associator", f"associator at ({x},{y},{z})")
+    def iso(fwd: int, bwd: int, s: int, t: int, law: str, where) -> int:
+        ok = 0
+        if src[fwd] == s and tgt[fwd] == t:
+            ok += 1
+        else:
+            rep.check(False, law + "-endpoints",
+                      f"{where()}: {mors[fwd]}: {objs[src[fwd]]}→{objs[tgt[fwd]]}, "
+                      f"expected {objs[s]}→{objs[t]}")
+        one = comp[fwd].get(bwd)
+        if one == ident[t]:
+            ok += 1
+        else:
+            rep.check(False, law + "-iso",
+                      f"{where()}: ({mors[fwd]} after {mors[bwd]}) = {name(one)}, "
+                      f"expected id_{objs[t]}")
+        other = comp[bwd].get(fwd)
+        if other == ident[s]:
+            ok += 1
+        else:
+            rep.check(False, law + "-iso",
+                      f"{where()}: ({mors[bwd]} after {mors[fwd]}) = {name(other)}, "
+                      f"expected id_{objs[s]}")
+        return ok
 
-    for f, x, y in C.morphisms:
-        lhs = comp((M.lunitor[y], T.lw(I, f)))
-        rhs = comp((f, M.lunitor[x]))
+    for x in range(n_obj):
+        passed += iso(lu[x], mx.lu_inv[x], ten[I][x], x, "lunitor",
+                      lambda: f"lunitor at {objs[x]}")
+        passed += iso(ru[x], mx.ru_inv[x], ten[x][I], x, "runitor",
+                      lambda: f"runitor at {objs[x]}")
+    for x in range(n_obj):
+        for y in range(n_obj):
+            for z in range(n_obj):
+                passed += iso(A[x][y][z], mx.a_inv[x][y][z],
+                              ten[ten[x][y]][z], ten[x][ten[y][z]], "associator",
+                              lambda: f"associator at ({objs[x]},{objs[y]},{objs[z]})")
+
+    lw_I = lw[I]
+    for f in range(n_mor):
+        x, y = src[f], tgt[f]
+        lhs = comp[lu[y]].get(lw_I[f])
+        rhs = comp[f].get(lu[x])
         if lhs is not None and rhs is not None:
-            rep.check(lhs == rhs, "lunitor-naturality",
-                      f"at {f}: {x}→{y}: ({M.lunitor[y]} after {I}⊗{f}) = {lhs} "
-                      f"but ({f} after {M.lunitor[x]}) = {rhs}")
-        lhs = comp((M.runitor[y], T.rw(f, I)))
-        rhs = comp((f, M.runitor[x]))
+            if lhs == rhs:
+                passed += 1
+            else:
+                rep.check(False, "lunitor-naturality",
+                          f"at {mors[f]}: {objs[x]}→{objs[y]}: ({mors[lu[y]]} after "
+                          f"{objs[I]}⊗{mors[f]}) = {mors[lhs]} "
+                          f"but ({mors[f]} after {mors[lu[x]]}) = {mors[rhs]}")
+        lhs = comp[ru[y]].get(rw[f][I])
+        rhs = comp[f].get(ru[x])
         if lhs is not None and rhs is not None:
-            rep.check(lhs == rhs, "runitor-naturality",
-                      f"at {f}: {x}→{y}: ({M.runitor[y]} after {f}⊗{I}) = {lhs} "
-                      f"but ({f} after {M.runitor[x]}) = {rhs}")
+            if lhs == rhs:
+                passed += 1
+            else:
+                rep.check(False, "runitor-naturality",
+                          f"at {mors[f]}: {objs[x]}→{objs[y]}: ({mors[ru[y]]} after "
+                          f"{mors[f]}⊗{objs[I]}) = {mors[lhs]} "
+                          f"but ({mors[f]} after {mors[ru[x]]}) = {mors[rhs]}")
 
-    for f, x, x1 in C.morphisms:
-        for y, z in itertools.product(C.objects, repeat=2):
-            # naturality in the first argument
-            lhs = comp((M.associator[(x1, y, z)], T.rw(T.rw(f, y), z)))
-            rhs = comp((T.rw(f, T.obj(y, z)), M.associator[(x, y, z)]))
-            if lhs is not None and rhs is not None:
-                rep.check(lhs == rhs, "associator-naturality",
-                          f"first slot, f={f}, (y,z)=({y},{z}): {lhs} vs {rhs}")
-            # second argument
-            lhs = comp((M.associator[(y, x1, z)], T.rw(T.lw(y, f), z)))
-            rhs = comp((T.lw(y, T.rw(f, z)), M.associator[(y, x, z)]))
-            if lhs is not None and rhs is not None:
-                rep.check(lhs == rhs, "associator-naturality",
-                          f"second slot, f={f}, (y,z)=({y},{z}): {lhs} vs {rhs}")
-            # third argument
-            lhs = comp((M.associator[(y, z, x1)], T.lw(T.obj(y, z), f)))
-            rhs = comp((T.lw(y, T.lw(z, f)), M.associator[(y, z, x)]))
-            if lhs is not None and rhs is not None:
-                rep.check(lhs == rhs, "associator-naturality",
-                          f"third slot, f={f}, (y,z)=({y},{z}): {lhs} vs {rhs}")
+    def naturality(slot: str, f: int, y: int, z: int, lhs: int, rhs: int) -> None:
+        rep.check(False, "associator-naturality",
+                  f"{slot} slot, f={mors[f]}, (y,z)=({objs[y]},{objs[z]}): "
+                  f"{mors[lhs]} vs {mors[rhs]}")
 
-    for x, z in itertools.product(C.objects, repeat=2):
-        lhs = comp((T.lw(x, M.lunitor[z]), M.associator[(x, I, z)]))
-        rhs = T.rw(M.runitor[x], z)
-        if lhs is not None:
-            rep.check(lhs == rhs, "triangle",
-                      f"at ({x},{z}): ({x}⊗lunitor_{z} after α_({x},{I},{z})) = {lhs} "
-                      f"but runitor_{x}⊗{z} = {rhs}")
+    for f in range(n_mor):
+        x, x1 = src[f], tgt[f]
+        rw_f, A_x, A_x1 = rw[f], A[x], A[x1]
+        for y in range(n_obj):
+            rw_fy, ten_y, lw_y = rw[rw_f[y]], ten[y], lw[y]
+            rw_lw_yf = rw[lw_y[f]]
+            A_yx1, A_yx, A_y = A[y][x1], A[y][x], A[y]
+            A_x1y, A_xy = A_x1[y], A_x[y]
+            for z in range(n_obj):
+                # naturality in the first argument
+                lhs = comp[A_x1y[z]].get(rw_fy[z])
+                rhs = comp[rw_f[ten_y[z]]].get(A_xy[z])
+                if lhs is not None and rhs is not None:
+                    if lhs == rhs:
+                        passed += 1
+                    else:
+                        naturality("first", f, y, z, lhs, rhs)
+                # second argument
+                lhs = comp[A_yx1[z]].get(rw_lw_yf[z])
+                rhs = comp[lw_y[rw_f[z]]].get(A_yx[z])
+                if lhs is not None and rhs is not None:
+                    if lhs == rhs:
+                        passed += 1
+                    else:
+                        naturality("second", f, y, z, lhs, rhs)
+                # third argument
+                lhs = comp[A_y[z][x1]].get(lw[ten_y[z]][f])
+                rhs = comp[lw_y[lw[z][f]]].get(A_y[z][x])
+                if lhs is not None and rhs is not None:
+                    if lhs == rhs:
+                        passed += 1
+                    else:
+                        naturality("third", f, y, z, lhs, rhs)
 
-    for w, x, y, z in itertools.product(C.objects, repeat=4):
-        lhs = comp((M.associator[(w, x, T.obj(y, z))], M.associator[(T.obj(w, x), y, z)]))
-        inner = comp((M.associator[(w, T.obj(x, y), z)],
-                      T.rw(M.associator[(w, x, y)], z)))
-        rhs = None if inner is None else comp((T.lw(w, M.associator[(x, y, z)]), inner))
-        if lhs is not None and rhs is not None:
-            rep.check(lhs == rhs, "pentagon",
-                      f"at ({w},{x},{y},{z}): two-step side = {lhs}, "
-                      f"three-step side = {rhs}")
+    for x in range(n_obj):
+        for z in range(n_obj):
+            lhs = comp[lw[x][lu[z]]].get(A[x][I][z])
+            rhs = rw[ru[x]][z]
+            if lhs is not None:
+                if lhs == rhs:
+                    passed += 1
+                else:
+                    rep.check(False, "triangle",
+                              f"at ({objs[x]},{objs[z]}): ({objs[x]}⊗lunitor_{objs[z]} after "
+                              f"α_({objs[x]},{objs[I]},{objs[z]})) = {mors[lhs]} "
+                              f"but runitor_{objs[x]}⊗{objs[z]} = {mors[rhs]}")
+
+    for w in range(n_obj):
+        A_w, lw_w, ten_w = A[w], lw[w], ten[w]
+        for x in range(n_obj):
+            A_wx, A_wx_, A_x, ten_x = A_w[x], A[ten_w[x]], A[x], ten[x]
+            for y in range(n_obj):
+                rw_a = rw[A_wx[y]]
+                A_w_xy, A_wx_y, A_xy, ten_y = A_w[ten_x[y]], A_wx_[y], A_x[y], ten[y]
+                for z in range(n_obj):
+                    lhs = comp[A_wx[ten_y[z]]].get(A_wx_y[z])
+                    if lhs is None:
+                        continue
+                    inner = comp[A_w_xy[z]].get(rw_a[z])
+                    if inner is None:
+                        continue
+                    rhs = comp[lw_w[A_xy[z]]].get(inner)
+                    if rhs is None:
+                        continue
+                    if lhs == rhs:
+                        passed += 1
+                    else:
+                        rep.check(False, "pentagon",
+                                  f"at ({objs[w]},{objs[x]},{objs[y]},{objs[z]}): "
+                                  f"two-step side = {mors[lhs]}, three-step side = {mors[rhs]}")
+    rep.tally(passed)
     return rep
 
 

@@ -167,3 +167,20 @@ def test_displayed_monoidal_missing_whisker_is_reported(endo_monoidal):
     rep = check_displayed_monoidal(DM)
     assert not rep.ok
     assert any(v.law == "disp-lwhisker-totality" for v in rep.violations)
+
+
+@pytest.mark.parametrize("table, law", [
+    ("disp_lunitor_inv", "disp-lunitor-totality"),
+    ("disp_runitor_inv", "disp-runitor-totality"),
+    ("disp_associator_inv", "disp-associator-totality"),
+])
+def test_displayed_monoidal_missing_inverse_is_reported(endo_monoidal, table, law):
+    DM = trivial_displayed_monoidal(endo_monoidal)
+    assert check_displayed_monoidal(DM).checks_run == 412
+    del getattr(DM, table)[next(iter(getattr(DM, table)))]
+    rep = check_displayed_monoidal(DM)
+    # one totality failure stands in for the two inverse checks it skips
+    assert rep.checks_run == 411
+    assert [v.law for v in rep.violations] == [law]
+    assert "inverse" in rep.violations[0].witness
+    assert "const_0^" in rep.violations[0].witness

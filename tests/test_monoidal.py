@@ -197,6 +197,31 @@ def test_enumeration_bound():
         enumerate_endofunctors(chain_category(2), bound=2)
 
 
+def _closure_operators(n: int) -> set[tuple[int, ...]]:
+    """Maps on 0 < 1 < ... < n-1 that are monotone, inflationary and
+    idempotent, by brute force over all maps."""
+    return {c for c in itertools.product(range(n), repeat=n)
+            if all(c[i] <= c[j] for i in range(n) for j in range(i, n))
+            and all(c[i] >= i and c[c[i]] == c[i] for i in range(n))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monoids_on_a_chain_are_its_closure_operators(n):
+    # A monad on a poset is a closure operator; a chain of n elements has
+    # one for every subset of its elements that contains the top, 2^(n-1).
+    E = endofunctor_monoidal(chain_category(n))
+    monoids = enumerate_monoids(E.monoidal)
+    assert len(monoids) == 2 ** (n - 1)
+    maps = []
+    for m in monoids:
+        on_obj = E.functors[m.carrier].on_obj
+        c = tuple(int(on_obj[str(i)]) for i in range(n))
+        assert all(c[i] >= i for i in range(n)), m.carrier      # inflationary
+        assert all(c[c[i]] == c[i] for i in range(n)), m.carrier  # idempotent
+        maps.append(c)
+    assert sorted(maps) == sorted(_closure_operators(n))
+
+
 # --- coherence fixtures ------------------------------------------------------------
 
 def test_broken_pentagon_fixture(fixtures):
