@@ -685,7 +685,8 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
 
 def total_monoidal(DM: DisplayedMonoidal) -> MonoidalCategory:
     """Monoidal structure on the total category; the projection from
-    total_category is strict monoidal for it by construction."""
+    total_category is strict monoidal for it by construction.  A missing
+    displayed entry is a TableError naming its table and key."""
     DM.validate()
     D = DM.disp_cat
     M = DM.base_monoidal
@@ -698,25 +699,32 @@ def total_monoidal(DM: DisplayedMonoidal) -> MonoidalCategory:
     def pmor(mm: str) -> str:
         return pair_mor(D.mor_info(mm)[0], mm)
 
+    def entry(table: str, key):
+        try:
+            return getattr(DM, table)[key]
+        except KeyError:
+            raise TableError(
+                f"displayed monoidal table {table} has no entry for {key!r}") from None
+
     dobjs = _all_disp_objects(D)
-    obj_table = {(pobj(xx), pobj(yy)): pobj(DM.disp_tensor[(xx, yy)])
+    obj_table = {(pobj(xx), pobj(yy)): pobj(entry("disp_tensor", (xx, yy)))
                  for xx in dobjs for yy in dobjs}
-    lwhisker = {(pobj(xx), pmor(ff)): pmor(DM.disp_lwhisker[(xx, ff)])
+    lwhisker = {(pobj(xx), pmor(ff)): pmor(entry("disp_lwhisker", (xx, ff)))
                 for xx in dobjs for ff in D._mor_info}
-    rwhisker = {(pmor(ff), pobj(zz)): pmor(DM.disp_rwhisker[(ff, zz)])
+    rwhisker = {(pmor(ff), pobj(zz)): pmor(entry("disp_rwhisker", (ff, zz)))
                 for zz in dobjs for ff in D._mor_info}
     tensor = WhiskeredBifunctor(total, obj_table, lwhisker, rwhisker)
     return MonoidalCategory(
         total,
         pobj(DM.disp_unit),
         tensor,
-        {pobj(xx): pmor(DM.disp_lunitor[xx]) for xx in dobjs},
-        {pobj(xx): pmor(DM.disp_lunitor_inv[xx]) for xx in dobjs},
-        {pobj(xx): pmor(DM.disp_runitor[xx]) for xx in dobjs},
-        {pobj(xx): pmor(DM.disp_runitor_inv[xx]) for xx in dobjs},
-        {(pobj(a), pobj(b), pobj(c)): pmor(DM.disp_associator[(a, b, c)])
+        {pobj(xx): pmor(entry("disp_lunitor", xx)) for xx in dobjs},
+        {pobj(xx): pmor(entry("disp_lunitor_inv", xx)) for xx in dobjs},
+        {pobj(xx): pmor(entry("disp_runitor", xx)) for xx in dobjs},
+        {pobj(xx): pmor(entry("disp_runitor_inv", xx)) for xx in dobjs},
+        {(pobj(a), pobj(b), pobj(c)): pmor(entry("disp_associator", (a, b, c)))
          for a in dobjs for b in dobjs for c in dobjs},
-        {(pobj(a), pobj(b), pobj(c)): pmor(DM.disp_associator_inv[(a, b, c)])
+        {(pobj(a), pobj(b), pobj(c)): pmor(entry("disp_associator_inv", (a, b, c)))
          for a in dobjs for b in dobjs for c in dobjs},
         name="total",
     )

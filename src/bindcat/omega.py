@@ -14,7 +14,6 @@ are checked exhaustively up to a configured level, never symbolically.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,32 +37,30 @@ class NaturalityError(Exception):
 class EnumSetObj:
     """A set presented by cumulative finite levels, computed lazily.
 
-    ``level(d)`` returns the list for level d; results are memoized and
-    access is safe under concurrent readers.  Duplicate elements and
-    non-cumulative levels are rejected at access time.
+    ``level(d)`` returns the list for level d; results are memoized
+    without locking, so an object is meant for one thread.  Duplicate
+    elements and non-cumulative levels are rejected at access time.
     """
 
     def __init__(self, level_fn: Callable[[int], list], name: str = ""):
         self._fn = level_fn
         self._memo: dict[int, list] = {}
-        self._lock = threading.RLock()
         self.name = name
 
     def level(self, d: int) -> list:
         if d < 0:
             raise ValueError("levels are indexed by naturals")
-        with self._lock:
-            if d not in self._memo:
-                below = set(self.level(d - 1)) if d > 0 else set()
-                elems = list(self._fn(d))
-                if len(set(elems)) != len(elems):
-                    raise ChainError(f"{self.name or 'object'}: level {d} has duplicates")
-                if not below <= set(elems):
-                    raise ChainError(
-                        f"{self.name or 'object'}: level {d} is not cumulative "
-                        f"(drops {sorted(map(repr, below - set(elems)))[:3]})")
-                self._memo[d] = elems
-            return self._memo[d]
+        if d not in self._memo:
+            below = set(self.level(d - 1)) if d > 0 else set()
+            elems = list(self._fn(d))
+            if len(set(elems)) != len(elems):
+                raise ChainError(f"{self.name or 'object'}: level {d} has duplicates")
+            if not below <= set(elems):
+                raise ChainError(
+                    f"{self.name or 'object'}: level {d} is not cumulative "
+                    f"(drops {sorted(map(repr, below - set(elems)))[:3]})")
+            self._memo[d] = elems
+        return self._memo[d]
 
     def __repr__(self):
         return f"EnumSetObj({self.name!r})"
@@ -143,13 +140,11 @@ class OmegaChain:
     def __init__(self, functor: EnumEndofunctor):
         self.functor = functor
         self._stages: list[EnumSetObj] = [empty_enum_set()]
-        self._lock = threading.RLock()
 
     def stage(self, n: int) -> EnumSetObj:
-        with self._lock:
-            while len(self._stages) <= n:
-                self._stages.append(self.functor.apply(self._stages[-1]))
-            return self._stages[n]
+        while len(self._stages) <= n:
+            self._stages.append(self.functor.apply(self._stages[-1]))
+        return self._stages[n]
 
     def stable_at(self, n: int, depth: int) -> bool:
         """True when stages n and n+1 agree on every level ≤ depth."""

@@ -16,7 +16,6 @@ checked against the direct implementation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
@@ -335,31 +334,45 @@ def _remembered_lifts():
     return lift
 
 
-def _substitute(t: Term, s: Substitution, lift) -> Term:
+def _substitute(memo: dict[Term, Term], t: Term, s: Substitution, lift) -> Term:
+    """t under s, filling memo with every subterm's result.
+
+    One memo serves one root substitution σ: a subterm at scope
+    σ.source + j always meets lift(σ, j), so its result depends on the
+    subterm alone, and each distinct subterm is substituted once.
+    """
+    # before the lookup: the memo also holds subterms of other scopes
     if t.scope != s.source:
         raise ScopeError(
             f"term in scope {t.scope} substituted from scope {s.source}")
-    if isinstance(t, Var):
-        return s.images[t.index]
-    n = t.scope
-    return Ctor(s.target, t.name,
-                tuple([_substitute(a, lift(s, a.scope - n), lift) for a in t.args]))
+    got = memo.get(t)
+    if got is None:
+        if isinstance(t, Var):
+            got = s.images[t.index]
+        else:
+            n = t.scope
+            got = Ctor(s.target, t.name,
+                       tuple([_substitute(memo, a, lift(s, a.scope - n), lift)
+                              for a in t.args]))
+        memo[t] = got
+    return got
 
 
 def substitute(t: Term, s: Substitution) -> Term:
     """Capture-avoiding simultaneous substitution."""
-    return _substitute(t, s, lift_substitution)
+    return _substitute({}, t, s, _remembered_lifts())
 
 
-def compose_substitutions(tau: Substitution, sigma: Substitution,
-                          subst=substitute) -> Substitution:
+def compose_substitutions(tau: Substitution, sigma: Substitution) -> Substitution:
     """The substitution doing sigma first, then tau."""
     if sigma.target != tau.source:
         raise ScopeError(
             f"cannot compose: first substitution targets scope {sigma.target}, "
             f"second starts from scope {tau.source}")
+    memo: dict[Term, Term] = {}
+    lift = _remembered_lifts()
     return Substitution(sigma.source, tau.target,
-                        tuple(subst(img, tau) for img in sigma.images))
+                        tuple([_substitute(memo, img, tau, lift) for img in sigma.images]))
 
 
 def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
@@ -371,17 +384,22 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
     instance count stays polynomial rather than doubly exponential).
     ``subst`` swaps in an alternative substitute for fault injection.
 
-    ``subst`` is treated as a pure function of (term, substitution) that
-    returns terms, so the associativity family calls it far fewer times
-    than it checks: under each τ once per distinct term, and once per
-    term of the source scope for each distinct composite τ∘σ (see
-    ``_assoc_failures``).  Check counts, the violations in their order
-    and every witness are those of the plain exhaustive loop over n,
-    then σ out of scope n, then τ out of σ's target, then t in scope n.
+    Every substitution in the sweep goes through a memo that lives for
+    one root substitution.  The library's own substitute fills it with
+    every subterm it meets; ``subst`` is treated as a pure function of
+    (term, substitution) that returns terms, and its memo holds only the
+    terms it is called on.  So the associativity family substitutes far
+    fewer times than it checks: under each τ once per distinct term, and
+    once per term of the source scope for each distinct composite τ∘σ
+    (see ``_assoc_failures``).  Check counts, the violations in their
+    order and every witness are those of the plain exhaustive loop over
+    n, then σ out of scope n, then τ out of σ's target, then t in scope n.
     """
     if subst is None or subst is substitute:
         # the library's own substitute shares one memo of lifts per sweep
-        subst = functools.partial(_substitute, lift=_remembered_lifts())
+        sub, aux = _substitute, _remembered_lifts()
+    else:
+        sub, aux = _once, subst
     if image_depth is None:
         image_depth = max(depth - 1, 1)
     rep = LawReport()
@@ -394,21 +412,20 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
                  for n in scopes}
 
     for n in scopes:
-        u = unit_substitution(n)
-        for t in terms_at[n]:
-            rep.check(subst(t, u) == t, "monad-right-unit",
+        ts = terms_at[n]
+        for t, got in zip(ts, _column(ts, unit_substitution(n), sub, aux)):
+            rep.check(got == t, "monad-right-unit",
                       lambda t=t: f"t = {render_term(t)} changed under the "
                                   f"identity substitution")
     for n in scopes:
         for s in subs_from[n]:
-            for i in range(n):
-                got = subst(Var(n, i), s)
+            for i, got in enumerate(_column([Var(n, i) for i in range(n)], s, sub, aux)):
                 rep.check(got == s.images[i], "monad-left-unit",
                           lambda i=i, s=s, got=got:
                           f"var {i} under sigma = {render_substitution(s)} "
                           f"gives {render_term(got)}")
     # associativity: the sweep's memos are gone before any witness is rendered
-    masks = _assoc_failures(terms_at, subs_from, subst)
+    masks = _assoc_failures(terms_at, subs_from, sub, aux)
     shown_t = {n: [render_term(t) for t in ts] for n, ts in terms_at.items()}
     shown_s = {n: [render_substitution(s) for s in subs] for n, subs in subs_from.items()}
     for n in scopes:
@@ -427,20 +444,29 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
 _UNSEEN = object()
 
 
-def _once(memo: dict, t: Term, subst, s: Substitution) -> Term:
-    """subst(t, s), substituted at most once per memo."""
+def _once(memo: dict, t: Term, s: Substitution, subst) -> Term:
+    """subst(t, s), called at most once per memo; the memo keeps only
+    the terms subst is called on."""
     got = memo.get(t, _UNSEEN)
     if got is _UNSEEN:
         got = memo[t] = subst(t, s)
     return got
 
 
+def _column(terms, s: Substitution, sub, aux) -> list[Term]:
+    """Each term substituted by s, through one memo for the column."""
+    memo: dict[Term, Term] = {}
+    return [sub(memo, t, s, aux) for t in terms]
+
+
 def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
                     subs_from: dict[int, list[Substitution]],
-                    subst) -> dict[int, list[list[int]]]:
-    """Where subst(subst(t, σ), τ) == subst(t, τ∘σ) fails: at [n][i][k],
-    for σ = subs_from[n][i] and τ = subs_from[σ.target][k], a bit mask
-    over the terms t in scope n.
+                    sub, aux) -> dict[int, list[list[int]]]:
+    """Where sub(sub(t, σ), τ) == sub(t, τ∘σ) fails: at [n][i][k], for
+    σ = subs_from[n][i] and τ = subs_from[σ.target][k], a bit mask over
+    the terms t in scope n.  ``sub(memo, t, s, aux)`` substitutes with
+    one memo per root substitution: ``_substitute`` with a lift, or
+    ``_once`` with a user's subst.
 
     The work runs τ by τ, and under one τ each distinct term (an image
     of some σ, or some σ(t)) is substituted once.  A first pass builds
@@ -464,7 +490,7 @@ def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
             row = rows[(m, k)] = []
             for n, _, s in into[m]:
                 comp = Substitution(n, tau.target,
-                                    tuple([_once(memo, img, subst, tau) for img in s.images]))
+                                    tuple([sub(memo, img, tau, aux) for img in s.images]))
                 c = comp_ids.setdefault(comp, len(comps))
                 if c == len(comps):
                     comps.append(comp)
@@ -472,7 +498,7 @@ def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
                 uses[c] += 1
                 row.append(c)
 
-    mids = {n: [[subst(t, s) for t in terms_at[n]] for s in subs]
+    mids = {n: [_column(terms_at[n], s, sub, aux) for s in subs]
             for n, subs in subs_from.items()}
     columns: dict[int, list[Term]] = {}
     failed = {n: [[0] * len(subs_from[s.target]) for s in subs]
@@ -483,13 +509,13 @@ def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
             for (n, i, _), c in zip(into[m], rows.pop((m, k))):
                 col = columns.pop(c, None)
                 if col is None:
-                    col = [subst(t, comps[c]) for t in terms_at[n]]
+                    col = _column(terms_at[n], comps[c], sub, aux)
                 uses[c] -= 1
                 if uses[c]:
                     columns[c] = col
                 mask = 0
                 for j, (ti, want) in enumerate(zip(mids[n][i], col)):
-                    if not _once(memo, ti, subst, tau) == want:
+                    if not sub(memo, ti, tau, aux) == want:
                         mask |= 1 << j
                 failed[n][i][k] = mask
     return failed

@@ -136,6 +136,14 @@ def test_total_monoidal_passes_coherence(endo_monoidal):
     assert rep.ok
 
 
+def test_total_monoidal_names_a_missing_entry(endo_monoidal):
+    DM = trivial_displayed_monoidal(endo_monoidal)
+    del DM.disp_lunitor_inv["const_0^"]
+    with pytest.raises(TableError,
+                       match=r"disp_lunitor_inv has no entry for 'const_0\^'"):
+        total_monoidal(DM)
+
+
 def test_projection_is_strict_monoidal(endo_monoidal):
     DM = trivial_displayed_monoidal(endo_monoidal)
     total_M = total_monoidal(DM)

@@ -3,8 +3,10 @@ renaming, substitution, and the substitution monad laws."""
 
 import copy
 import gc
+import itertools
 import pickle
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,6 +282,67 @@ def test_substitute_scope_mismatch():
         substitute(Var(2, 0), unit_substitution(1))
 
 
+def test_scope_check_runs_before_the_memo():
+    # substituting abs(var 1) leaves its body var 1 at scope 2 in the memo
+    memo = {}
+    s = Substitution(1, 0, (lam_term(0, "abs(var 0)"),))
+    lift = bindcat.terms._remembered_lifts()
+    bindcat.terms._substitute(memo, lam_term(1, "abs(var 1)"), s, lift)
+    assert Var(2, 1) in memo
+    with pytest.raises(ScopeError):
+        bindcat.terms._substitute(memo, Var(2, 1), s, lift)
+
+
+def shift_free(t, k, cutoff=0):
+    """t in scope t.scope + k, its variables from cutoff up shifted by k."""
+    if isinstance(t, Var):
+        return Var(t.scope + k, t.index + k if t.index >= cutoff else t.index)
+    return Ctor(t.scope + k, t.name,
+                tuple(shift_free(a, k, cutoff + a.scope - t.scope) for a in t.args))
+
+
+def reference_substitute(t, s):
+    """De Bruijn substitution from scratch, shifting at the leaves: under
+    k binders, var i < k stays bound and var i >= k becomes image i - k
+    with its free variables shifted by k."""
+    def go(u, k):
+        if isinstance(u, Var):
+            if u.index < k:
+                return Var(s.target + k, u.index)
+            return shift_free(s.images[u.index - k], k)
+        return Ctor(s.target + k, u.name,
+                    tuple(go(a, k + a.scope - u.scope) for a in u.args))
+    return go(t, 0)
+
+
+def lam_grid():
+    """The sweep's grid: terms of depth < 3 and substitutions with images
+    of depth < 2, at scopes <= 2."""
+    terms = {n: enumerate_terms(LAM, n, 3) for n in range(3)}
+    subs = {n: [Substitution(n, m, images) for m in range(3)
+                for images in itertools.product(enumerate_terms(LAM, m, 2), repeat=n)]
+            for n in range(3)}
+    return terms, subs
+
+
+def test_substitute_matches_a_from_scratch_reference():
+    terms, subs = lam_grid()
+    pairs = [(t, s) for n in terms for s in subs[n] for t in terms[n]]
+    assert len(pairs) == 10_081
+    for t, s in pairs:
+        assert substitute(t, s) == reference_substitute(t, s)
+
+
+def test_composition_is_sigma_then_tau_on_the_whole_grid():
+    _, subs = lam_grid()
+    pairs = [(tau, sigma) for n in subs for sigma in subs[n] for tau in subs[sigma.target]]
+    assert len(pairs) == 9_221
+    for tau, sigma in pairs:
+        assert compose_substitutions(tau, sigma) == Substitution(
+            sigma.source, tau.target,
+            tuple(reference_substitute(img, tau) for img in sigma.images))
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_composition_agrees_with_sequencing(data):
@@ -320,21 +383,21 @@ def shift_scope(t, k):
     return Ctor(t.scope + k, t.name, tuple(shift_scope(a, k) for a in t.args))
 
 
+def unweakened_lift(s, k):
+    """lift_substitution that re-scopes the images without weakening them."""
+    if k == 0:
+        return s
+    return Substitution(s.source + k, s.target + k,
+                        tuple(Var(s.target + k, j) for j in range(k))
+                        + tuple(shift_scope(img, k) for img in s.images))
+
+
 def broken_substitute(t, s):
     if isinstance(t, Var):
         return s.images[t.index]
-    out = []
-    for a in t.args:
-        k = a.scope - t.scope
-        if k == 0:
-            out.append(broken_substitute(a, s))
-        else:
-            bad = Substitution(
-                s.source + k, s.target + k,
-                tuple(Var(s.target + k, i) for i in range(k))
-                + tuple(shift_scope(img, k) for img in s.images))
-            out.append(broken_substitute(a, bad))
-    return Ctor(s.target, t.name, tuple(out))
+    return Ctor(s.target, t.name,
+                tuple(broken_substitute(a, unweakened_lift(s, a.scope - t.scope))
+                      for a in t.args))
 
 
 def test_fault_injection_is_detected():
@@ -350,6 +413,16 @@ def test_fault_injection_invisible_without_binders():
     # nat has no binders, so the broken lift is never exercised
     rep = check_monad_laws(nat_signature(), 3, 2, subst=broken_substitute)
     assert rep.ok
+
+
+def test_broken_lift_is_detected_on_the_library_path(monkeypatch):
+    # the default substitute, memoised per subterm, must still be able to fail
+    monkeypatch.setattr(bindcat.terms, "lift_substitution", unweakened_lift)
+    rep = check_monad_laws(LAM, 2, 2)
+    assert rep.checks_run == 297
+    assert Counter(v.law for v in rep.violations) == \
+        {"monad-assoc": 23, "monad-right-unit": 3}
+    assert any(v.law == "monad-assoc" and "abs" in v.witness for v in rep.violations)
 
 
 # ------------- substitution via the iteration scheme -------------
