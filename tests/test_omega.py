@@ -1,8 +1,11 @@
 """Chains of sets, initial algebras, Mendler-style iteration, and the
 parametrized variant on leaf-labelled trees."""
 
+import hashlib
+
 import pytest
 
+import bindcat.omega
 from bindcat import (
     ChainError,
     EnumEndofunctor,
@@ -312,6 +315,28 @@ def test_run_param_demo():
     rep = run_param_demo(depth=3)
     assert rep.ok
     assert rep.checks_run == 1621
+
+
+def test_run_param_demo_with_a_broken_mu_action(monkeypatch):
+    # every μ action goes through the public mu_on_morphism; breaking the
+    # action of g must surface in the naturality squares and in μ's
+    # composition law, with the same witnesses in the same order
+    real = bindcat.omega.mu_on_morphism
+
+    def broken(PB, mu, f, depth, *args, **kwargs):
+        h = real(PB, mu, f, depth, *args, **kwargs)
+        return {t: leaf(2) for t in h} if f == "g" else h
+
+    monkeypatch.setattr(bindcat.omega, "mu_on_morphism", broken)
+    rep = run_param_demo(depth=3)
+    assert rep.checks_run == 1621
+    totals = {}
+    for v in rep.violations:
+        totals[v.law] = totals.get(v.law, 0) + 1
+    assert totals == {"param-naturality": 10, "mu-composition": 38}
+    pairs = repr([(v.law, v.witness) for v in rep.violations])
+    assert hashlib.sha256(pairs.encode()).hexdigest() == \
+        "06024537a3f382479ae294911e5376eacb63047d472d7679ed26feb97edd4274"
 
 
 # ------------- poset-shaped instances -------------
