@@ -51,14 +51,16 @@ class EnumSetObj:
         if d < 0:
             raise ValueError("levels are indexed by naturals")
         if d not in self._memo:
-            below = set(self.level(d - 1)) if d > 0 else set()
+            below = self.level(d - 1) if d > 0 else []
             elems = list(self._fn(d))
-            if len(set(elems)) != len(elems):
+            got = set(elems)
+            if len(got) != len(elems):
                 raise ChainError(f"{self.name or 'object'}: level {d} has duplicates")
-            if not below <= set(elems):
+            if not got.issuperset(below):
+                dropped = [e for e in below if e not in got]
                 raise ChainError(
                     f"{self.name or 'object'}: level {d} is not cumulative "
-                    f"(drops {sorted(map(repr, below - set(elems)))[:3]})")
+                    f"(drops {sorted(map(repr, dropped))[:3]})")
             self._memo[d] = elems
         return self._memo[d]
 
@@ -134,12 +136,13 @@ def check_endofunctor_laws(F: EnumEndofunctor, X: EnumSetObj,
 
 
 class OmegaChain:
-    """The chain 0 → F0 → F²0 → … with memoized stages; connecting maps
-    are inclusions (identity on elements)."""
+    """The chain 0 → F0 → F²0 → … with memoized stages and stability
+    answers; connecting maps are inclusions (identity on elements)."""
 
     def __init__(self, functor: EnumEndofunctor):
         self.functor = functor
         self._stages: list[EnumSetObj] = [empty_enum_set()]
+        self._stable: dict[tuple[int, int], bool] = {}
 
     def stage(self, n: int) -> EnumSetObj:
         while len(self._stages) <= n:
@@ -148,8 +151,12 @@ class OmegaChain:
 
     def stable_at(self, n: int, depth: int) -> bool:
         """True when stages n and n+1 agree on every level ≤ depth."""
-        a, b = self.stage(n), self.stage(n + 1)
-        return all(set(a.level(e)) == set(b.level(e)) for e in range(depth + 1))
+        key = (n, depth)
+        if key not in self._stable:
+            a, b = self.stage(n), self.stage(n + 1)
+            self._stable[key] = all(set(a.level(e)) == set(b.level(e))
+                                    for e in range(depth + 1))
+        return self._stable[key]
 
 
 @dataclass
@@ -287,6 +294,9 @@ def check_initiality(F: EnumEndofunctor, alg: InitialAlgebra,
 
 # --- generalized Mendler iteration -------------------------------------------
 
+_ABSENT = object()
+
+
 def gen_mendler_iteration(F: EnumEndofunctor, alg: InitialAlgebra,
                           L: EnumEndofunctor, X: EnumSetObj,
                           psi: Callable[[EnumSetObj, dict], Callable],
@@ -322,12 +332,13 @@ def gen_mendler_iteration(F: EnumEndofunctor, alg: InitialAlgebra,
                     f"stage {m + 1} sends {e!r} to {v!r}, outside the target truncation")
             h_next[e] = v
         for e, v in h.items():
-            if e not in h_next:
+            w = h_next.get(e, _ABSENT)
+            if w is _ABSENT:
                 raise ChainError(f"stage {m + 1} lost element {e!r}; L is not monotone")
-            if h_next[e] != v:
+            if w != v:
                 raise NaturalityError(
                     f"ψ naturality violation detected: stage {m + 1} remaps {e!r} "
-                    f"from {v!r} to {h_next[e]!r}")
+                    f"from {v!r} to {w!r}")
         h = h_next
         if stable:
             return h
@@ -492,11 +503,25 @@ def mu_on_morphism(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
                                  target.carrier, psi, depth, max_stage)
 
 
+def _mu_actions(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
+                depth: int) -> dict[str, dict]:
+    """μ's action on every parameter morphism, in declaration order."""
+    return {f: mu_on_morphism(PB, mu, f, depth) for f, _, _ in PB.param_cat.morphisms}
+
+
 def check_mu_functor_laws(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
                           depth: int) -> LawReport:
+    """Identity and composition laws of Z ↦ μ_Z on parameter morphisms.
+
+    Builds μ's action on each parameter morphism once, for this call only.
+    """
+    return _mu_functor_report(PB, mu, _mu_actions(PB, mu, depth), depth)
+
+
+def _mu_functor_report(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
+                       actions: dict[str, dict], depth: int) -> LawReport:
     rep = LawReport()
     C = PB.param_cat
-    actions = {f: mu_on_morphism(PB, mu, f, depth) for f, _, _ in C.morphisms}
     for z in C.objects:
         act = actions[C.id_of(z)]
         for t in mu[z].carrier.level(depth):
@@ -548,10 +573,22 @@ def check_param_initiality(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
                            fam: ParamAlgebraFamily, depth: int,
                            brute_bound: int = 65536) -> LawReport:
     """Fixed-point equation for every component, naturality of the family
-    in the parameter, and per-component uniqueness."""
+    in the parameter, and per-component uniqueness.
+
+    Builds the family's components and μ's action on each parameter
+    morphism once, for this call only.
+    """
+    hs = parametrized_initiality(PB, mu, fam, depth)
+    return _param_initiality_report(PB, mu, fam, hs, _mu_actions(PB, mu, depth),
+                                    depth, brute_bound)
+
+
+def _param_initiality_report(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
+                             fam: ParamAlgebraFamily, hs: dict[str, dict],
+                             actions: dict[str, dict], depth: int,
+                             brute_bound: int) -> LawReport:
     rep = LawReport()
     C = PB.param_cat
-    hs = parametrized_initiality(PB, mu, fam, depth)
     for z in C.objects:
         FZ = PB.functor_at(z)
         phi_z = fam.phi(z)
@@ -564,7 +601,7 @@ def check_param_initiality(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
                       lambda w=w, z=z, lhs=lhs, rhs=rhs:
                       f"at {z}: h(str({w!r})) = {lhs!r} but φ(F(h)({w!r})) = {rhs!r}")
     for f, z, z1 in C.morphisms:
-        mf = mu_on_morphism(PB, mu, f, depth)
+        mf = actions[f]
         gf = fam.g_mor(f)
         for t in mu[z].carrier.level(depth):
             lhs = hs[z1].get(mf[t])
@@ -711,27 +748,41 @@ def run_param_demo(depth: int = 3, brute_bound: int = 65536) -> LawReport:
     """Leaf-labelled binary trees over the demo parameter corpus: the
     bifunctor's whiskering laws, initiality of the μ family for both the
     leftmost-leaf and powerset algebras, functoriality of μ on parameter
-    morphisms, and two concrete folds."""
+    morphisms, and two concrete folds.
+
+    μ's action on each parameter morphism is built once and shared by both
+    families' naturality squares, μ's functor laws and the relabelling
+    example; each family's components are built once and serve its checks
+    and, for the leftmost-leaf family, the fold example.  None of these
+    maps outlives the call.
+    """
     cat, carriers, mor_maps = demo_param_corpus()
     PB = tree_bifunctor(cat, carriers, mor_maps)
     mu = param_initial_algebras(PB)
     rep = LawReport()
     sample = const_enum_set([leaf(v) for v in carriers["za"]], "sample")
     rep.merge(check_param_bifunctor(PB, sample, lambda e: e, min(depth, 2)))
-    for fam in (leftmost_leaf_family(cat, carriers, mor_maps),
-                powerset_family(cat, carriers, mor_maps)):
-        rep.merge(check_param_initiality(PB, mu, fam, depth, brute_bound))
-    rep.merge(check_mu_functor_laws(PB, mu, depth))
-
-    h = parametrized_initiality(PB, mu,
-                                leftmost_leaf_family(cat, carriers, mor_maps), depth)
+    # maps are built in check_param_initiality's order, components before
+    # actions, and each family is dropped after its report: both keep peak
+    # memory down
     example = node(node(leaf(2), leaf(5)), leaf(9))
-    rep.check(h["zc"].get(example) == 2, "leftmost-leaf-example",
-              f"fold of {example!r} gave {h['zc'].get(example)!r}, expected 2")
-    act = mu_on_morphism(PB, mu, "f", depth)
     pair = node(leaf(1), leaf(2))
-    rep.check(act.get(pair) == node(leaf(7), leaf(7)), "mu-action-example",
-              f"relabelling {pair!r} gave {act.get(pair)!r}")
+    fam = leftmost_leaf_family(cat, carriers, mor_maps)
+    hs = parametrized_initiality(PB, mu, fam, depth)
+    folded = hs["zc"].get(example)
+    actions = _mu_actions(PB, mu, depth)
+    relabelled = actions["f"].get(pair)
+    rep.merge(_param_initiality_report(PB, mu, fam, hs, actions, depth, brute_bound))
+    del hs
+    fam = powerset_family(cat, carriers, mor_maps)
+    hs = parametrized_initiality(PB, mu, fam, depth)
+    rep.merge(_param_initiality_report(PB, mu, fam, hs, actions, depth, brute_bound))
+    del hs
+    rep.merge(_mu_functor_report(PB, mu, actions, depth))
+    rep.check(folded == 2, "leftmost-leaf-example",
+              f"fold of {example!r} gave {folded!r}, expected 2")
+    rep.check(relabelled == node(leaf(7), leaf(7)), "mu-action-example",
+              f"relabelling {pair!r} gave {relabelled!r}")
     return rep
 
 

@@ -71,6 +71,13 @@ def test_levels_reject_shrinking():
         X.level(1)
 
 
+def test_non_cumulative_level_names_the_first_dropped_elements():
+    X = EnumSetObj(lambda d: [3, 1] if d else [5, 4, 3, 2, 1], name="drop")
+    with pytest.raises(ChainError) as err:
+        X.level(1)
+    assert str(err.value) == "drop: level 1 is not cumulative (drops ['2', '4', '5'])"
+
+
 def test_negative_level():
     with pytest.raises(ValueError):
         const_enum_set([1]).level(-1)
@@ -128,6 +135,14 @@ def test_chain_stages():
     assert set(chain.stage(3).level(5)) == {numeral(0), numeral(1), numeral(2)}
     assert not chain.stable_at(2, 3)
     assert chain.stable_at(4, 3)
+
+
+def test_stability_answers_do_not_depend_on_the_order_asked():
+    forward, backward = OmegaChain(numeral_functor()), OmegaChain(numeral_functor())
+    asked = [(4, 3), (2, 3), (2, 1), (2, 0), (4, 3), (2, 1)]
+    answers = [forward.stable_at(n, d) for n, d in asked]
+    assert answers == [True, False, True, True, True, True]
+    assert [backward.stable_at(n, d) for n, d in reversed(asked)] == answers[::-1]
 
 
 def test_adamek_numerals():
@@ -315,6 +330,25 @@ def test_run_param_demo():
     rep = run_param_demo(depth=3)
     assert rep.ok
     assert rep.checks_run == 1621
+
+
+def test_run_param_demo_builds_each_mendler_map_once(monkeypatch):
+    # six μ actions, one per parameter morphism, and three components
+    # for each of the two families
+    real = bindcat.omega.gen_mendler_iteration
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].name)  # the target carrier's name
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bindcat.omega, "gen_mendler_iteration", counted)
+    assert run_param_demo(depth=3).checks_run == 1621
+    assert len(calls) == 12
+    assert sorted(calls) == sorted(["mu(F(za,-))", "mu(F(zb,-))", "mu(F(zb,-))",
+                                    "mu(F(zc,-))", "mu(F(zc,-))", "mu(F(zc,-))",
+                                    "G(za)", "G(zb)", "G(zc)",
+                                    "P(za)", "P(zb)", "P(zc)"])
 
 
 def test_run_param_demo_with_a_broken_mu_action(monkeypatch):
