@@ -103,11 +103,11 @@ def _cmd_laws(args) -> tuple[LawReport, tuple[str, ...]]:
 
 
 def _cmd_mendler_demo(args) -> tuple[LawReport, tuple[str, ...]]:
-    return run_evenness_demo(args.depth, bound=args.bound), ()
+    return run_evenness_demo(args.depth), ()
 
 
 def _cmd_param_demo(args) -> tuple[LawReport, tuple[str, ...]]:
-    return run_param_demo(args.depth, brute_bound=args.bound), ()
+    return run_param_demo(args.depth), ()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,14 +159,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("mendler-demo", _cmd_mendler_demo,
             "evenness of unary numerals by generalized Mendler iteration")
     p.add_argument("--depth", type=int, default=6, help="checked level (default 6)")
-    p.add_argument("--bound", type=int, default=1_000_000,
-                   help="cap on brute-force candidate maps (default 1000000)")
 
     p = add("param-initial-demo", _cmd_param_demo,
             "parametrized initiality for leaf-labelled binary trees")
     p.add_argument("--depth", type=int, default=3, help="checked level (default 3)")
-    p.add_argument("--bound", type=int, default=65536,
-                   help="cap on brute-force candidate maps (default 65536)")
 
     return parser
 

@@ -13,7 +13,6 @@ are checked exhaustively up to a configured level, never symbolically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -225,39 +224,88 @@ def check_initial_algebra(alg: InitialAlgebra, depth: int) -> LawReport:
     return rep
 
 
+def _level_order(X: EnumSetObj, depth: int) -> list:
+    """X's elements up to the given level, each level's new ones in turn."""
+    return list(dict.fromkeys(e for d in range(depth + 1) for e in X.level(d)))
+
+
 def _fold(F: EnumEndofunctor, alg: InitialAlgebra, g: Callable, depth: int) -> dict:
-    """The canonical algebra map μF → X at the given level, computed by
-    level recursion; every element's value is forced by its children."""
+    """The canonical algebra map μF → X at the given level, computed in
+    level order; every element's value is forced by its children."""
     h: dict = {}
-    mu = alg.carrier
-    for d in range(depth + 1):
-        for e in mu.level(d):
-            if e in h:
-                continue
-            try:
-                h[e] = g(F.apply_map(h.__getitem__)(e))
-            except KeyError as missing:
-                raise ChainError(
-                    f"fold at level {d} needs a value below level {d} "
-                    f"for {missing.args[0]!r}; the functor's level_shift lies") from None
+    for e in _level_order(alg.carrier, depth):
+        try:
+            h[e] = g(F.apply_map(h.__getitem__)(e))
+        except KeyError as missing:
+            raise ChainError(f"the fold at {e!r} reads {missing.args[0]!r} before the "
+                             f"walk reaches it; the functor's level_shift lies") from None
     return h
+
+
+def _count_solutions(dom: EnumSetObj, depth: int, targets: list,
+                     equation: Callable, known: dict) -> int:
+    """The number of maps k: dom.level(depth) → targets with k(e) =
+    equation(k)(e) for all e.  A fold's equations read only lower levels
+    (Abel–Matthes–Uustalu, TCS 2005), so a walk in _level_order forces each
+    value from those walked before, except where an equation reads its own
+    element: that branches on each target value satisfying it.  A forced
+    value equal to ``known``'s, a map the caller holds, keeps its object.
+    """
+    order = _level_order(dom, depth)
+    walk: dict = {}
+    rhs, xs = equation(walk), set(targets)
+
+    def admissible(e) -> list:
+        try:
+            v = rhs(e)
+            return [v] if v in xs else []
+        except KeyError as missing:
+            if missing.args[0] != e:
+                raise
+        return [v for v in targets if solves(e, v)]
+
+    def solves(e, v) -> bool:
+        walk[e] = v
+        return rhs(e) == v
+
+    # depth first over the branch points only: a forced element never branches
+    count, p, branches = 0, 0, []
+    while True:
+        try:
+            vals = admissible(order[p]) if p < len(order) else []
+        except KeyError as missing:
+            raise ChainError(f"the equation for {order[p]!r} reads {missing.args[0]!r} "
+                             f"before the walk reaches it; the functor's level_shift lies"
+                             ) from None
+        count += p == len(order)
+        if not vals:
+            if not branches:
+                return count
+            q, vals = branches.pop()
+            for e in order[q + 1:p + 1]:
+                walk.pop(e, None)
+            p = q
+        v, e = vals.pop(), order[p]
+        if vals:
+            branches.append((p, vals))
+        walk[e] = kv if (kv := known.get(e, v)) == v else v
+        p += 1
 
 
 def check_initiality(F: EnumEndofunctor, alg: InitialAlgebra,
                      target_algebras: list[tuple[EnumSetObj, Callable]],
-                     depth: int, brute_bound: int = 65536) -> LawReport:
+                     depth: int) -> LawReport:
     """For each algebra (X, g): the canonical fold exists into X's
     truncation, satisfies h ∘ str = g ∘ F(h) exhaustively, and is the
-    only solution.
-
-    Uniqueness is literal brute force when |X|^|μ| fits in brute_bound;
-    beyond that the fold equation itself pins each value (every element
-    is str of an F-element whose children lie at lower levels), so the
-    candidate count per element is checked instead.
+    only solution: each element equals g(F(k)(w)) for every w that str
+    sends to it, and one that str misses is free.
     """
     rep = LawReport()
     mu = alg.carrier
     dom = mu.level(depth)
+    eqs: dict = {}
+    for w in F.apply(mu).level(depth):
+        eqs.setdefault(alg.str_map(w), []).append(w)
     for X, g in target_algebras:
         xs = set(X.level(depth))
         h = _fold(F, alg, g, depth)
@@ -270,25 +318,20 @@ def check_initiality(F: EnumEndofunctor, alg: InitialAlgebra,
             rep.check(lhs == rhs, "initiality-fixed-point",
                       lambda w=w, lhs=lhs, rhs=rhs:
                       f"h(str({w!r})) = {lhs!r} but g(F(h)({w!r})) = {rhs!r}")
-        n_cand = len(xs) ** len(dom) if dom else 1
-        if n_cand <= brute_bound:
-            count = 0
-            for values in itertools.product(sorted(xs, key=repr), repeat=len(dom)):
-                cand = dict(zip(dom, values))
-                if all(cand.get(alg.str_map(w)) == g(F.apply_map(cand.__getitem__)(w))
-                       for w in F.apply(mu).level(depth)):
-                    count += 1
-            rep.check(count == 1, "initiality-uniqueness",
-                      f"{count} solutions among {n_cand} maps at level {depth}")
-        else:
-            # forced-value argument: str is onto at every level, so any
-            # solution k has k(e) = g(F(k)(e)) with children at lower
-            # levels — identical recursion, hence k = h; we record one
-            # check per element that its candidate set is a singleton.
-            for e in dom:
-                forced = [v for v in xs if v == h[e]]
-                rep.check(len(forced) == 1, "initiality-uniqueness",
-                          lambda e=e: f"{e!r} admits {len(forced)} values")
+
+        def equation(k, g=g):
+            lift = F.apply_map(k.__getitem__)
+
+            def required(e):
+                got = [g(lift(w)) for w in eqs[e]] if e in eqs else [k[e]]
+                return got[0] if all(v == got[0] for v in got) else _ABSENT
+            return required
+
+        # no map satisfies an equation whose left side lies outside μ
+        count = _count_solutions(mu, depth, X.level(depth), equation, h) \
+            if eqs.keys() <= set(dom) else 0
+        rep.check(count == 1, "initiality-uniqueness",
+                  f"{count} solutions at level {depth}")
     return rep
 
 
@@ -364,21 +407,10 @@ def check_mendler_fixed_point(F: EnumEndofunctor, alg: InitialAlgebra,
 
 def count_mendler_solutions(F: EnumEndofunctor, alg: InitialAlgebra,
                             L: EnumEndofunctor, X: EnumSetObj, psi: Callable,
-                            depth: int, bound: int = 1_000_000) -> int:
-    """Brute-force count of all maps L(μ).level(depth) → X.level(depth)
-    satisfying the fixed-point equation; ChainError beyond the bound."""
-    dom = L.apply(alg.carrier).level(depth)
-    vals = X.level(depth)
-    total = len(vals) ** len(dom) if dom else 1
-    if total > bound:
-        raise ChainError(f"{total} candidate maps exceed the bound {bound}")
-    count = 0
-    for picks in itertools.product(vals, repeat=len(dom)):
-        cand = dict(zip(dom, picks))
-        step = psi(alg.carrier, cand)
-        if all(cand[e] == step(e) for e in dom):
-            count += 1
-    return count
+                            depth: int) -> int:
+    """Number of maps h: L(μ) → X at the given level with h = ψ_μ(h)."""
+    return _count_solutions(L.apply(alg.carrier), depth, X.level(depth),
+                            lambda h: psi(alg.carrier, h), {})
 
 
 # --- parametrized initiality --------------------------------------------------
@@ -460,6 +492,12 @@ def _check_phi_naturality(PB: ParamBifunctor, fam: ParamAlgebraFamily, depth: in
                     f"one way and {rhs!r} the other")
 
 
+def _component_psi(PB: ParamBifunctor, fam: ParamAlgebraFamily, z: str) -> Callable:
+    """ψ_A(h) = φ_Z ∘ F(Z, h), the same at every stage A: component Z's step."""
+    lift, phi_z = PB.functor_at(z).apply_map, fam.phi(z)
+    return lambda A, h: (lambda e, lifted=lift(h.__getitem__): phi_z(lifted(e)))
+
+
 def parametrized_initiality(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
                             fam: ParamAlgebraFamily, depth: int,
                             max_stage: int = DEFAULT_MAX_STAGE) -> dict[str, dict]:
@@ -472,15 +510,9 @@ def parametrized_initiality(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
     _check_phi_naturality(PB, fam, depth)
     out = {}
     for z in PB.param_cat.objects:
-        FZ = PB.functor_at(z)
-        phi_z = fam.phi(z)
-
-        def psi(A, h, FZ=FZ, phi_z=phi_z):
-            lifted = FZ.apply_map(h.__getitem__)
-            return lambda e: phi_z(lifted(e))
-
-        out[z] = gen_mendler_iteration(FZ, mu[z], identity_endofunctor(),
-                                       fam.g_obj(z), psi, depth, max_stage)
+        out[z] = gen_mendler_iteration(PB.functor_at(z), mu[z], identity_endofunctor(),
+                                       fam.g_obj(z), _component_psi(PB, fam, z),
+                                       depth, max_stage)
     return out
 
 
@@ -538,40 +570,14 @@ def _mu_functor_report(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
 
 
 def count_param_solutions(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
-                          fam: ParamAlgebraFamily, z: str, depth: int,
-                          brute_bound: int = 65536) -> int:
-    """Number of maps μ_Z → G Z satisfying the fixed-point equation at
-    the given level: brute force when the space fits the bound, and the
-    forced-recursion count (candidates per element) otherwise."""
-    FZ = PB.functor_at(z)
-    alg = mu[z]
-    phi_z = fam.phi(z)
-
-    def psi(A, h):
-        lifted = FZ.apply_map(h.__getitem__)
-        return lambda e: phi_z(lifted(e))
-
-    dom = alg.carrier.level(depth)
-    vals = fam.g_obj(z).level(depth)
-    total = len(vals) ** len(dom) if dom else 1
-    if total <= brute_bound:
-        count = 0
-        for picks in itertools.product(vals, repeat=len(dom)):
-            cand = dict(zip(dom, picks))
-            step = psi(alg.carrier, cand)
-            if all(cand[e] == step(e) for e in dom):
-                count += 1
-        return count
-    # forced recursion: every element is str of an F-element with
-    # earlier children, so each value admits exactly one candidate
-    h = _fold(FZ, alg, lambda e: phi_z(e), depth)
-    xs = set(vals)
-    return 1 if all(h[e] in xs for e in dom) else 0
+                          fam: ParamAlgebraFamily, z: str, depth: int) -> int:
+    """Number of maps h: μ_Z → G Z at the given level with h = φ_Z ∘ F(Z, h)."""
+    return count_mendler_solutions(PB.functor_at(z), mu[z], identity_endofunctor(),
+                                   fam.g_obj(z), _component_psi(PB, fam, z), depth)
 
 
 def check_param_initiality(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
-                           fam: ParamAlgebraFamily, depth: int,
-                           brute_bound: int = 65536) -> LawReport:
+                           fam: ParamAlgebraFamily, depth: int) -> LawReport:
     """Fixed-point equation for every component, naturality of the family
     in the parameter, and per-component uniqueness.
 
@@ -579,24 +585,20 @@ def check_param_initiality(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
     morphism once, for this call only.
     """
     hs = parametrized_initiality(PB, mu, fam, depth)
-    return _param_initiality_report(PB, mu, fam, hs, _mu_actions(PB, mu, depth),
-                                    depth, brute_bound)
+    return _param_initiality_report(PB, mu, fam, hs, _mu_actions(PB, mu, depth), depth)
 
 
 def _param_initiality_report(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
                              fam: ParamAlgebraFamily, hs: dict[str, dict],
-                             actions: dict[str, dict], depth: int,
-                             brute_bound: int) -> LawReport:
+                             actions: dict[str, dict], depth: int) -> LawReport:
     rep = LawReport()
     C = PB.param_cat
     for z in C.objects:
-        FZ = PB.functor_at(z)
-        phi_z = fam.phi(z)
         h = hs[z]
-        lifted = FZ.apply_map(h.__getitem__)
-        for w in FZ.apply(mu[z].carrier).level(depth):
+        step = _component_psi(PB, fam, z)(mu[z].carrier, h)
+        for w in PB.functor_at(z).apply(mu[z].carrier).level(depth):
             lhs = h.get(mu[z].str_map(w))
-            rhs = phi_z(lifted(w))
+            rhs = step(w)
             rep.check(lhs == rhs, "param-fixed-point",
                       lambda w=w, z=z, lhs=lhs, rhs=rhs:
                       f"at {z}: h(str({w!r})) = {lhs!r} but φ(F(h)({w!r})) = {rhs!r}")
@@ -610,7 +612,9 @@ def _param_initiality_report(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
                       lambda t=t, f=f, lhs=lhs, rhs=rhs:
                       f"square at {f} fails on {t!r}: {lhs!r} vs {rhs!r}")
     for z in C.objects:
-        count = count_param_solutions(PB, mu, fam, z, depth, brute_bound)
+        psi, carrier = _component_psi(PB, fam, z), mu[z].carrier
+        count = _count_solutions(carrier, depth, fam.g_obj(z).level(depth),
+                                 lambda k: psi(carrier, k), hs[z])
         rep.check(count == 1, "param-uniqueness",
                   f"component at {z} has {count} solutions at level {depth}")
     return rep
@@ -744,7 +748,7 @@ def demo_param_corpus() -> tuple[FinCategory, dict[str, list], dict[str, dict]]:
     return cat, carriers, mor_maps
 
 
-def run_param_demo(depth: int = 3, brute_bound: int = 65536) -> LawReport:
+def run_param_demo(depth: int = 3) -> LawReport:
     """Leaf-labelled binary trees over the demo parameter corpus: the
     bifunctor's whiskering laws, initiality of the μ family for both the
     leftmost-leaf and powerset algebras, functoriality of μ on parameter
@@ -752,9 +756,10 @@ def run_param_demo(depth: int = 3, brute_bound: int = 65536) -> LawReport:
 
     μ's action on each parameter morphism is built once and shared by both
     families' naturality squares, μ's functor laws and the relabelling
-    example; each family's components are built once and serve its checks
-    and, for the leftmost-leaf family, the fold example.  None of these
-    maps outlives the call.
+    example; each family's components are built once and serve its checks,
+    the level-ordered uniqueness count among them, and, for the
+    leftmost-leaf family, the fold example.  None of these maps outlives
+    the call.
     """
     cat, carriers, mor_maps = demo_param_corpus()
     PB = tree_bifunctor(cat, carriers, mor_maps)
@@ -772,11 +777,11 @@ def run_param_demo(depth: int = 3, brute_bound: int = 65536) -> LawReport:
     folded = hs["zc"].get(example)
     actions = _mu_actions(PB, mu, depth)
     relabelled = actions["f"].get(pair)
-    rep.merge(_param_initiality_report(PB, mu, fam, hs, actions, depth, brute_bound))
+    rep.merge(_param_initiality_report(PB, mu, fam, hs, actions, depth))
     del hs
     fam = powerset_family(cat, carriers, mor_maps)
     hs = parametrized_initiality(PB, mu, fam, depth)
-    rep.merge(_param_initiality_report(PB, mu, fam, hs, actions, depth, brute_bound))
+    rep.merge(_param_initiality_report(PB, mu, fam, hs, actions, depth))
     del hs
     rep.merge(_mu_functor_report(PB, mu, actions, depth))
     rep.check(folded == 2, "leftmost-leaf-example",

@@ -713,11 +713,10 @@ def evenness_instance(depth: int):
     return F, alg, identity_endofunctor(), X, psi
 
 
-def run_evenness_demo(depth: int = 6, uniqueness_level: int = 4,
-                      bound: int = 1_000_000) -> LawReport:
-    """Evenness end to end: fixed-point equation at the given level,
-    spot values at 3 and 4, and brute-force uniqueness at a level small
-    enough to enumerate every candidate map."""
+def run_evenness_demo(depth: int = 6, uniqueness_level: int = 4) -> LawReport:
+    """Evenness end to end: fixed-point equation at the given level, spot
+    values at 3 and 4, and uniqueness at ``uniqueness_level``, counted level
+    by level (each numeral's equation reads only its predecessor)."""
     F, alg, L, X, psi = evenness_instance(depth)
     h = gen_mendler_iteration(F, alg, L, X, psi, depth)
     rep = check_mendler_fixed_point(F, alg, L, X, psi, h, depth)
@@ -726,8 +725,7 @@ def run_evenness_demo(depth: int = 6, uniqueness_level: int = 4,
                   "h(3) should be False")
         rep.check(h[nat_term(4)] is True, "evenness-value",
                   "h(4) should be True")
-    Fu, algu, Lu, Xu, psiu = evenness_instance(uniqueness_level)
-    n = count_mendler_solutions(Fu, algu, Lu, Xu, psiu, uniqueness_level, bound)
+    n = count_mendler_solutions(*evenness_instance(uniqueness_level), uniqueness_level)
     rep.check(n == 1, "mendler-uniqueness",
               f"{n} maps satisfy the equation at level {uniqueness_level}")
     return rep

@@ -145,10 +145,13 @@ def test_subst_parse_error(fixtures, capsys):
     assert code == 2
 
 
-def test_mendler_demo_bound_exhaustion(capsys):
-    code = main(["mendler-demo", "--depth", "5", "--bound", "2"])
-    assert code == 2
-    assert "exceed the bound" in capsys.readouterr().err
+def test_demos_take_no_bound(capsys):
+    # uniqueness is counted in level order, so there is no candidate cap to set
+    for cmd in ("mendler-demo", "param-initial-demo"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--bound", "2"])
+        assert exc.value.code == 2
+    assert "unrecognized arguments: --bound 2" in capsys.readouterr().err
 
 
 # ------------- law suites -------------

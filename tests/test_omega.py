@@ -1,7 +1,9 @@
 """Chains of sets, initial algebras, Mendler-style iteration, and the
 parametrized variant on leaf-labelled trees."""
 
+import dataclasses
 import hashlib
+import itertools
 
 import pytest
 
@@ -10,6 +12,7 @@ from bindcat import (
     ChainError,
     EnumEndofunctor,
     EnumSetObj,
+    FinFunctor,
     IterationError,
     NaturalityError,
     ParamAlgebraFamily,
@@ -18,6 +21,7 @@ from bindcat import (
     check_initial_algebra,
     check_initiality,
     check_mendler_fixed_point,
+    check_functor,
     check_poset_initiality,
     constant_functor,
     count_mendler_solutions,
@@ -26,6 +30,7 @@ from bindcat import (
     mu_on_morphism,
     parametrized_initiality,
     poset_initial_algebra,
+    run_evenness_demo,
     run_param_demo,
 )
 from bindcat.omega import (
@@ -47,7 +52,22 @@ from bindcat.omega import (
     tree_bifunctor,
     truncate,
 )
+import bindcat.terms
 from bindcat.terms import evenness_instance, nat_term
+
+
+def tally(rep) -> dict:
+    out = {}
+    for v in rep.violations:
+        out[v.law] = out.get(v.law, 0) + 1
+    return out
+
+
+def brute_force_count(dom: list, targets: list, holds) -> int:
+    """Every map dom → targets, tried one at a time: how many satisfy
+    ``holds``."""
+    return sum(bool(holds(dict(zip(dom, picks))))
+               for picks in itertools.product(targets, repeat=len(dom)))
 
 # ------------- levelled sets -------------
 
@@ -188,6 +208,8 @@ def test_initiality_with_brute_force():
 
 
 def test_initiality_forced_beyond_bound():
+    # 8^7 candidate maps at level 6, far past brute force; the level-ordered
+    # count still answers exactly
     F = numeral_functor()
     alg = adamek_initial_algebra(F)
     counter = const_enum_set(list(range(8)), "ctr")
@@ -195,8 +217,89 @@ def test_initiality_forced_beyond_bound():
     def g(e):
         return 0 if e == "zero" else min(e[1] + 1, 7)
 
-    rep = check_initiality(F, alg, [(counter, g)], 6, brute_bound=10)
+    rep = check_initiality(F, alg, [(counter, g)], 6)
     assert rep.ok
+    assert tally(rep) == {}
+
+
+def parity(e):
+    return True if e == "zero" else not e[1]
+
+
+def swapped(alg, field: str):
+    """The algebra with one structure map composed with the swap of the
+    numerals 1 and 2, which share levels 2 and up."""
+    swap = {numeral(1): numeral(2), numeral(2): numeral(1)}
+    fn = getattr(alg, field)
+    return dataclasses.replace(alg, **{field: lambda e: fn(swap.get(e, e))})
+
+
+def uniqueness_count(rep, depth: int) -> int:
+    """The count behind check_initiality's one uniqueness check."""
+    bad = [v.witness for v in rep.violations if v.law == "initiality-uniqueness"]
+    if not bad:
+        return 1
+    assert bad[0].endswith(f" solutions at level {depth}")
+    return int(bad[0].split()[0])
+
+
+def brute_force_initiality(F, alg, X, g, depth: int) -> int:
+    mu = alg.carrier
+    return brute_force_count(
+        mu.level(depth), X.level(depth),
+        lambda k: all(k.get(alg.str_map(w)) == g(F.apply_map(k.__getitem__)(w))
+                      for w in F.apply(mu).level(depth)))
+
+
+def test_initiality_count_agrees_with_brute_force():
+    F = numeral_functor()
+    alg = adamek_initial_algebra(F)
+    targets = [
+        (const_enum_set([False, True], "parity"), parity),
+        (const_enum_set(list(range(8)), "ctr"),
+         lambda e: 0 if e == "zero" else min(e[1] + 1, 7)),
+        # zero lands outside the target: no solution at all
+        (const_enum_set([False, True], "parity"),
+         lambda e: 2 if e == "zero" else not e[1]),
+    ]
+    algebras = [alg, swapped(alg, "str_map"), swapped(alg, "str_inv")]
+    seen = set()
+    for a in algebras:
+        for X, g in targets:
+            for depth in range(4):
+                want = brute_force_initiality(F, a, X, g, depth)
+                got = uniqueness_count(check_initiality(F, a, [(X, g)], depth), depth)
+                assert got == want, (depth, X.name)
+                seen.add(want)
+    assert seen == {0, 1}
+
+
+def test_initiality_value_outside_the_target():
+    F = numeral_functor()
+    alg = adamek_initial_algebra(F)
+    X = const_enum_set([False, True], "parity")
+    rep = check_initiality(F, alg, [(X, lambda e: 2 if e == "zero" else not e[1])], 3)
+    assert tally(rep) == {"initiality-existence": 1, "initiality-uniqueness": 1}
+    assert rep.violations[-1].witness == "0 solutions at level 3"
+
+
+def test_str_inv_that_swaps_two_elements_is_not_a_section():
+    alg = swapped(adamek_initial_algebra(numeral_functor()), "str_inv")
+    rep = check_initial_algebra(alg, 4)
+    assert rep.checks_run == 15
+    assert tally(rep) == {"str-section": 2, "str-retraction": 2}
+
+
+def test_str_map_that_swaps_two_elements_breaks_the_fold_equation():
+    F = numeral_functor()
+    alg = swapped(adamek_initial_algebra(F), "str_map")
+    X = const_enum_set([False, True], "parity")
+    rep = check_initiality(F, alg, [(X, parity)], 3)
+    assert rep.checks_run == 9
+    # h(str(1)) = h(2) but the equation wants not h(0), and the other way
+    # round; the equation for 1 then reads 1 itself and has no solution
+    assert tally(rep) == {"initiality-fixed-point": 2, "initiality-uniqueness": 1}
+    assert rep.violations[-1].witness == "0 solutions at level 3"
 
 
 # ------------- Mendler-style iteration -------------
@@ -215,10 +318,70 @@ def test_evenness_unique_solution():
     assert count_mendler_solutions(F, alg, L, X, psi, 4) == 1
 
 
-def test_solution_count_respects_bound():
+def test_solution_count_rejects_a_forward_read():
     F, alg, L, X, psi = evenness_instance(4)
-    with pytest.raises(ChainError, match="bound"):
-        count_mendler_solutions(F, alg, L, X, psi, 4, bound=3)
+
+    def reads_ahead(A, h):
+        step = psi(A, h)
+        return lambda e: h[nat_term(1)] if e == nat_term(0) else step(e)
+
+    with pytest.raises(ChainError, match="level_shift lies"):
+        count_mendler_solutions(F, alg, L, X, reads_ahead, 4)
+
+
+def self_reading(psi, at):
+    """ψ with the equation at ``at`` replaced by h(at) = h(at)."""
+    def bent(A, h):
+        step = psi(A, h)
+        return lambda e: h[e] if e == at else step(e)
+    return bent
+
+
+def test_evenness_count_agrees_with_brute_force():
+    seen = set()
+    for depth in range(7):
+        F, alg, L, X, psi = evenness_instance(depth)
+        dom = L.apply(alg.carrier).level(depth)
+        variants = [
+            psi,
+            self_reading(psi, nat_term(0)),
+            self_reading(psi, nat_term(depth)),
+            # zero's equation has no solution: h(0) = not h(0)
+            lambda A, h, psi=psi: (lambda e, step=psi(A, h):
+                                   (not h[e]) if e == nat_term(0) else step(e)),
+            # the top numeral lands outside the target
+            lambda A, h, psi=psi, top=nat_term(depth): (
+                lambda e, step=psi(A, h): "wat" if e == top else step(e)),
+        ]
+        for v in variants:
+            def holds(k, v=v):
+                step = v(alg.carrier, k)
+                return all(k[e] == step(e) for e in dom)
+            want = brute_force_count(dom, X.level(depth), holds)
+            assert count_mendler_solutions(F, alg, L, X, v, depth) == want, depth
+            seen.add(want)
+    assert seen == {0, 1, 2}
+
+
+def test_self_reading_zero_equation_has_two_solutions():
+    F, alg, L, X, psi = evenness_instance(4)
+    assert count_mendler_solutions(F, alg, L, X, self_reading(psi, nat_term(0)), 4) == 2
+
+
+def test_evenness_demo_reports_a_second_solution(monkeypatch):
+    real = bindcat.terms.evenness_instance
+
+    def patched(depth):
+        F, alg, L, X, psi = real(depth)
+        if depth == 4:  # the uniqueness instance only
+            psi = self_reading(psi, nat_term(0))
+        return F, alg, L, X, psi
+
+    monkeypatch.setattr(bindcat.terms, "evenness_instance", patched)
+    rep = run_evenness_demo(6)
+    assert rep.checks_run == 15
+    assert [(v.law, v.witness) for v in rep.violations] == \
+        [("mendler-uniqueness", "2 maps satisfy the equation at level 4")]
 
 
 def test_seed_requires_empty_or_singleton():
@@ -310,6 +473,37 @@ def test_param_uniqueness_counts(corpus):
         assert count_param_solutions(PB, mu, fam, z, 2) == 1
 
 
+def test_param_count_agrees_with_brute_force(corpus):
+    cat, carriers, mor_maps, PB, mu = corpus
+    covered = 0
+    for fam in (leftmost_leaf_family(cat, carriers, mor_maps),
+                powerset_family(cat, carriers, mor_maps)):
+        for z in cat.objects:
+            dom, vals = mu[z].carrier.level(2), fam.g_obj(z).level(2)
+            if len(vals) ** len(dom) > 5000:
+                continue
+            lift, phi = PB.functor_at(z).apply_map, fam.phi(z)
+            want = brute_force_count(
+                dom, vals, lambda k: all(k[e] == phi(lift(k.__getitem__)(e)) for e in dom))
+            assert want == 1
+            assert count_param_solutions(PB, mu, fam, z, 2) == want
+            covered += 1
+    assert covered == 4  # all but the two families' components at zc
+
+
+def test_param_count_with_a_value_outside_the_target(corpus):
+    cat, carriers, mor_maps, PB, mu = corpus
+    fam = leftmost_leaf_family(cat, carriers, mor_maps)
+    good_phi = fam.phi
+
+    def phi(z):
+        inner = good_phi(z)
+        return (lambda e: 8 if e[0] == "leaf" else inner(e)) if z == "zb" else inner
+
+    broken = ParamAlgebraFamily(fam.g_obj, fam.g_mor, phi)
+    assert [count_param_solutions(PB, mu, broken, z, 2) for z in cat.objects] == [1, 0, 1]
+
+
 def test_non_natural_family_is_rejected(corpus):
     cat, carriers, mor_maps, PB, mu = corpus
     fam = powerset_family(cat, carriers, mor_maps)
@@ -389,6 +583,35 @@ def test_poset_identity_functor():
     F = identity_functor(C)
     assert poset_initial_algebra(C, F) == "0"
     assert check_poset_initiality(C, F, "0", list(C.objects)).ok
+
+
+def chain_map(C, m: dict) -> FinFunctor:
+    """The monotone map m on chain_category(3)'s objects, as a functor."""
+    def arrow(i, j):
+        return f"id_{i}" if i == j else f"le_{i}_{j}"
+    return FinFunctor(C, C, {str(i): str(j) for i, j in m.items()},
+                      {f: arrow(m[int(s)], m[int(t)]) for f, s, t in C.morphisms})
+
+
+def test_poset_fixed_point_that_is_not_least():
+    # 1 is a fixed point of the identity, but 0 lies below it
+    C = chain_category(3)
+    rep = check_poset_initiality(C, identity_functor(C), "1", list(C.objects))
+    assert rep.checks_run == 7
+    assert [(v.law, v.witness) for v in rep.violations] == \
+        [("poset-initiality", "hom(1, 0) has 0 elements, expected exactly 1")]
+
+
+def test_poset_target_that_carries_no_algebra():
+    # F fixes 0 and sends 1 up to 2, so 1 is above μ = 0 but F(1) > 1
+    C = chain_category(3)
+    F = chain_map(C, {0: 0, 1: 2, 2: 2})
+    assert check_functor(F).ok
+    assert poset_initial_algebra(C, F) == "0"
+    rep = check_poset_initiality(C, F, "0", ["1", "2"])
+    assert rep.checks_run == 5
+    assert [(v.law, v.witness) for v in rep.violations] == \
+        [("poset-algebra", "1 carries no algebra: hom(F(1), 1) is empty")]
 
 
 def test_poset_requires_initial_object():

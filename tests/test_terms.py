@@ -132,7 +132,7 @@ def test_copies_are_the_same_term():
     t = lam_term(1, "abs(app(var 0, var 1))")
     assert copy.copy(t) is t and copy.deepcopy(t) is t
     assert pickle.loads(pickle.dumps(t)) is t
-    # repr keeps its dataclass form: check_initiality orders values by it
+    # repr keeps its dataclass form, which witnesses print
     assert repr(Var(1, 0)) == "Var(scope=1, index=0)"
 
 
