@@ -8,6 +8,7 @@ import itertools
 import pytest
 
 import bindcat.omega
+import bindcat.terms
 from bindcat import (
     ChainError,
     EnumEndofunctor,
@@ -18,10 +19,10 @@ from bindcat import (
     ParamAlgebraFamily,
     adamek_initial_algebra,
     chain_category,
+    check_functor,
     check_initial_algebra,
     check_initiality,
     check_mendler_fixed_point,
-    check_functor,
     check_poset_initiality,
     constant_functor,
     count_mendler_solutions,
@@ -52,7 +53,6 @@ from bindcat.omega import (
     tree_bifunctor,
     truncate,
 )
-import bindcat.terms
 from bindcat.terms import evenness_instance, nat_term
 
 
@@ -68,6 +68,7 @@ def brute_force_count(dom: list, targets: list, holds) -> int:
     ``holds``."""
     return sum(bool(holds(dict(zip(dom, picks))))
                for picks in itertools.product(targets, repeat=len(dom)))
+
 
 # ------------- levelled sets -------------
 
