@@ -253,39 +253,54 @@ def total_category(D: DisplayedCategory) -> tuple[FinCategory, FinFunctor]:
     """Pair base data with displayed data: objects (x, xx), morphisms
     (f, ff); second component of the result is the projection functor."""
     D.validate()
+    total, proj, _, _ = _total_category(D)
+    return total, proj
+
+
+def _total_category(D: DisplayedCategory):
+    """``total_category`` of a validated D, with the maps naming each
+    displayed object and morphism by its pair id, each named once."""
     C = D.base
-    objects = tuple(pair_obj(x, xx) for x in C.objects for xx in D.fiber(x))
+    pobj = {xx: pair_obj(x, xx) for x in C.objects for xx in D.fiber(x)}
+    pmor = {ff: pair_mor(f, ff) for ff, (f, _, _) in D._mor_info.items()}
+
+    def pair_over(f: str, ff: str) -> str:
+        # an unlawful displayed table may put ff over another base morphism
+        return pmor[ff] if D._mor_info[ff][0] == f else pair_mor(f, ff)
+
     morphisms = []
     proj_mor = {}
     for f, x, y in C.morphisms:
         for xx in D.fiber(x):
             for yy in D.fiber(y):
                 for ff in D.bucket(f, xx, yy):
-                    mid = pair_mor(f, ff)
-                    morphisms.append((mid, pair_obj(x, xx), pair_obj(y, yy)))
+                    mid = pmor[ff]
+                    morphisms.append((mid, pobj[xx], pobj[yy]))
                     proj_mor[mid] = f
     identity = {}
     for x in C.objects:
         for xx in D.fiber(x):
             ff = D.disp_id.get(xx)
             if ff is not None:
-                identity[pair_obj(x, xx)] = pair_mor(C.id_of(x), ff)
+                identity[pobj[xx]] = pair_over(C.id_of(x), ff)
+    by_base: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
+    for (gg, ff), hh in D.disp_comp.items():
+        g, gg_src, _ = D._mor_info[gg]
+        f, _, ff_tgt = D._mor_info[ff]
+        if ff_tgt == gg_src:
+            by_base.setdefault((g, f), []).append((gg, ff, hh))
     comp = {}
-    for (g, f), h in C.comp.items():
-        for (gg, ff), hh in D.disp_comp.items():
-            if D.mor_info(gg)[0] != g or D.mor_info(ff)[0] != f:
-                continue
-            if D.mor_info(ff)[2] != D.mor_info(gg)[1]:
-                continue
-            comp[(pair_mor(g, gg), pair_mor(f, ff))] = pair_mor(h, hh)
-    total = FinCategory(objects, tuple(morphisms), identity, comp)
+    for gf, h in C.comp.items():
+        for gg, ff, hh in by_base.get(gf, ()):
+            comp[(pmor[gg], pmor[ff])] = pair_over(h, hh)
+    total = FinCategory(tuple(pobj.values()), tuple(morphisms), identity, comp)
     proj = FinFunctor(
         total, C,
-        {pair_obj(x, xx): x for x in C.objects for xx in D.fiber(x)},
+        {pobj[xx]: x for x in C.objects for xx in D.fiber(x)},
         proj_mor,
         name="projection",
     )
-    return total, proj
+    return total, proj, pobj, pmor
 
 
 @dataclass
@@ -359,10 +374,6 @@ class DisplayedMonoidal:
         for table in (self.disp_associator, self.disp_associator_inv):
             for (xx, yy, zz), mm in table.items():
                 D.obj_over(xx), D.obj_over(yy), D.obj_over(zz), D.mor_info(mm)
-
-
-def _all_disp_objects(D: DisplayedCategory) -> list[str]:
-    return [xx for x in D.base.objects for xx in D.fiber(x)]
 
 
 class _DispMonoidalIndex:
@@ -688,84 +699,98 @@ def total_monoidal(DM: DisplayedMonoidal) -> MonoidalCategory:
     total_category is strict monoidal for it by construction.  A missing
     displayed entry is a TableError naming its table and key."""
     DM.validate()
-    D = DM.disp_cat
-    M = DM.base_monoidal
-    T = M.tensor
-    total, _ = total_category(D)
+    total, _, pobj, pmor = _total_category(DM.disp_cat)
 
-    def pobj(xx: str) -> str:
-        return pair_obj(D.obj_over(xx), xx)
+    def paired(table: str, keys, pair_keys, names=pmor) -> dict:
+        """The displayed table renamed to pair ids: the entry at each of
+        ``keys`` goes under the matching one of ``pair_keys``."""
+        disp = getattr(DM, table)
+        out = {}
+        for key, pair_key in zip(keys, pair_keys):
+            try:
+                out[pair_key] = names[disp[key]]
+            except KeyError:
+                raise TableError(
+                    f"displayed monoidal table {table} has no entry for {key!r}") from None
+        return out
 
-    def pmor(mm: str) -> str:
-        return pair_mor(D.mor_info(mm)[0], mm)
-
-    def entry(table: str, key):
-        try:
-            return getattr(DM, table)[key]
-        except KeyError:
-            raise TableError(
-                f"displayed monoidal table {table} has no entry for {key!r}") from None
-
-    dobjs = _all_disp_objects(D)
-    obj_table = {(pobj(xx), pobj(yy)): pobj(entry("disp_tensor", (xx, yy)))
-                 for xx in dobjs for yy in dobjs}
-    lwhisker = {(pobj(xx), pmor(ff)): pmor(entry("disp_lwhisker", (xx, ff)))
-                for xx in dobjs for ff in D._mor_info}
-    rwhisker = {(pmor(ff), pobj(zz)): pmor(entry("disp_rwhisker", (ff, zz)))
-                for zz in dobjs for ff in D._mor_info}
-    tensor = WhiskeredBifunctor(total, obj_table, lwhisker, rwhisker)
+    dobjs, pobjs = list(pobj), list(pobj.values())
+    dmors, pmors = list(pmor), list(pmor.values())
+    pair_triples = list(itertools.product(pobjs, repeat=3))
+    tensor = WhiskeredBifunctor(
+        total,
+        paired("disp_tensor", itertools.product(dobjs, repeat=2),
+               itertools.product(pobjs, repeat=2), pobj),
+        paired("disp_lwhisker", itertools.product(dobjs, dmors),
+               itertools.product(pobjs, pmors)),
+        paired("disp_rwhisker", ((ff, zz) for zz in dobjs for ff in dmors),
+               ((ff, zz) for zz in pobjs for ff in pmors)))
     return MonoidalCategory(
         total,
-        pobj(DM.disp_unit),
+        pobj[DM.disp_unit],
         tensor,
-        {pobj(xx): pmor(entry("disp_lunitor", xx)) for xx in dobjs},
-        {pobj(xx): pmor(entry("disp_lunitor_inv", xx)) for xx in dobjs},
-        {pobj(xx): pmor(entry("disp_runitor", xx)) for xx in dobjs},
-        {pobj(xx): pmor(entry("disp_runitor_inv", xx)) for xx in dobjs},
-        {(pobj(a), pobj(b), pobj(c)): pmor(entry("disp_associator", (a, b, c)))
-         for a in dobjs for b in dobjs for c in dobjs},
-        {(pobj(a), pobj(b), pobj(c)): pmor(entry("disp_associator_inv", (a, b, c)))
-         for a in dobjs for b in dobjs for c in dobjs},
+        paired("disp_lunitor", dobjs, pobjs),
+        paired("disp_lunitor_inv", dobjs, pobjs),
+        paired("disp_runitor", dobjs, pobjs),
+        paired("disp_runitor_inv", dobjs, pobjs),
+        paired("disp_associator", itertools.product(dobjs, repeat=3), pair_triples),
+        paired("disp_associator_inv", itertools.product(dobjs, repeat=3), pair_triples),
         name="total",
     )
 
 
 # --- canonical small instances ----------------------------------------------
 
+class _Starred(dict):
+    """Map from a base id to its displayed id ``id^``, built by one
+    construction and dropped when it returns, so that every table of that
+    construction shares one string per base id."""
+
+    def __missing__(self, ident: str) -> str:
+        self[ident] = name = f"{ident}^"
+        return name
+
+
 def trivial_displayed(C: FinCategory) -> DisplayedCategory:
     """One displayed object over every base object, one displayed morphism
     over every base morphism; the total category mirrors the base."""
-    star = lambda ident: f"{ident}^"
-    fiber_obj = {x: [star(x)] for x in C.objects}
-    disp_hom = {(f, star(x), star(y)): [star(f)] for f, x, y in C.morphisms}
-    disp_id = {star(x): star(C.id_of(x)) for x in C.objects}
-    disp_comp = {(star(g), star(f)): star(h) for (g, f), h in C.comp.items()}
+    return _trivial_displayed(C, _Starred())
+
+
+def _trivial_displayed(C: FinCategory, star: _Starred) -> DisplayedCategory:
+    fiber_obj = {x: [star[x]] for x in C.objects}
+    disp_hom = {(f, star[x], star[y]): [star[f]] for f, x, y in C.morphisms}
+    disp_id = {star[x]: star[C.id_of(x)] for x in C.objects}
+    disp_comp = {(star[g], star[f]): star[h] for (g, f), h in C.comp.items()}
     return DisplayedCategory(C, fiber_obj, disp_hom, disp_id, disp_comp)
 
 
 def trivial_displayed_monoidal(M: MonoidalCategory) -> DisplayedMonoidal:
     C = M.base
-    D = trivial_displayed(C)
-    star = lambda ident: f"{ident}^"
-    dobjs = _all_disp_objects(D)
+    star = _Starred()
+    D = _trivial_displayed(C, star)
+    T = M.tensor
+    mors = [f for f, _, _ in C.morphisms]
+    triples = lambda: itertools.product(C.objects, repeat=3)
+    disp_triples = [(star[x], star[y], star[z]) for x, y, z in triples()]
     return DisplayedMonoidal(
         base_monoidal=M,
         disp_cat=D,
-        disp_unit=star(M.unit),
-        disp_tensor={(star(x), star(y)): star(M.tensor.obj(x, y))
+        disp_unit=star[M.unit],
+        disp_tensor={(star[x], star[y]): star[T.obj(x, y)]
                      for x in C.objects for y in C.objects},
-        disp_lwhisker={(star(x), star(f)): star(M.tensor.lw(x, f))
-                       for x in C.objects for f, _, _ in C.morphisms},
-        disp_rwhisker={(star(f), star(z)): star(M.tensor.rw(f, z))
-                       for z in C.objects for f, _, _ in C.morphisms},
-        disp_lunitor={star(x): star(M.lunitor[x]) for x in C.objects},
-        disp_lunitor_inv={star(x): star(M.lunitor_inv[x]) for x in C.objects},
-        disp_runitor={star(x): star(M.runitor[x]) for x in C.objects},
-        disp_runitor_inv={star(x): star(M.runitor_inv[x]) for x in C.objects},
-        disp_associator={(star(x), star(y), star(z)): star(M.associator[(x, y, z)])
-                         for x in C.objects for y in C.objects for z in C.objects},
-        disp_associator_inv={(star(x), star(y), star(z)): star(M.associator_inv[(x, y, z)])
-                             for x in C.objects for y in C.objects for z in C.objects},
+        disp_lwhisker={(star[x], star[f]): star[T.lw(x, f)]
+                       for x in C.objects for f in mors},
+        disp_rwhisker={(star[f], star[z]): star[T.rw(f, z)]
+                       for z in C.objects for f in mors},
+        disp_lunitor={star[x]: star[M.lunitor[x]] for x in C.objects},
+        disp_lunitor_inv={star[x]: star[M.lunitor_inv[x]] for x in C.objects},
+        disp_runitor={star[x]: star[M.runitor[x]] for x in C.objects},
+        disp_runitor_inv={star[x]: star[M.runitor_inv[x]] for x in C.objects},
+        disp_associator={key: star[M.associator[base_key]]
+                         for key, base_key in zip(disp_triples, triples())},
+        disp_associator_inv={key: star[M.associator_inv[base_key]]
+                             for key, base_key in zip(disp_triples, triples())},
     )
 
 

@@ -1,5 +1,6 @@
 """Displayed categories, total categories, sections, displayed monoidal."""
 
+import collections
 import itertools
 import json
 
@@ -192,3 +193,60 @@ def test_displayed_monoidal_missing_inverse_is_reported(endo_monoidal, table, la
     assert [v.law for v in rep.violations] == [law]
     assert "inverse" in rep.violations[0].witness
     assert "const_0^" in rep.violations[0].witness
+
+
+# --- saboteurs: the smallest broken End(chain 2) input for each law -------------------
+# Each pins the exact check count and violation counts, and the witness of
+# the law it is there for; the unbroken inputs make 63 and 412 checks.
+
+def _set(table, key, value):
+    table[key] = value
+
+
+@pytest.mark.parametrize("sabotage, checks, laws, witness", [
+    (lambda D: D.disp_id.pop("Id^"), 58,
+     {"disp-id-totality": 1},
+     "no displayed identity for Id^ over Id"),
+    (lambda D: _set(D.disp_comp, ("Id=>const_1^", "id_const_0^"), "const_0=>const_1^"), 65,
+     {"disp-comp-composable": 1},
+     "disp_comp entry (Id=>const_1^, id_const_0^) over non-composable pair "
+     "(Id=>const_1, id_const_0)"),
+    (lambda D: _set(D.disp_comp, ("const_0=>Id^", "id_const_0^"), "const_0=>const_1^"), 61,
+     {"disp-comp-over": 1, "disp-unit-right": 1},
+     "(const_0=>Id^ after disp_id(const_0^)) = const_0=>const_1^, expected const_0=>Id^"),
+], ids=["id-totality", "comp-composable", "unit-right"])
+def test_displayed_category_saboteur(endo_monoidal, sabotage, checks, laws, witness):
+    D = trivial_displayed(endo_monoidal.base)
+    sabotage(D)
+    rep = check_displayed_category(D)
+    assert rep.checks_run == checks
+    assert collections.Counter(v.law for v in rep.violations) == laws
+    assert witness in [v.witness for v in rep.violations]
+
+
+@pytest.mark.parametrize("sabotage, checks, laws, witness", [
+    (lambda DM: setattr(DM, "disp_unit", "const_0^"), 412,
+     {"disp-unit-over": 1, "disp-lunitor-over": 2, "disp-lunitor-iso": 2,
+      "disp-runitor-over": 1, "disp-runitor-iso": 1, "disp-triangle": 2},
+     "displayed unit const_0^ lies over const_0, expected Id"),
+    (lambda DM: DM.disp_rwhisker.pop(("id_const_0^", "const_0^")), 391,
+     {"disp-rwhisker-totality": 1},
+     "no displayed right whisker (id_const_0^, const_0^)"),
+    (lambda DM: DM.disp_lunitor.pop("const_0^"), 407,
+     {"disp-lunitor-totality": 1},
+     "no displayed lunitor at const_0^"),
+    (lambda DM: DM.disp_runitor.pop("const_0^"), 407,
+     {"disp-runitor-totality": 1},
+     "no displayed runitor at const_0^"),
+    (lambda DM: DM.disp_associator.pop(("const_0^", "const_0^", "const_0^")), 401,
+     {"disp-associator-totality": 1},
+     "no displayed associator at (const_0^, const_0^, const_0^)"),
+], ids=["unit-over", "rwhisker-totality", "lunitor-totality", "runitor-totality",
+        "associator-totality"])
+def test_displayed_monoidal_saboteur(endo_monoidal, sabotage, checks, laws, witness):
+    DM = trivial_displayed_monoidal(endo_monoidal)
+    sabotage(DM)
+    rep = check_displayed_monoidal(DM)
+    assert rep.checks_run == checks
+    assert collections.Counter(v.law for v in rep.violations) == laws
+    assert witness in [v.witness for v in rep.violations]
