@@ -36,10 +36,10 @@ from .report import LawReport, Violation
 from .signature import (BindingSignature, Constructor, ParseError,
                         load_signature, parse_signature, render_signature,
                         signature_functor)
-from .terms import (Ctor, Renaming, ScopeError, Substitution, Term, Var,
+from .terms import (Ctor, ScopeError, Substitution, Term, Var,
                     check_monad_laws, check_subst_via_mendler, check_term,
                     compose_substitutions, construct, enumerate_terms,
-                    parse_term, render_term, rename, run_evenness_demo,
+                    parse_term, render_term, run_evenness_demo,
                     scoped_signature_functor, subst_via_mendler, substitute,
                     unit_substitution)
 

@@ -761,24 +761,25 @@ def from_monoidal_doc(doc) -> MonoidalCategory:
         raise TableError("'tensor' must have exactly obj/lwhisker/rwhisker tables")
 
     def rows(entries, keys, what):
+        """The table keyed on all but the last of its columns."""
         if not isinstance(entries, list):
-            raise TableError(f"tensor {what} table must be an array")
+            raise TableError(f"{what} table must be an array")
         out = {}
         for row in entries:
             if not isinstance(row, dict) or set(row) != set(keys) \
                     or not all(isinstance(row[k], str) for k in keys):
                 raise TableError(f"bad {what} row: {row!r}")
-            key = (row[keys[0]], row[keys[1]])
+            key = tuple(row[k] for k in keys[:-1])
             if key in out:
                 raise TableError(f"duplicate {what} entry {key}")
-            out[key] = row[keys[2]]
+            out[key] = row[keys[-1]]
         return out
 
     tensor = WhiskeredBifunctor(
         base,
-        rows(tdoc["obj"], ("left", "right", "result"), "obj"),
-        rows(tdoc["lwhisker"], ("obj", "mor", "result"), "lwhisker"),
-        rows(tdoc["rwhisker"], ("mor", "obj", "result"), "rwhisker"),
+        rows(tdoc["obj"], ("left", "right", "result"), "tensor obj"),
+        rows(tdoc["lwhisker"], ("obj", "mor", "result"), "tensor lwhisker"),
+        rows(tdoc["rwhisker"], ("mor", "obj", "result"), "tensor rwhisker"),
     )
 
     def unitor(field_name):
@@ -788,22 +789,12 @@ def from_monoidal_doc(doc) -> MonoidalCategory:
             raise TableError(f"'{field_name}' must map object ids to morphism ids")
         return dict(table)
 
-    def assoc(field_name):
-        entries = doc[field_name]
-        if not isinstance(entries, list):
-            raise TableError(f"'{field_name}' must be an array")
-        out = {}
-        for row in entries:
-            if not isinstance(row, dict) or set(row) != {"x", "y", "z", "result"} \
-                    or not all(isinstance(row[k], str) for k in ("x", "y", "z", "result")):
-                raise TableError(f"bad {field_name} row: {row!r}")
-            out[(row["x"], row["y"], row["z"])] = row["result"]
-        return out
-
+    assoc = ("x", "y", "z", "result")
     M = MonoidalCategory(base, unit, tensor,
                          unitor("lunitor"), unitor("lunitor_inv"),
                          unitor("runitor"), unitor("runitor_inv"),
-                         assoc("associator"), assoc("associator_inv"))
+                         rows(doc["associator"], assoc, "associator"),
+                         rows(doc["associator_inv"], assoc, "associator_inv"))
     M.validate()
     return M
 

@@ -1,10 +1,12 @@
-"""Well-scoped terms over a binding signature, with renaming,
-capture-avoiding substitution, and exhaustive monad-law checking.
+"""Well-scoped terms over a binding signature, with capture-avoiding
+substitution and exhaustive monad-law checking.
 
 A term carries the scope it lives in: ``Var(n, i)`` is variable i among
 n, and a constructor argument with binding arity k lives in scope n + k.
 Substitutions are total maps from variables to terms in a target scope;
 going under a binder lifts the substitution, weakening its images.
+Weakening is itself a substitution, sending each variable to a
+variable, so lifting goes through substitution like everything else.
 
 Terms are hash-consed: building a term equal to one that is still alive
 returns that very object, so term equality and hashing are identity.
@@ -234,51 +236,6 @@ def enumerate_terms(sig: BindingSignature, scope: int, depth: int) -> list[Term]
     return list(_enum(sig, scope, depth, {}))
 
 
-# --- renaming -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Renaming:
-    source: int
-    target: int
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.source:
-            raise ScopeError(
-                f"renaming from scope {self.source} needs {self.source} images, "
-                f"got {len(self.images)}")
-        for i in self.images:
-            if not 0 <= i < self.target:
-                raise ScopeError(f"renaming image {i} out of range for scope {self.target}")
-
-
-def identity_renaming(n: int) -> Renaming:
-    return Renaming(n, n, tuple(range(n)))
-
-
-def weakening(n: int, k: int) -> Renaming:
-    """Shift scope n into scope n + k, freeing the first k indices."""
-    return Renaming(n, n + k, tuple(i + k for i in range(n)))
-
-
-def lift_renaming(r: Renaming, k: int) -> Renaming:
-    """Extend a renaming under a binder of k fresh variables, which map
-    to themselves."""
-    if k == 0:
-        return r
-    return Renaming(r.source + k, r.target + k,
-                    tuple(range(k)) + tuple(i + k for i in r.images))
-
-
-def rename(t: Term, r: Renaming) -> Term:
-    if t.scope != r.source:
-        raise ScopeError(f"term in scope {t.scope} renamed from scope {r.source}")
-    if isinstance(t, Var):
-        return Var(r.target, r.images[t.index])
-    return Ctor(r.target, t.name,
-                tuple(rename(a, lift_renaming(r, a.scope - t.scope)) for a in t.args))
-
-
 # --- substitution -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -308,15 +265,20 @@ def unit_substitution(n: int) -> Substitution:
     return Substitution(n, n, tuple(Var(n, i) for i in range(n)))
 
 
+def weakening(n: int, k: int) -> Substitution:
+    """Shift scope n into scope n + k, freeing the first k indices: the
+    substitution sending var i to var i + k."""
+    return Substitution(n, n + k, tuple(Var(n + k, i) for i in range(k, n + k)))
+
+
 def lift_substitution(s: Substitution, k: int) -> Substitution:
     """Extend a substitution under a binder of k fresh variables: bound
     indices map to themselves, images are weakened past them."""
     if k == 0:
         return s
-    w = weakening(s.target, k)
     fresh = tuple(Var(s.target + k, j) for j in range(k))
     return Substitution(s.source + k, s.target + k,
-                        fresh + tuple(rename(img, w) for img in s.images))
+                        fresh + compose_substitutions(weakening(s.target, k), s).images)
 
 
 def _remembered_lifts():

@@ -71,6 +71,15 @@ def test_displayed_with_malformed_base_exit_2(fixtures, tmp_path, capsys):
     assert main(["check-displayed", str(bad)]) == 2
 
 
+def test_check_monoidal_duplicate_associator_row_exit_2(fixtures, tmp_path, capsys):
+    doc = json.loads((fixtures / "broken_pentagon.json").read_text())
+    doc["associator"].append(dict(doc["associator"][0]))
+    bad = tmp_path / "monoidal.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-monoidal", str(bad)]) == 2
+    assert "duplicate associator entry" in capsys.readouterr().err
+
+
 # ------------- report shape -------------
 
 

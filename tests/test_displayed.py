@@ -241,8 +241,18 @@ def test_displayed_category_saboteur(endo_monoidal, sabotage, checks, laws, witn
     (lambda DM: DM.disp_associator.pop(("const_0^", "const_0^", "const_0^")), 401,
      {"disp-associator-totality": 1},
      "no displayed associator at (const_0^, const_0^, const_0^)"),
+    # the iso checks skip a side whose identity is missing
+    (lambda DM: DM.disp_cat.disp_id.pop("Id^"), 395,
+     {"disp-id-totality": 1},
+     "no displayed identity for Id^ over Id"),
+    # the whisker-composition laws skip a non-composable entry
+    (lambda DM: _set(DM.disp_cat.disp_comp, ("Id=>const_1^", "id_const_0^"),
+                     "const_0=>const_1^"), 414,
+     {"disp-comp-composable": 1},
+     "disp_comp entry (Id=>const_1^, id_const_0^) over non-composable pair "
+     "(Id=>const_1, id_const_0)"),
 ], ids=["unit-over", "rwhisker-totality", "lunitor-totality", "runitor-totality",
-        "associator-totality"])
+        "associator-totality", "missing-identity", "non-composable-comp"])
 def test_displayed_monoidal_saboteur(endo_monoidal, sabotage, checks, laws, witness):
     DM = trivial_displayed_monoidal(endo_monoidal)
     sabotage(DM)

@@ -249,3 +249,11 @@ def test_monoidal_doc_unknown_field(fixtures):
     doc["extra"] = 1
     with pytest.raises(TableError):
         from_monoidal_doc(doc)
+
+
+@pytest.mark.parametrize("field", ["associator", "associator_inv"])
+def test_monoidal_doc_rejects_duplicate_associator_row(fixtures, field):
+    doc = json.loads((fixtures / "broken_pentagon.json").read_text())
+    doc[field].append(dict(doc[field][0]))
+    with pytest.raises(TableError, match=f"duplicate {field} entry"):
+        from_monoidal_doc(doc)

@@ -1,5 +1,5 @@
 """Well-scoped terms over a binding signature: construction, enumeration,
-renaming, substitution, and the substitution monad laws."""
+substitution (weakening included), and the substitution monad laws."""
 
 import copy
 import gc
@@ -32,12 +32,9 @@ from bindcat.terms import (
     check_monad_laws,
     check_subst_via_mendler,
     compose_substitutions,
-    identity_renaming,
-    lift_renaming,
     lift_substitution,
     nat_signature,
     nat_term,
-    rename,
     render_substitution,
     run_evenness_demo,
     subst_via_mendler,
@@ -224,27 +221,27 @@ def test_enumeration_nat():
     assert nat_term(2) in enumerate_terms(nat, 0, 3)
 
 
-# ------------- renamings -------------
+# ------------- weakening -------------
+
+
+def test_weakening_is_a_variable_substitution():
+    w = weakening(2, 1)
+    assert isinstance(w, Substitution)
+    assert w == Substitution(2, 3, (Var(3, 1), Var(3, 2)))
+    assert weakening(2, 0) == unit_substitution(2)
 
 
 def test_weakening_shifts_free_variables():
     t = lam_term(1, "abs(app(var 0, var 1))")
-    shifted = rename(t, weakening(1, 1))
+    shifted = substitute(t, weakening(1, 1))
     assert shifted == lam_term(2, "abs(app(var 0, var 2))")
 
 
-def test_rename_identity_is_identity():
-    for t in enumerate_terms(LAM, 2, 3):
-        assert rename(t, identity_renaming(2)) == t
-
-
-def test_lift_identity_renaming():
-    assert lift_renaming(identity_renaming(2), 1) == identity_renaming(3)
-
-
-def test_renaming_validation():
-    with pytest.raises(ScopeError):
-        bindcat.terms.Renaming(2, 1, (0, 1))
+def test_substitution_validation():
+    with pytest.raises(ScopeError, match="needs 2 images, got 1"):
+        Substitution(2, 1, (Var(1, 0),))
+    with pytest.raises(ScopeError, match="not the target scope 1"):
+        Substitution(1, 1, (Var(2, 1),))
 
 
 # ------------- substitution -------------
@@ -425,6 +422,23 @@ def test_broken_lift_is_detected_on_the_library_path(monkeypatch):
     assert any(v.law == "monad-assoc" and "abs" in v.witness for v in rep.violations)
 
 
+def last_image_substitute(t, s):
+    """substitute, except that every variable goes to the last image."""
+    if isinstance(t, Var):
+        return s.images[-1]
+    return substitute(t, s)
+
+
+def test_wrong_variable_image_is_detected():
+    rep = check_monad_laws(LAM, 2, 2, subst=last_image_substitute)
+    assert rep.checks_run == 297
+    assert Counter(v.law for v in rep.violations) == \
+        {"monad-assoc": 32, "monad-left-unit": 2, "monad-right-unit": 1}
+    assert rep.violations[0].witness == "t = var 0 changed under the identity substitution"
+    assert next(v.witness for v in rep.violations if v.law == "monad-left-unit") == \
+        "var 0 under sigma = {0 -> var 0, 1 -> var 1} : 2->2 gives var 1"
+
+
 # ------------- substitution via the iteration scheme -------------
 
 
@@ -453,6 +467,17 @@ def test_subst_via_mendler_agrees():
     assert rep.ok
 
 
+def test_subst_via_mendler_disagreement_is_detected(monkeypatch):
+    # the direct side captures under binders; the iteration does not
+    monkeypatch.setattr(bindcat.terms, "substitute", broken_substitute)
+    rep = check_subst_via_mendler(LAM, 2, 1, 1)
+    assert rep.checks_run == 14
+    assert Counter(v.law for v in rep.violations) == {"mendler-subst-agreement": 1}
+    assert rep.violations[0].witness == (
+        "t = abs(var 1); sigma = {0 -> var 0} : 1->1; "
+        "iteration gives abs(var 1), substitute gives abs(var 0)")
+
+
 def test_subst_via_mendler_values():
     h = subst_via_mendler(LAM, 2, 1, 1)
     t = lam_term(1, "abs(var 1)")
@@ -467,3 +492,24 @@ def test_evenness_demo():
     rep = run_evenness_demo(depth=5)
     assert rep.ok
     assert rep.checks_run == 13
+
+
+def test_oddness_fails_both_spot_values(monkeypatch):
+    # zero maps to False: the equation still has exactly one solution,
+    # but it is oddness, so h(3) and h(4) are both wrong
+    evenness_instance = bindcat.terms.evenness_instance
+
+    def oddness_instance(depth):
+        F, alg, L, X, _ = evenness_instance(depth)
+
+        def psi(A, h):
+            return lambda e: False if e.name == "zero" else not h[e.args[0]]
+        return F, alg, L, X, psi
+
+    monkeypatch.setattr(bindcat.terms, "evenness_instance", oddness_instance)
+    rep = run_evenness_demo(depth=5)
+    assert rep.checks_run == 13
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("evenness-value", "h(3) should be False"),
+        ("evenness-value", "h(4) should be True"),
+    ]
