@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .displayed import check_displayed_category, load_displayed
-from .fincat import TableError, check_category_laws, from_doc
+from .fincat import TableError, check_category_laws, from_doc, unique_keys
 from .monoidal import check_monoidal_laws, from_monoidal_doc
 from .omega import ChainError, IterationError, NaturalityError, run_param_demo
 from .report import LawReport
@@ -58,7 +58,7 @@ def _finish(args, rep: LawReport, t0: float, lines: tuple[str, ...] = ()) -> int
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=unique_keys)
 
 
 def _cmd_check_cat(args) -> tuple[LawReport, tuple[str, ...]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fincat import (FinCategory, FinFunctor, TableError, _CatIndex, from_doc, pair_mor,
-                     pair_obj)
+                     pair_obj, unique_keys)
 from .monoidal import MonoidalCategory, WhiskeredBifunctor, _MonoidalIndex
 from .report import LawReport
 
@@ -851,10 +851,11 @@ def load_displayed(path) -> DisplayedCategory:
     """Read a displayed-category document; its 'base' field is a path to a
     category document, resolved relative to the displayed file."""
     p = Path(path)
-    doc = json.loads(p.read_text(encoding="utf-8"))
+    doc = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     if not isinstance(doc, dict) or "base" not in doc:
         raise TableError("displayed document must reference a 'base' file")
     if not isinstance(doc["base"], str):
         raise TableError("'base' must be a file path string")
-    base_doc = json.loads((p.parent / doc["base"]).read_text(encoding="utf-8"))
+    base_doc = json.loads((p.parent / doc["base"]).read_text(encoding="utf-8"),
+                          object_pairs_hook=unique_keys)
     return from_displayed_doc(doc, from_doc(base_doc))

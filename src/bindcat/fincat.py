@@ -22,6 +22,17 @@ class TableError(Exception):
     which are reported through LawReport."""
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for reading table documents: a repeated key
+    in a JSON object is a TableError, where ``json`` keeps the last."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise TableError(f"repeated key {key!r} in a JSON object")
+        out[key] = value
+    return out
+
+
 @dataclass
 class FinCategory:
     """A category presented by finite tables of opaque string ids.

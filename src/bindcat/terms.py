@@ -104,6 +104,25 @@ class Var(Term):
         return Var, (self.scope, self.index)
 
 
+def _ctor(scope: int, name: str, args: tuple) -> Ctor:
+    """The live Ctor(scope, name, args), made if there is none: what
+    ``Ctor(...)`` returns, without the cost of a class call."""
+    if CHECK_SCOPES:
+        for a in args:
+            if isinstance(a, Term) and a.scope < scope:
+                raise ScopeError(
+                    f"argument of {name} at scope {scope} "
+                    f"has scope {a.scope}")
+    table = _ctors.get((scope, name))
+    if table is None:
+        table = _ctors[(scope, name)] = {}
+    entry = table.get(args)
+    t = entry() if entry is not None else None
+    if t is None:
+        t = _new_term(Ctor, table, args, scope=scope, name=name, args=args)
+    return t
+
+
 class Ctor(Term):
     # args may hold non-term values: the term functor's action on a map
     # into an arbitrary set reuses Ctor as the cell constructor.  They
@@ -111,20 +130,7 @@ class Ctor(Term):
     __slots__ = ("name", "args")
 
     def __new__(cls, scope: int, name: str, args: tuple) -> Ctor:
-        if CHECK_SCOPES:
-            for a in args:
-                if isinstance(a, Term) and a.scope < scope:
-                    raise ScopeError(
-                        f"argument of {name} at scope {scope} "
-                        f"has scope {a.scope}")
-        table = _ctors.get((scope, name))
-        if table is None:
-            table = _ctors[(scope, name)] = {}
-        entry = table.get(args)
-        t = entry() if entry is not None else None
-        if t is None:
-            t = _new_term(cls, table, args, scope=scope, name=name, args=args)
-        return t
+        return _ctor(scope, name, args)
 
     def __repr__(self):
         return f"Ctor(scope={self.scope!r}, name={self.name!r}, args={self.args!r})"
@@ -313,9 +319,15 @@ def _substitute(memo: dict[Term, Term], t: Term, s: Substitution, lift) -> Term:
             got = s.images[t.index]
         else:
             n = t.scope
-            got = Ctor(s.target, t.name,
-                       tuple([_substitute(memo, a, lift(s, a.scope - n), lift)
-                              for a in t.args]))
+            args = []
+            for a in t.args:
+                # a child met before: its memo entry is its result
+                r = memo.get(a)
+                if r is None:
+                    k = a.scope - n
+                    r = _substitute(memo, a, lift(s, k) if k else s, lift)
+                args.append(r)
+            got = _ctor(s.target, t.name, tuple(args))
         memo[t] = got
     return got
 
@@ -435,7 +447,9 @@ def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
     every τ∘σ and counts how often each distinct composite recurs; the
     second substitutes the terms of a composite's source scope once for
     the whole sweep, and keeps that column only until the composite's
-    last use.
+    last use.  Each σ(t) column under τ is read from τ's memo, with sub
+    called only on the misses, and a bit mask is built only for a column
+    that differs from its composite column.
     """
     into = {m: [(n, i, s) for n, subs in subs_from.items()
                 for i, s in enumerate(subs) if s.target == m]
@@ -468,18 +482,25 @@ def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
     for m, taus in subs_from.items():
         for k, tau in enumerate(taus):
             memo = under.pop((m, k))
-            for (n, i, _), c in zip(into[m], rows.pop((m, k))):
+            for (n, i, s), c in zip(into[m], rows.pop((m, k))):
+                # memo hits skip sub's entry check: check the column's scope once
+                if s.target != tau.source:
+                    raise ScopeError(f"column in scope {s.target} substituted "
+                                     f"from scope {tau.source}")
                 col = columns.pop(c, None)
                 if col is None:
                     col = _column(terms_at[n], comps[c], sub, aux)
                 uses[c] -= 1
                 if uses[c]:
                     columns[c] = col
-                mask = 0
-                for j, (ti, want) in enumerate(zip(mids[n][i], col)):
-                    if not sub(memo, ti, tau, aux) == want:
-                        mask |= 1 << j
-                failed[n][i][k] = mask
+                mid = mids[n][i]
+                got = list(map(memo.get, mid))
+                if None in got:
+                    got = [sub(memo, ti, tau, aux) if g is None else g
+                           for ti, g in zip(mid, got)]
+                if got != col:
+                    failed[n][i][k] = sum(1 << j for j, (g, want) in enumerate(zip(got, col))
+                                          if not g == want)
     return failed
 
 

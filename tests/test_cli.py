@@ -80,6 +80,26 @@ def test_check_monoidal_duplicate_associator_row_exit_2(fixtures, tmp_path, caps
     assert "duplicate associator entry" in capsys.readouterr().err
 
 
+def test_check_monoidal_repeated_json_key_exit_2(fixtures, tmp_path, capsys):
+    text = json.dumps(json.loads((fixtures / "broken_pentagon.json").read_text()))
+    assert text.count('"lunitor": {"e": "id_e"}') == 1
+    bad = tmp_path / "monoidal.json"
+    bad.write_text(text.replace('"lunitor": {"e": "id_e"}',
+                                '"lunitor": {"e": "nope", "e": "id_e"}'))
+    assert main(["check-monoidal", str(bad)]) == 2
+    assert "repeated key 'e'" in capsys.readouterr().err
+
+
+def test_check_cat_repeated_json_key_exit_2(fixtures, tmp_path, capsys):
+    text = json.dumps(json.loads((fixtures / "walking_arrow.json").read_text()))
+    assert text.count('"identity": {"a": "id_a"') == 1
+    bad = tmp_path / "category.json"
+    bad.write_text(text.replace('"identity": {"a": "id_a"',
+                                '"identity": {"a": "f", "a": "id_a"'))
+    assert main(["check-cat", str(bad)]) == 2
+    assert "repeated key 'a'" in capsys.readouterr().err
+
+
 # ------------- report shape -------------
 
 

@@ -93,6 +93,21 @@ def test_displayed_doc_rejects_bad_bucket(fixtures):
         from_displayed_doc(doc, base)
 
 
+def test_load_displayed_rejects_repeated_json_keys(fixtures, tmp_path):
+    # json.loads would keep the last value of a repeated key, in either file
+    doc = (fixtures / "three_objects.json").read_text()
+    base = json.dumps(json.loads((fixtures / "disp_base.json").read_text()))
+    (tmp_path / "disp_base.json").write_text(base)
+    (tmp_path / "fiber.json").write_text(doc.replace('"c": []', '"c": [], "c": []'))
+    with pytest.raises(TableError, match="repeated key 'c'"):
+        load_displayed(tmp_path / "fiber.json")
+    (tmp_path / "base.json").write_text(doc)
+    (tmp_path / "disp_base.json").write_text(
+        base.replace('"identity": {', '"identity": {"a": "id_a", '))
+    with pytest.raises(TableError, match="repeated key 'a'"):
+        load_displayed(tmp_path / "base.json")
+
+
 # --- the trivial displayed construction --------------------------------------------
 
 def test_trivial_displayed_mirrors_base():

@@ -1,14 +1,18 @@
 """Monoidal structure: whiskered tensors, coherence laws, monoid objects,
 and the endofunctor instance with its monoid/monad correspondence."""
 
+import dataclasses
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
 from bindcat import (
     EnumerationOverflow,
     FinCategory,
+    FinNatTrans,
+    Monad,
     Monoid,
     TableError,
     WhiskeredBifunctor,
@@ -185,6 +189,70 @@ def test_broken_monoid_candidate_is_reported(two_chain_endo):
     bad = Monoid("const_1", "id_Id", "id_const_1")
     rep = check_monoid(M, bad)
     assert {v.law for v in rep.violations} == {"monoid-unit-endpoints"}
+
+
+def test_monoid_mult_with_wrong_endpoints_is_reported(two_chain_endo):
+    rep = check_monoid(two_chain_endo.monoidal, Monoid("Id", "id_Id", "Id=>const_1"))
+    assert rep.checks_run == 2
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("monoid-mult-endpoints", "mult Id=>const_1: Id→const_1, expected Id→Id")]
+
+
+# End(chain 2) is thin: parallel arrows are equal, so with the endpoints
+# right the unit and associativity laws can only fail through the
+# structure map they are compared against.
+@pytest.mark.parametrize("field, key, law, witness", [
+    ("lunitor", "Id", "monoid-unit-left",
+     "(mult after unit⊗Id) = id_Id, expected lunitor = Id=>const_1"),
+    ("runitor", "Id", "monoid-unit-right",
+     "(mult after Id⊗unit) = id_Id, expected runitor = Id=>const_1"),
+    ("associator", ("Id", "Id", "Id"), "monoid-assoc",
+     "(mult after mult⊗Id) = id_Id but (mult after Id⊗mult after α) = const_0=>Id"),
+])
+def test_monoid_law_against_a_broken_structure_map(two_chain_endo, field, key, law, witness):
+    M = two_chain_endo.monoidal
+    bad = "const_0=>Id" if field == "associator" else "Id=>const_1"
+    broken = dataclasses.replace(M, **{field: {**getattr(M, field), key: bad}})
+    rep = check_monoid(broken, Monoid("Id", "id_Id", "id_Id"))
+    assert rep.checks_run == 5
+    assert [(v.law, v.witness) for v in rep.violations] == [(law, witness)]
+
+
+def _monad(E, carrier, unit, mult):
+    """A Monad on chain 2 from functor names and components at (0, 1)."""
+    F, objs = E.functors, E.category.objects
+    return Monad(F[carrier], FinNatTrans(F[unit[0]], F[carrier], dict(zip(objs, unit[1]))),
+                 FinNatTrans(F[mult[0]], F[carrier], dict(zip(objs, mult[1]))))
+
+
+@pytest.mark.parametrize("unit, mult, counts, first", [
+    # the lawful const_1 monad, for reference
+    (("Id", ["le_0_1", "id_1"]), ("const_1", ["id_1", "id_1"]), {}, None),
+    # unit out of const_1, not the identity functor
+    (("const_1", ["id_1", "id_1"]), ("const_1", ["id_1", "id_1"]),
+     {"monad-unit-shape": 1},
+     ("monad-unit-shape", "unit transformation does not start at the identity functor")),
+    # mult out of Id, not const_1 ∘ const_1: mult_0 = le_0_1 composes with nothing
+    (("Id", ["le_0_1", "id_1"]), ("Id", ["le_0_1", "id_1"]),
+     {"monad-mult-shape": 1, "monad-unit-left": 1, "monad-unit-right": 1, "monad-assoc": 1},
+     ("monad-mult-shape", "mult transformation does not start at the square")),
+    # unit_1 = le_0_1, so mult after unit_1 is le_0_1, not id_1
+    (("Id", ["le_0_1", "le_0_1"]), ("const_1", ["id_1", "id_1"]),
+     {"component-endpoints": 1, "naturality": 2, "monad-unit-left": 2},
+     ("monad-unit-left", "at 0: (mult after unit_1) = le_0_1, expected id_1")),
+    # mult_1 = le_0_1
+    (("Id", ["le_0_1", "id_1"]), ("const_1", ["id_1", "le_0_1"]),
+     {"component-endpoints": 1, "naturality": 2, "monad-unit-left": 1,
+      "monad-unit-right": 1, "monad-assoc": 2},
+     ("monad-assoc", "at 0: (mult after mult_1) = le_0_1 but (mult after F(mult_0)) = id_1")),
+])
+def test_broken_monads_on_chain_2(two_chain_endo, unit, mult, counts, first):
+    rep = check_monad(_monad(two_chain_endo, "const_1", unit, mult))
+    assert rep.checks_run == 27
+    assert Counter(v.law for v in rep.violations) == counts
+    if first is not None:
+        law, witness = first
+        assert next(v.witness for v in rep.violations if v.law == law) == witness
 
 
 def test_monoid_with_unknown_ids_is_structural(two_chain_endo):

@@ -36,6 +36,8 @@ from bindcat import (
 )
 from bindcat.omega import (
     OmegaChain,
+    _mu_actions,
+    _param_initiality_report,
     check_endofunctor_laws,
     check_param_bifunctor,
     check_param_initiality,
@@ -503,6 +505,23 @@ def test_param_count_with_a_value_outside_the_target(corpus):
 
     broken = ParamAlgebraFamily(fam.g_obj, fam.g_mor, phi)
     assert [count_param_solutions(PB, mu, broken, z, 2) for z in cat.objects] == [1, 0, 1]
+
+
+def test_param_uniqueness_fails_when_the_target_omits_a_component_value(corpus):
+    # the components are built into the true G; the report is then handed
+    # a G(zc) without 5, a value h_zc takes, so no map solves zc's system
+    cat, carriers, mor_maps, PB, mu = corpus
+    fam = leftmost_leaf_family(cat, carriers, mor_maps)
+    hs = parametrized_initiality(PB, mu, fam, 2)
+
+    def g_obj(z):
+        return const_enum_set([2, 9], name="G(zc) without 5") if z == "zc" else fam.g_obj(z)
+
+    broken = ParamAlgebraFamily(g_obj, fam.g_mor, fam.phi)
+    rep = _param_initiality_report(PB, mu, broken, hs, _mu_actions(PB, mu, 2), 2)
+    assert rep.checks_run == 57
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("param-uniqueness", "component at zc has 0 solutions at level 2")]
 
 
 def test_non_natural_family_is_rejected(corpus):

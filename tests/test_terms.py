@@ -154,6 +154,20 @@ def test_scope_checks_run_when_the_table_answers(monkeypatch):
     assert bad_var.index == 2 and bad_ctor.scope == 2
 
 
+def test_substitution_interns_through_the_scope_checked_helper(monkeypatch):
+    # Ctor(...) and substitution share one intern helper, which keeps the
+    # argument scope check
+    with pytest.raises(ScopeError):
+        bindcat.terms._ctor(2, "abs", (Var(1, 0),))
+    # a lift that leaves its images in scope 0 hands abs a body of scope
+    # 0 at scope 1, which the helper rejects during the substitution
+    closed = lam_term(0, "abs(var 0)")
+    monkeypatch.setattr(bindcat.terms, "lift_substitution",
+                        lambda s, k: Substitution(s.source + k, 0, (closed,) * (s.source + k)))
+    with pytest.raises(ScopeError, match="argument of abs at scope 1 has scope 0"):
+        substitute(lam_term(1, "abs(var 1)"), unit_substitution(1))
+
+
 def test_term_depth():
     assert term_depth(Var(1, 0)) == 0
     assert term_depth(lam_term(0, "abs(var 0)")) == 1
@@ -437,6 +451,39 @@ def test_wrong_variable_image_is_detected():
     assert rep.violations[0].witness == "t = var 0 changed under the identity substitution"
     assert next(v.witness for v in rep.violations if v.law == "monad-left-unit") == \
         "var 0 under sigma = {0 -> var 0, 1 -> var 1} : 2->2 gives var 1"
+
+
+WRONG_TERM = lam_term(1, "app(var 0, var 0)")
+WRONG_SIGMA = Substitution(1, 2, (Var(2, 1),))
+
+
+def wrong_on_one_pair(t, s):
+    """substitute, except app(var 0, var 0) under {0 -> var 1} : 1->2."""
+    if t is WRONG_TERM and s == WRONG_SIGMA:
+        return Var(2, 0)
+    return substitute(t, s)
+
+
+def test_subst_wrong_on_one_pair_gives_exactly_its_violations():
+    # the columns holding the wrong term take the element-wise mask path,
+    # every other column compares whole
+    rep = check_monad_laws(LAM, 2, 2, subst=wrong_on_one_pair)
+    assert rep.checks_run == 297
+    s12, s21 = "{0 -> var 1} : 1->2", "{0 -> var 0, 1 -> var 0} : 2->1"
+    assert [(v.law, v.witness) for v in rep.violations] == [("monad-assoc", w) for w in [
+        "t = app(var 0, var 0); sigma = {0 -> var 0} : 1->2; "
+        "tau = {0 -> var 1, 1 -> var 0} : 2->2",
+        "t = app(var 0, var 0); sigma = {0 -> var 0} : 1->2; "
+        "tau = {0 -> var 1, 1 -> var 1} : 2->2",
+        f"t = app(var 0, var 0); sigma = {s12}; tau = {s21}",
+        f"t = app(var 0, var 0); sigma = {s12}; tau = {{0 -> var 0, 1 -> var 0}} : 2->2",
+        f"t = app(var 0, var 0); sigma = {s12}; tau = {{0 -> var 1, 1 -> var 0}} : 2->2",
+        f"t = app(var 0, var 0); sigma = {s12}; tau = {{0 -> var 1, 1 -> var 1}} : 2->2",
+        f"t = app(var 0, var 0); sigma = {s21}; tau = {s12}",
+        f"t = app(var 0, var 1); sigma = {s21}; tau = {s12}",
+        f"t = app(var 1, var 0); sigma = {s21}; tau = {s12}",
+        f"t = app(var 1, var 1); sigma = {s21}; tau = {s12}",
+    ]]
 
 
 # ------------- substitution via the iteration scheme -------------
