@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .fincat import (FinCategory, FinFunctor, TableError, _CatIndex, from_doc, pair_mor,
-                     pair_obj, unique_keys)
+from .fincat import (FinCategory, FinFunctor, TableError, _CatIndex, _doc_category, _grid,
+                     _indexing, pair_mor, pair_obj, unique_keys)
 from .monoidal import MonoidalCategory, WhiskeredBifunctor, _MonoidalIndex
 from .report import LawReport
 
@@ -72,31 +72,12 @@ class DisplayedCategory:
         except KeyError:
             raise TableError(f"unknown displayed morphism {ff!r}") from None
 
-    def validate(self) -> None:
-        objs = set(self.base.objects)
-        for x in self.fiber_obj:
-            if x not in objs:
-                raise TableError(f"fiber over unknown base object {x!r}")
-        for (f, xx, yy) in self.disp_hom:
-            if not self.base.has_mor(f):
-                raise TableError(f"displayed hom bucket over unknown morphism {f!r}")
-            if self.obj_over(xx) != self.base.src(f):
-                raise TableError(
-                    f"bucket ({f!r}, {xx!r}, {yy!r}): {xx!r} is not over the source")
-            if self.obj_over(yy) != self.base.tgt(f):
-                raise TableError(
-                    f"bucket ({f!r}, {xx!r}, {yy!r}): {yy!r} is not over the target")
-        for xx, ff in self.disp_id.items():
-            self.obj_over(xx)
-            self.mor_info(ff)
-        for (gg, ff), hh in self.disp_comp.items():
-            for m in (gg, ff, hh):
-                self.mor_info(m)
-
 
 class _DispIndex:
-    """Integer view of a validated displayed category over a ``_CatIndex``,
-    built by one checker call and dropped when it returns.
+    """Integer view of a displayed category over a ``_CatIndex``, built by
+    one checker call and dropped when it returns.  Building it is the
+    displayed category's validation: a dangling id, or a bucket whose
+    ends do not lie over its base morphism's, is a TableError.
 
     Displayed objects are numbered fiber by fiber in base object order,
     displayed morphisms in bucket order.  ``base``, ``src`` and ``tgt``
@@ -110,6 +91,9 @@ class _DispIndex:
                  "tgt", "buckets", "ident", "comp", "comp_items", "out")
 
     def __init__(self, D: DisplayedCategory, cx: _CatIndex):
+        for x in D.fiber_obj:
+            if x not in cx.obj_no:
+                raise TableError(f"fiber over unknown base object {x!r}")
         self.fibers = [[] for _ in cx.objects]
         self.objs, self.over = [], []
         for x, base_x in enumerate(cx.objects):
@@ -120,20 +104,26 @@ class _DispIndex:
         self.obj_no = on = {xx: i for i, xx in enumerate(self.objs)}
         self.mors = list(D._mor_info)
         self.mor_no = mn = {ff: i for i, ff in enumerate(self.mors)}
+        self.buckets = {}
+        with _indexing("disp_hom"):
+            for (f, xx, yy), bucket in D.disp_hom.items():
+                g, s, t = key = cx.mor_no[f], on[xx], on[yy]
+                if self.over[s] != cx.src[g]:
+                    raise TableError(f"bucket {(f, xx, yy)}: {xx!r} is not over the source")
+                if self.over[t] != cx.tgt[g]:
+                    raise TableError(f"bucket {(f, xx, yy)}: {yy!r} is not over the target")
+                self.buckets[key] = [mn[ff] for ff in bucket]
         self.base = [cx.mor_no[D._mor_info[ff][0]] for ff in self.mors]
         self.src = [on[D._mor_info[ff][1]] for ff in self.mors]
         self.tgt = [on[D._mor_info[ff][2]] for ff in self.mors]
-        self.buckets = {(cx.mor_no[f], on[xx], on[yy]): [mn[ff] for ff in bucket]
-                        for (f, xx, yy), bucket in D.disp_hom.items()}
-        self.ident = [None] * len(self.objs)
-        for xx, ff in D.disp_id.items():
-            self.ident[on[xx]] = mn[ff]
+        self.ident = _grid(D.disp_id, "disp_id", mn, on)
         self.comp = [{} for _ in self.mors]
         self.comp_items = []
-        for (gg, ff), hh in D.disp_comp.items():
-            gg, ff, hh = mn[gg], mn[ff], mn[hh]
-            self.comp[gg][ff] = hh
-            self.comp_items.append((gg, ff, hh))
+        with _indexing("disp_comp"):
+            for (gg, ff), hh in D.disp_comp.items():
+                gg, ff, hh = mn[gg], mn[ff], mn[hh]
+                self.comp[gg][ff] = hh
+                self.comp_items.append((gg, ff, hh))
         self.out = [[] for _ in self.objs]
         for ff, xx in enumerate(self.src):
             self.out[xx].append(ff)
@@ -149,8 +139,6 @@ def check_displayed_category(D: DisplayedCategory) -> LawReport:
 
     The loops run over an integer index that lives for this call only,
     and a witness is rendered only for an instance that fails."""
-    D.base.validate()
-    D.validate()
     cx = _CatIndex(D.base)
     rep = LawReport()
     _check_displayed_category(rep, D, cx, _DispIndex(D, cx))
@@ -252,13 +240,13 @@ def _check_displayed_category(rep: LawReport, D: DisplayedCategory,
 def total_category(D: DisplayedCategory) -> tuple[FinCategory, FinFunctor]:
     """Pair base data with displayed data: objects (x, xx), morphisms
     (f, ff); second component of the result is the projection functor."""
-    D.validate()
+    _DispIndex(D, _CatIndex(D.base))  # building the index is the validation
     total, proj, _, _ = _total_category(D)
     return total, proj
 
 
 def _total_category(D: DisplayedCategory):
-    """``total_category`` of a validated D, with the maps naming each
+    """``total_category`` of an indexed D, with the maps naming each
     displayed object and morphism by its pair id, each named once."""
     C = D.base
     pobj = {xx: pair_obj(x, xx) for x in C.objects for xx in D.fiber(x)}
@@ -357,58 +345,31 @@ class DisplayedMonoidal:
     disp_associator: dict[tuple[str, str, str], str]
     disp_associator_inv: dict[tuple[str, str, str], str]
 
-    def validate(self) -> None:
-        self.disp_cat.validate()
-        D = self.disp_cat
-        D.obj_over(self.disp_unit)
-        for (xx, yy), oo in self.disp_tensor.items():
-            D.obj_over(xx), D.obj_over(yy), D.obj_over(oo)
-        for (xx, ff), mm in self.disp_lwhisker.items():
-            D.obj_over(xx), D.mor_info(ff), D.mor_info(mm)
-        for (ff, zz), mm in self.disp_rwhisker.items():
-            D.mor_info(ff), D.obj_over(zz), D.mor_info(mm)
-        for table in (self.disp_lunitor, self.disp_lunitor_inv,
-                      self.disp_runitor, self.disp_runitor_inv):
-            for xx, mm in table.items():
-                D.obj_over(xx), D.mor_info(mm)
-        for table in (self.disp_associator, self.disp_associator_inv):
-            for (xx, yy, zz), mm in table.items():
-                D.obj_over(xx), D.obj_over(yy), D.obj_over(zz), D.mor_info(mm)
-
 
 class _DispMonoidalIndex:
     """Integer view of displayed monoidal tables over a ``_DispIndex``,
     with None where an entry is absent: ``ten[xx][yy]``, ``lw[xx][ff]``,
     ``rw[ff][zz]``, the unitors per displayed object and the associators
     as ``a[xx][yy][zz]``.  Built by one checker call and dropped when it
-    returns."""
+    returns; building it is the tables' validation, so an entry naming an
+    unknown id is a TableError."""
 
     __slots__ = ("unit", "ten", "lw", "rw", "lu", "lu_inv", "ru", "ru_inv", "a", "a_inv")
 
     def __init__(self, DM: DisplayedMonoidal, dx: _DispIndex):
         on, mn = dx.obj_no, dx.mor_no
-        n, n_mor = len(dx.objs), len(dx.mors)
+        if DM.disp_unit not in on:
+            raise TableError(f"unknown displayed object {DM.disp_unit!r}")
         self.unit = on[DM.disp_unit]
-        self.ten = [[None] * n for _ in range(n)]
-        for (xx, yy), oo in DM.disp_tensor.items():
-            self.ten[on[xx]][on[yy]] = on[oo]
-        self.lw = [[None] * n_mor for _ in range(n)]
-        for (xx, ff), mm in DM.disp_lwhisker.items():
-            self.lw[on[xx]][mn[ff]] = mn[mm]
-        self.rw = [[None] * n for _ in range(n_mor)]
-        for (ff, zz), mm in DM.disp_rwhisker.items():
-            self.rw[mn[ff]][on[zz]] = mn[mm]
-        self.lu, self.lu_inv, self.ru, self.ru_inv = ([None] * n for _ in range(4))
-        for row, table in ((self.lu, DM.disp_lunitor), (self.lu_inv, DM.disp_lunitor_inv),
-                           (self.ru, DM.disp_runitor), (self.ru_inv, DM.disp_runitor_inv)):
-            for xx, mm in table.items():
-                row[on[xx]] = mn[mm]
-        self.a, self.a_inv = ([[[None] * n for _ in range(n)] for _ in range(n)]
-                              for _ in range(2))
-        for cube, table in ((self.a, DM.disp_associator),
-                            (self.a_inv, DM.disp_associator_inv)):
-            for (xx, yy, zz), mm in table.items():
-                cube[on[xx]][on[yy]][on[zz]] = mn[mm]
+        self.ten = _grid(DM.disp_tensor, "disp_tensor", on, on, on)
+        self.lw = _grid(DM.disp_lwhisker, "disp_lwhisker", mn, on, mn)
+        self.rw = _grid(DM.disp_rwhisker, "disp_rwhisker", mn, mn, on)
+        self.lu, self.lu_inv, self.ru, self.ru_inv = (
+            _grid(getattr(DM, table), table, mn, on)
+            for table in ("disp_lunitor", "disp_lunitor_inv", "disp_runitor", "disp_runitor_inv"))
+        self.a, self.a_inv = (
+            _grid(getattr(DM, table), table, mn, on, on, on)
+            for table in ("disp_associator", "disp_associator_inv"))
 
 
 def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
@@ -420,7 +381,6 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
     integers for this call only, the index shared with the displayed
     category checks; a witness is rendered only for an instance that
     fails."""
-    DM.validate()
     D = DM.disp_cat
     M = DM.base_monoidal
     if D.base is not M.base and D.base != M.base:
@@ -697,8 +657,10 @@ def total_monoidal(DM: DisplayedMonoidal) -> MonoidalCategory:
     """Monoidal structure on the total category; the projection from
     total_category is strict monoidal for it by construction.  A missing
     displayed entry is a TableError naming its table and key."""
-    DM.validate()
-    total, _, pobj, pmor = _total_category(DM.disp_cat)
+    D = DM.disp_cat
+    # building the indexes is the validation
+    _DispMonoidalIndex(DM, _DispIndex(D, _CatIndex(D.base)))
+    total, _, pobj, pmor = _total_category(D)
 
     def paired(table: str, keys, pair_keys, names=pmor) -> dict:
         """The displayed table renamed to pair ids: the entry at each of
@@ -843,7 +805,7 @@ def from_displayed_doc(doc, base: FinCategory) -> DisplayedCategory:
             raise TableError(f"duplicate disp_comp entry {key}")
         disp_comp[key] = row["result"]
     D = DisplayedCategory(base, dict(fibers), disp_hom, dict(ids), disp_comp)
-    D.validate()
+    _DispIndex(D, _CatIndex(base))  # building the index is the validation
     return D
 
 
@@ -858,4 +820,4 @@ def load_displayed(path) -> DisplayedCategory:
         raise TableError("'base' must be a file path string")
     base_doc = json.loads((p.parent / doc["base"]).read_text(encoding="utf-8"),
                           object_pairs_hook=unique_keys)
-    return from_displayed_doc(doc, from_doc(base_doc))
+    return from_displayed_doc(doc, _doc_category(base_doc))

@@ -11,6 +11,9 @@ Composition is stored in classical order throughout the package:
 
 from __future__ import annotations
 
+import itertools
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .report import LawReport
@@ -79,27 +82,6 @@ class FinCategory:
         except KeyError:
             raise TableError(f"composite ({g!r} after {f!r}) not in table") from None
 
-    def validate(self) -> None:
-        """Referential integrity only; laws are check_category_laws' job."""
-        objs = set(self.objects)
-        for mid, src, tgt in self.morphisms:
-            if src not in objs:
-                raise TableError(f"morphism {mid!r} has unknown source {src!r}")
-            if tgt not in objs:
-                raise TableError(f"morphism {mid!r} has unknown target {tgt!r}")
-        for obj in self.objects:
-            if obj not in self.identity:
-                raise TableError(f"no identity morphism recorded for object {obj!r}")
-        for obj, mid in self.identity.items():
-            if obj not in objs:
-                raise TableError(f"identity table mentions unknown object {obj!r}")
-            if mid not in self._by_id:
-                raise TableError(f"identity of {obj!r} is unknown morphism {mid!r}")
-        for (g, f), h in self.comp.items():
-            for mid in (g, f, h):
-                if mid not in self._by_id:
-                    raise TableError(f"comp table mentions unknown morphism {mid!r}")
-
 
 @dataclass
 class FinFunctor:
@@ -152,9 +134,57 @@ def mapping_tables_equal(F: FinFunctor, G: FinFunctor) -> bool:
 
 # --- law checking ----------------------------------------------------------
 
+@contextmanager
+def _indexing(what: str):
+    """Turn a failed id lookup while indexing ``what`` into a TableError."""
+    try:
+        yield
+    except KeyError as e:
+        raise TableError(f"{what} names unknown id {e.args[0]!r}") from None
+
+
+def _grid(table: dict, what: str, value_no: dict, *key_nos: dict) -> list:
+    """``table`` as nested lists indexed by the numbers of its key's one to
+    three parts, holding the number of each entry and None where there is
+    no entry.  An entry whose key or value is not numbered is a TableError
+    naming ``what``."""
+    def empty(nos):
+        return [None] * len(nos[0]) if len(nos) == 1 else [empty(nos[1:]) for _ in nos[0]]
+
+    grid = empty(key_nos)
+    with _indexing(what):
+        if len(key_nos) == 1:
+            (a,) = key_nos
+            for x, v in table.items():
+                grid[a[x]] = value_no[v]
+        elif len(key_nos) == 2:
+            a, b = key_nos
+            for (x, y), v in table.items():
+                grid[a[x]][b[y]] = value_no[v]
+        else:
+            a, b, c = key_nos
+            for (x, y, z), v in table.items():
+                grid[a[x]][b[y]][c[z]] = value_no[v]
+    return grid
+
+
+def _full_grid(table: dict, what: str, value_no: dict, *key_nos: dict) -> list:
+    """``_grid`` of a table with an entry at every key.  Every entry has
+    found its own place, so a table short of the full size lacks a key:
+    the TableError names the first."""
+    grid = _grid(table, what, value_no, *key_nos)
+    if len(table) != math.prod(map(len, key_nos)):
+        keys = key_nos[0] if len(key_nos) == 1 else itertools.product(*key_nos)
+        missing = next(k for k in keys if k not in table)
+        raise TableError(f"{what} has no entry for {missing!r}")
+    return grid
+
+
 class _CatIndex:
-    """Integer view of a validated category, built by one checker call and
-    dropped when it returns (callers change tables between checks).
+    """Integer view of a category, built by one checker call and dropped
+    when it returns (callers change tables between checks).  Building it
+    is the category's validation: a dangling id or a missing identity is
+    a TableError.
 
     Objects and morphisms are numbered in declaration order.  ``comp[g]``
     maps f to g after f, ``comp_items`` lists (g, f, g after f) in table
@@ -169,15 +199,17 @@ class _CatIndex:
         self.mors = [m for m, _, _ in C.morphisms]
         self.obj_no = obj_no = {x: i for i, x in enumerate(C.objects)}
         self.mor_no = mor_no = {m: i for i, m in enumerate(self.mors)}
-        self.src = [obj_no[s] for _, s, _ in C.morphisms]
-        self.tgt = [obj_no[t] for _, _, t in C.morphisms]
-        self.ident = [mor_no[C.identity[x]] for x in C.objects]
+        with _indexing("morphism table"):
+            self.src = [obj_no[s] for _, s, _ in C.morphisms]
+            self.tgt = [obj_no[t] for _, _, t in C.morphisms]
+        self.ident = _full_grid(C.identity, "identity table", mor_no, obj_no)
         self.comp = [{} for _ in self.mors]
         self.comp_items = []
-        for (g, f), h in C.comp.items():
-            g, f, h = mor_no[g], mor_no[f], mor_no[h]
-            self.comp[g][f] = h
-            self.comp_items.append((g, f, h))
+        with _indexing("comp table"):
+            for (g, f), h in C.comp.items():
+                g, f, h = mor_no[g], mor_no[f], mor_no[h]
+                self.comp[g][f] = h
+                self.comp_items.append((g, f, h))
         self.into = [[] for _ in C.objects]
         for f, y in enumerate(self.tgt):
             self.into[y].append(f)
@@ -194,7 +226,6 @@ def check_category_laws(C: FinCategory) -> LawReport:
     The loops run over an integer index that lives for this call only,
     and a witness is rendered only for an instance that fails.
     """
-    C.validate()
     ix = _CatIndex(C)
     objs, mors, src, tgt, comp = ix.objects, ix.mors, ix.src, ix.tgt, ix.comp
     rep = LawReport()
@@ -438,6 +469,13 @@ _DOC_FIELDS = {"objects", "morphisms", "identity", "comp"}
 def from_doc(doc) -> FinCategory:
     """Build a FinCategory from the JSON document shape; structural errors
     (wrong shape, unknown fields, dangling ids) raise TableError."""
+    C = _doc_category(doc)
+    _CatIndex(C)  # building the index is the validation
+    return C
+
+
+def _doc_category(doc) -> FinCategory:
+    """The category a document spells out; only its shape is checked."""
     if not isinstance(doc, dict):
         raise TableError("category document must be a JSON object")
     unknown = set(doc) - _DOC_FIELDS
@@ -474,9 +512,7 @@ def from_doc(doc) -> FinCategory:
         if key in comp:
             raise TableError(f"duplicate comp entry for ({row['after']}, {row['first']})")
         comp[key] = row["result"]
-    C = FinCategory(tuple(objects), tuple(morphisms), dict(ident), comp)
-    C.validate()
-    return C
+    return FinCategory(tuple(objects), tuple(morphisms), dict(ident), comp)
 
 
 def to_doc(C: FinCategory) -> dict:

@@ -23,7 +23,6 @@ from .fincat import (
     check_functor,
     check_nat_trans,
     compose_functors,
-    from_doc,
     hom_enumerate,
     identity_functor,
     pair_mor,
@@ -31,6 +30,8 @@ from .fincat import (
     product_category,
     to_doc,
     _CatIndex,
+    _doc_category,
+    _full_grid,
 )
 from .report import LawReport
 
@@ -77,34 +78,20 @@ class WhiskeredBifunctor:
         except KeyError:
             raise TableError(f"right whisker table missing entry ({f!r}, {z!r})") from None
 
-    def validate(self) -> None:
-        C = self.base
-        objs = set(C.objects)
-        for x in C.objects:
-            for y in C.objects:
-                if self.obj(x, y) not in objs:
-                    raise TableError(f"tensor maps ({x!r},{y!r}) to unknown object")
-        for x in C.objects:
-            for f, _, _ in C.morphisms:
-                if not C.has_mor(self.lw(x, f)):
-                    raise TableError(f"left whisker ({x!r},{f!r}) is an unknown morphism")
-                if not C.has_mor(self.rw(f, x)):
-                    raise TableError(f"right whisker ({f!r},{x!r}) is an unknown morphism")
-
 
 class _TensorIndex:
-    """Integer view of a validated tensor over a ``_CatIndex``:
-    ``obj[x][y]``, ``lw[x][f]`` and ``rw[f][z]``.  Built by one checker
-    call and dropped when it returns."""
+    """Integer view of a tensor over a ``_CatIndex``: ``obj[x][y]``,
+    ``lw[x][f]`` and ``rw[f][z]``.  Built by one checker call and dropped
+    when it returns; building it is the tensor's validation, so a missing
+    entry or an unknown id is a TableError."""
 
     __slots__ = ("obj", "lw", "rw")
 
     def __init__(self, T: WhiskeredBifunctor, cx: _CatIndex):
         on, mn = cx.obj_no, cx.mor_no
-        objs, mors = cx.objects, cx.mors
-        self.obj = [[on[T.obj_table[(x, y)]] for y in objs] for x in objs]
-        self.lw = [[mn[T.lwhisker[(x, f)]] for f in mors] for x in objs]
-        self.rw = [[mn[T.rwhisker[(f, z)]] for z in objs] for f in mors]
+        self.obj = _full_grid(T.obj_table, "tensor obj table", on, on, on)
+        self.lw = _full_grid(T.lwhisker, "left whisker table", mn, on, mn)
+        self.rw = _full_grid(T.rwhisker, "right whisker table", mn, mn, on)
 
 
 def check_whiskered_bifunctor(T: WhiskeredBifunctor) -> LawReport:
@@ -112,8 +99,6 @@ def check_whiskered_bifunctor(T: WhiskeredBifunctor) -> LawReport:
 
     The loops run over an integer index that lives for this call only,
     and a witness is rendered only for an instance that fails."""
-    T.base.validate()
-    T.validate()
     cx = _CatIndex(T.base)
     rep = LawReport()
     _check_whiskered(rep, cx, _TensorIndex(T, cx))
@@ -264,50 +249,30 @@ class MonoidalCategory:
     associator_inv: dict[tuple[str, str, str], str]
     name: str = ""
 
-    def validate(self) -> None:
-        self.tensor.validate()
-        C = self.base
-        if self.unit not in C.objects:
-            raise TableError(f"unit object {self.unit!r} is not in the category")
-        for label, table in (("lunitor", self.lunitor), ("lunitor_inv", self.lunitor_inv),
-                             ("runitor", self.runitor), ("runitor_inv", self.runitor_inv)):
-            for x in C.objects:
-                if x not in table:
-                    raise TableError(f"{label} missing component at {x!r}")
-                if not C.has_mor(table[x]):
-                    raise TableError(f"{label} at {x!r} is unknown morphism {table[x]!r}")
-        for label, table in (("associator", self.associator),
-                             ("associator_inv", self.associator_inv)):
-            for key in itertools.product(C.objects, repeat=3):
-                if key not in table:
-                    raise TableError(f"{label} missing component at {key}")
-                if not C.has_mor(table[key]):
-                    raise TableError(f"{label} at {key} is unknown morphism {table[key]!r}")
-
 
 class _MonoidalIndex:
-    """Integer view of a validated monoidal category: its ``_CatIndex``
-    and ``_TensorIndex``, the unit, the unitors per object and the
-    associators as ``a[x][y][z]``.  Built by one checker call and dropped
-    when it returns."""
+    """Integer view of a monoidal category: its ``_CatIndex`` and
+    ``_TensorIndex``, the unit, the unitors per object and the associators
+    as ``a[x][y][z]``.  Built by one checker call and dropped when it
+    returns; building it is the monoidal category's validation."""
 
     __slots__ = ("cat", "ten", "unit", "lu", "lu_inv", "ru", "ru_inv", "a", "a_inv")
 
     def __init__(self, M: MonoidalCategory):
-        M.base.validate()
         if M.tensor.base is not M.base and M.tensor.base != M.base:
             raise TableError("tensor is over a different category than its monoidal structure")
-        M.validate()
         self.cat = cx = _CatIndex(M.base)
         self.ten = _TensorIndex(M.tensor, cx)
-        self.unit = cx.obj_no[M.unit]
-        objs, mn = cx.objects, cx.mor_no
+        on, mn = cx.obj_no, cx.mor_no
+        if M.unit not in on:
+            raise TableError(f"unit object {M.unit!r} is not in the category")
+        self.unit = on[M.unit]
         self.lu, self.lu_inv, self.ru, self.ru_inv = (
-            [mn[table[x]] for x in objs]
-            for table in (M.lunitor, M.lunitor_inv, M.runitor, M.runitor_inv))
+            _full_grid(getattr(M, table), table, mn, on)
+            for table in ("lunitor", "lunitor_inv", "runitor", "runitor_inv"))
         self.a, self.a_inv = (
-            [[[mn[table[(x, y, z)]] for z in objs] for y in objs] for x in objs]
-            for table in (M.associator, M.associator_inv))
+            _full_grid(getattr(M, table), table, mn, on, on, on)
+            for table in ("associator", "associator_inv"))
 
 
 def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
@@ -752,7 +717,7 @@ def from_monoidal_doc(doc) -> MonoidalCategory:
     missing = _MONOIDAL_FIELDS - set(doc)
     if missing:
         raise TableError(f"monoidal document missing fields: {sorted(missing)}")
-    base = from_doc({k: doc[k] for k in ("objects", "morphisms", "identity", "comp")})
+    base = _doc_category({k: doc[k] for k in ("objects", "morphisms", "identity", "comp")})
     unit = doc["unit"]
     if not isinstance(unit, str):
         raise TableError("'unit' must be an object id string")
@@ -795,7 +760,7 @@ def from_monoidal_doc(doc) -> MonoidalCategory:
                          unitor("runitor"), unitor("runitor_inv"),
                          rows(doc["associator"], assoc, "associator"),
                          rows(doc["associator_inv"], assoc, "associator_inv"))
-    M.validate()
+    _MonoidalIndex(M)  # building the index is the validation
     return M
 
 

@@ -343,7 +343,7 @@ _ABSENT = object()
 def gen_mendler_iteration(F: EnumEndofunctor, alg: InitialAlgebra,
                           L: EnumEndofunctor, X: EnumSetObj,
                           psi: Callable[[EnumSetObj, dict], Callable],
-                          depth: int, max_stage: int = DEFAULT_MAX_STAGE) -> dict:
+                          depth: int) -> dict:
     """The unique h: L(μF) → X with h ∘ L(str) = ψ_{μF}(h), built as the
     colimit of stages h_0, h_{m+1} = ψ_{A_m}(h_m) over the chain.
 
@@ -364,7 +364,7 @@ def gen_mendler_iteration(F: EnumEndofunctor, alg: InitialAlgebra,
         raise IterationError(
             "no canonical seed: L of the empty stage is nonempty and the "
             "target truncation is not a singleton")
-    for m in range(max_stage):
+    for m in range(DEFAULT_MAX_STAGE):
         stable = chain.stable_at(m, depth)
         step = psi(chain.stage(m), h)
         h_next = {}
@@ -385,7 +385,7 @@ def gen_mendler_iteration(F: EnumEndofunctor, alg: InitialAlgebra,
         h = h_next
         if stable:
             return h
-    raise ChainError(f"no stabilization within {max_stage} stages at level {depth}")
+    raise ChainError(f"no stabilization within {DEFAULT_MAX_STAGE} stages at level {depth}")
 
 
 def check_mendler_fixed_point(F: EnumEndofunctor, alg: InitialAlgebra,
@@ -469,9 +469,8 @@ def check_param_bifunctor(PB: ParamBifunctor, X: EnumSetObj,
     return rep
 
 
-def param_initial_algebras(PB: ParamBifunctor,
-                           max_stage: int = DEFAULT_MAX_STAGE) -> dict[str, InitialAlgebra]:
-    return {z: adamek_initial_algebra(PB.functor_at(z), max_stage)
+def param_initial_algebras(PB: ParamBifunctor) -> dict[str, InitialAlgebra]:
+    return {z: adamek_initial_algebra(PB.functor_at(z))
             for z in PB.param_cat.objects}
 
 
@@ -499,8 +498,7 @@ def _component_psi(PB: ParamBifunctor, fam: ParamAlgebraFamily, z: str) -> Calla
 
 
 def parametrized_initiality(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
-                            fam: ParamAlgebraFamily, depth: int,
-                            max_stage: int = DEFAULT_MAX_STAGE) -> dict[str, dict]:
+                            fam: ParamAlgebraFamily, depth: int) -> dict[str, dict]:
     """The mediating family h_Z: μ_Z → G Z, each component an instance of
     generalized Mendler iteration with L = Id and ψ_A(h) = φ_Z ∘ F(Z, h).
 
@@ -511,14 +509,12 @@ def parametrized_initiality(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
     out = {}
     for z in PB.param_cat.objects:
         out[z] = gen_mendler_iteration(PB.functor_at(z), mu[z], identity_endofunctor(),
-                                       fam.g_obj(z), _component_psi(PB, fam, z),
-                                       depth, max_stage)
+                                       fam.g_obj(z), _component_psi(PB, fam, z), depth)
     return out
 
 
 def mu_on_morphism(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
-                   f: str, depth: int,
-                   max_stage: int = DEFAULT_MAX_STAGE) -> dict:
+                   f: str, depth: int) -> dict:
     """Functorial action of Z ↦ μ_Z on a parameter morphism, as the
     mediating map into the target algebra str_{Z'} ∘ F(f, μ_{Z'})."""
     C = PB.param_cat
@@ -532,7 +528,7 @@ def mu_on_morphism(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
         return lambda e: target.str_map(act(lifted(e)))
 
     return gen_mendler_iteration(FZ, mu[z], identity_endofunctor(),
-                                 target.carrier, psi, depth, max_stage)
+                                 target.carrier, psi, depth)
 
 
 def _mu_actions(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],

@@ -22,9 +22,8 @@ import itertools
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 
-from .omega import (DEFAULT_MAX_STAGE, EnumEndofunctor, EnumSetObj,
-                    adamek_initial_algebra, check_mendler_fixed_point,
-                    const_enum_set, count_mendler_solutions,
+from .omega import (EnumEndofunctor, EnumSetObj, adamek_initial_algebra,
+                    check_mendler_fixed_point, const_enum_set, count_mendler_solutions,
                     gen_mendler_iteration, identity_endofunctor)
 from .report import LawReport
 from .signature import BindingSignature, Constructor, ParseError, _Parser
@@ -590,8 +589,7 @@ def substitution_pool(sig: BindingSignature, max_scope: int, image_depth: int,
 
 
 def subst_via_mendler(sig: BindingSignature, depth: int, max_scope: int,
-                      image_depth: int = 1,
-                      max_stage: int = DEFAULT_MAX_STAGE) -> dict:
+                      image_depth: int = 1) -> dict:
     """Substitution recovered by generalized Mendler iteration, without
     structural recursion on terms.
 
@@ -605,7 +603,7 @@ def subst_via_mendler(sig: BindingSignature, depth: int, max_scope: int,
     rounds = max(depth - 1, 0)
     result_level = depth + max(image_depth - 1, 0)
     F = scoped_signature_functor(sig, max_scope, result_level)
-    alg = adamek_initial_algebra(F, max_stage)
+    alg = adamek_initial_algebra(F)
     pool = substitution_pool(sig, max_scope, image_depth, rounds)
     by_source: dict[int, list[tuple[Substitution, int]]] = {}
     for s, gen in pool.items():
@@ -645,7 +643,7 @@ def subst_via_mendler(sig: BindingSignature, depth: int, max_scope: int,
                         tuple(h[(a, lift(s, a.scope - w.scope))] for a in w.args))
         return go
 
-    return gen_mendler_iteration(F, alg, L, X, psi, result_level, max_stage)
+    return gen_mendler_iteration(F, alg, L, X, psi, result_level)
 
 
 def check_subst_via_mendler(sig: BindingSignature, depth: int, max_scope: int,

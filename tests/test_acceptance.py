@@ -12,6 +12,7 @@ even when every assertion inside it holds.
 
 import contextlib
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import json
@@ -189,6 +190,14 @@ def test_criterion_1_monad_laws_for_substitution(fixtures, capfd):
         assert rep.checks_run == 833_716
         assert Counter(v.law for v in rep.violations) == \
             {"monad-assoc": 296_337, "monad-right-unit": 59}
+        # the SHA-256 of repr([(v.law, v.witness) for v in rep.violations]),
+        # fed piece by piece rather than as one 40 M-character string
+        digest = hashlib.sha256(b"[")
+        for i, v in enumerate(rep.violations):
+            digest.update(((", " if i else "") + repr((v.law, v.witness))).encode())
+        digest.update(b"]")
+        assert digest.hexdigest() == \
+            "6f6ef7848ae9d08bb6430ff36bdb312b53f7b4c8aba7f40318e29c6c47db4d8d"
 
 
 def test_criterion_2_whiskered_classical_agreement(capfd):

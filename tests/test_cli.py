@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from bindcat import check_category_laws, from_doc
+from bindcat import (chain_category, check_category_laws, endofunctor_monoidal, from_doc,
+                     to_monoidal_doc)
 from bindcat.cli import main
 
 REPORT_KEYS = {"command", "status", "checks_run", "violations", "elapsed_ms"}
@@ -78,6 +79,15 @@ def test_check_monoidal_duplicate_associator_row_exit_2(fixtures, tmp_path, caps
     bad.write_text(json.dumps(doc))
     assert main(["check-monoidal", str(bad)]) == 2
     assert "duplicate associator entry" in capsys.readouterr().err
+
+
+def test_check_monoidal_entry_at_unknown_key_exit_2(tmp_path, capsys):
+    doc = to_monoidal_doc(endofunctor_monoidal(chain_category(2)).monoidal)
+    doc["lunitor"]["nope"] = "nope"
+    bad = tmp_path / "monoidal.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-monoidal", str(bad)]) == 2
+    assert "lunitor names unknown id 'nope'" in capsys.readouterr().err
 
 
 def test_check_monoidal_repeated_json_key_exit_2(fixtures, tmp_path, capsys):

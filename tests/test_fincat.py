@@ -1,5 +1,6 @@
 """Table-driven finite categories: construction, laws, documents."""
 
+import dataclasses
 import json
 
 import pytest
@@ -127,6 +128,17 @@ def test_functor_law_violation_is_reported():
                                                "functor-composition"}
 
 
+def test_functor_identity_law_can_fail():
+    # p is idempotent, so sending id_* to p keeps composition and endpoints
+    P = FinCategory(("*",), (("e", "*", "*"), ("p", "*", "*")), {"*": "e"},
+                    {("e", "e"): "e", ("e", "p"): "p", ("p", "e"): "p", ("p", "p"): "p"})
+    assert check_category_laws(P).ok
+    rep = check_functor(FinFunctor(terminal_category(), P, {"*": "*"}, {"id_*": "p"}))
+    assert rep.checks_run == 3
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("functor-identity", "image of id_* is p, expected id_*")]
+
+
 def test_identity_nat_trans_is_natural():
     t = identity_nat_trans(identity_functor(walking_arrow()))
     assert check_nat_trans(t).ok
@@ -142,6 +154,40 @@ def test_non_natural_square_is_caught():
     rep = check_nat_trans(t)
     assert not rep.ok
     assert any(v.law == "component-endpoints" for v in rep.violations)
+
+
+# --- one smallest broken table per category law ---------------------------------
+
+def _with_comp(C, changes, drop=()):
+    comp = {k: v for k, v in C.comp.items() if k not in drop}
+    comp.update(changes)
+    return dataclasses.replace(C, comp=comp)
+
+
+@pytest.mark.parametrize("C, checks, law, witness", [
+    pytest.param(dataclasses.replace(discrete_category("ab"), identity={"a": "id_b", "b": "id_b"}),
+                 12, "identity-endpoints", "id_a = id_b has endpoints b→b",
+                 id="identity-endpoints"),
+    pytest.param(_with_comp(walking_arrow(), {("f", "f"): "f"}),
+                 27, "comp-composable", "comp entry (f after f) on a non-composable pair",
+                 id="comp-composable"),
+    pytest.param(_with_comp(walking_arrow(), {}, drop=[("f", "id_a")]),
+                 20, "comp-totality", "composable pair (f after id_a) missing from comp table",
+                 id="comp-totality"),
+    # two parallel arrows, with f after id_a recorded as g
+    pytest.param(FinCategory(("a", "b"),
+                             (("id_a", "a", "a"), ("id_b", "b", "b"),
+                              ("f", "a", "b"), ("g", "a", "b")),
+                             {"a": "id_a", "b": "id_b"},
+                             {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b",
+                              ("id_b", "f"): "f", ("id_b", "g"): "g",
+                              ("f", "id_a"): "g", ("g", "id_a"): "g"}),
+                 36, "unit-right", "(f after id_a) = g, expected f", id="unit-right"),
+])
+def test_category_law_can_fail(C, checks, law, witness):
+    rep = check_category_laws(C)
+    assert rep.checks_run == checks
+    assert [(v.law, v.witness) for v in rep.violations] == [(law, witness)]
 
 
 # --- JSON interchange ------------------------------------------------------------
@@ -170,6 +216,30 @@ def test_from_doc_rejects_malformed(fixtures, mangle):
     doc = json.loads((fixtures / "walking_arrow.json").read_text())
     mangle(doc)
     with pytest.raises(TableError):
+        from_doc(doc)
+
+
+@pytest.mark.parametrize("table, mangle", [
+    pytest.param("identity table", lambda d: d["identity"].update(c="id_a"), id="identity-key"),
+    pytest.param("identity table", lambda d: d["identity"].update(b="nope"), id="identity-value"),
+    pytest.param("morphism table",
+                 lambda d: d["morphisms"].append({"id": "g", "src": "a", "tgt": "c"}),
+                 id="morphism-target"),
+    pytest.param("comp table",
+                 lambda d: d["comp"].append({"after": "f", "first": "nope", "result": "f"}),
+                 id="comp-key"),
+])
+def test_from_doc_names_the_table_with_an_unknown_id(fixtures, table, mangle):
+    doc = json.loads((fixtures / "walking_arrow.json").read_text())
+    mangle(doc)
+    with pytest.raises(TableError, match=f"^{table} names unknown id"):
+        from_doc(doc)
+
+
+def test_from_doc_names_a_missing_identity(fixtures):
+    doc = json.loads((fixtures / "walking_arrow.json").read_text())
+    del doc["identity"]["b"]
+    with pytest.raises(TableError, match="^identity table has no entry for 'b'$"):
         from_doc(doc)
 
 

@@ -325,3 +325,47 @@ def test_monoidal_doc_rejects_duplicate_associator_row(fixtures, field):
     doc[field].append(dict(doc[field][0]))
     with pytest.raises(TableError, match=f"duplicate {field} entry"):
         from_monoidal_doc(doc)
+
+
+# An entry keyed on an id the category does not have is structural: the
+# index numbers every entry by its key, so such an entry has no place.
+UNKNOWN_KEYED = [
+    ("lunitor", lambda d: d["lunitor"].update(nope="nope")),
+    ("tensor obj table",
+     lambda d: d["tensor"]["obj"].append({"left": "nope", "right": "Id", "result": "Id"})),
+    ("left whisker table",
+     lambda d: d["tensor"]["lwhisker"].append({"obj": "nope", "mor": "nope", "result": "nope"})),
+    ("associator",
+     lambda d: d["associator"].append({"x": "nope", "y": "Id", "z": "Id", "result": "id_Id"})),
+]
+
+
+@pytest.mark.parametrize("table, mangle", UNKNOWN_KEYED, ids=[t for t, _ in UNKNOWN_KEYED])
+def test_monoidal_doc_rejects_an_entry_at_an_unknown_key(two_chain_endo, table, mangle):
+    doc = to_monoidal_doc(two_chain_endo.monoidal)
+    mangle(doc)
+    with pytest.raises(TableError, match=f"^{table} names unknown id 'nope'$"):
+        from_monoidal_doc(doc)
+
+
+def test_checkers_reject_an_entry_at_an_unknown_key(two_chain_endo):
+    M = two_chain_endo.monoidal
+    with pytest.raises(TableError, match="^runitor_inv names unknown id 'nope'$"):
+        check_monoidal_laws(dataclasses.replace(M, runitor_inv={**M.runitor_inv, "nope": "id_Id"}))
+    T = M.tensor
+    with pytest.raises(TableError, match="^right whisker table names unknown id 'nope'$"):
+        check_whiskered_bifunctor(
+            dataclasses.replace(T, rwhisker={**T.rwhisker, ("id_Id", "nope"): "id_Id"}))
+
+
+def test_missing_entries_are_named(two_chain_endo):
+    M = two_chain_endo.monoidal
+    short = {k: v for k, v in M.associator.items() if k != ("Id", "const_1", "Id")}
+    with pytest.raises(TableError,
+                       match=r"^associator has no entry for \('Id', 'const_1', 'Id'\)$"):
+        check_monoidal_laws(dataclasses.replace(M, associator=short))
+    T = M.tensor
+    short = {k: v for k, v in T.lwhisker.items() if k != ("const_0", "id_Id")}
+    with pytest.raises(TableError,
+                       match=r"^left whisker table has no entry for \('const_0', 'id_Id'\)$"):
+        check_whiskered_bifunctor(dataclasses.replace(T, lwhisker=short))
