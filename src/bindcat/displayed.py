@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .fincat import (FinCategory, FinFunctor, TableError, _CatIndex, _doc_category, _grid,
                      _indexing, pair_mor, pair_obj, unique_keys)
-from .monoidal import MonoidalCategory, WhiskeredBifunctor, _MonoidalIndex
+from .monoidal import (MonoidalCategory, WhiskeredBifunctor, _MonoidalIndex, _interchange,
+                       _pentagon)
 from .report import LawReport
 
 
@@ -506,25 +507,13 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                               f"({mors[gg]}⊗̂{objs[xx]} after {mors[ff]}⊗̂{objs[xx]}) = "
                               f"{name(got)}")
 
-    for ff in range(n_mor):
-        yy, yy1 = src[ff], tgt[ff]
-        lw_f = [lw_x[ff] for lw_x in lw]
-        for gg in range(n_mor):
-            xx, xx1 = src[gg], tgt[gg]
-            a, b = rw[gg][yy1], lw_f[xx]
-            c, d = lw_f[xx1], rw[gg][yy]
-            if a is None or b is None or c is None or d is None:
-                continue
-            lhs, rhs = dcomp[a].get(b), dcomp[c].get(d)
-            if lhs is None or rhs is None:
-                continue
-            if lhs == rhs:
-                passed += 1
-            else:
-                rep.check(False, "disp-interchange",
-                          f"at ff={mors[ff]}, gg={mors[gg]}: ({mors[gg]}⊗̂{objs[yy1]} after "
-                          f"{objs[xx]}⊗̂{mors[ff]}) = {mors[lhs]} but ({objs[xx1]}⊗̂{mors[ff]} "
-                          f"after {mors[gg]}⊗̂{objs[yy]}) = {mors[rhs]}")
+    def interchange(ff: int, gg: int, lhs: int, rhs: int) -> str:
+        yy, yy1, xx, xx1 = src[ff], tgt[ff], src[gg], tgt[gg]
+        return (f"at ff={mors[ff]}, gg={mors[gg]}: ({mors[gg]}⊗̂{objs[yy1]} after "
+                f"{objs[xx]}⊗̂{mors[ff]}) = {mors[lhs]} but ({objs[xx1]}⊗̂{mors[ff]} "
+                f"after {mors[gg]}⊗̂{objs[yy]}) = {mors[rhs]}")
+
+    passed += _interchange(rep, "disp-interchange", src, tgt, dcomp, lw, rw, interchange)
 
     def disp_iso(fwd, bwd, s, t, law: str, where) -> int:
         # a side whose identity is missing was reported as disp-id-totality
@@ -616,39 +605,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                           f"at ({objs[xx]},{objs[zz]}): ({objs[xx]}⊗̂lunitor after associator) "
                           f"= {name(lhs)} but runitor⊗̂{objs[zz]} = {mors[r]}")
 
-    for ww in range(n):
-        A_w, lw_w, ten_w = A[ww], lw[ww], ten[ww]
-        for xx in range(n):
-            wx, xy_row = ten_w[xx], ten[xx]
-            if wx is None:
-                continue
-            A_wx, A_wx_, A_x = A_w[xx], A[wx], A[xx]
-            for yy in range(n):
-                xy, a5 = xy_row[yy], A_wx[yy]
-                if xy is None or a5 is None:
-                    continue
-                rw_a5, A_w_xy, A_wx_y, A_xy, ten_y = rw[a5], A_w[xy], A_wx_[yy], A_x[yy], ten[yy]
-                for zz in range(n):
-                    yz = ten_y[zz]
-                    if yz is None:
-                        continue
-                    a1, a2, a3, a4 = A_wx[yz], A_wx_y[zz], A_xy[zz], A_w_xy[zz]
-                    if a1 is None or a2 is None or a3 is None or a4 is None:
-                        continue
-                    lw_a3, rw_z = lw_w[a3], rw_a5[zz]
-                    if lw_a3 is None or rw_z is None:
-                        continue
-                    lhs = dcomp[a1].get(a2)
-                    inner = dcomp[a4].get(rw_z)
-                    rhs = None if inner is None else dcomp[lw_a3].get(inner)
-                    if lhs is None or rhs is None:
-                        continue
-                    if lhs == rhs:
-                        passed += 1
-                    else:
-                        rep.check(False, "disp-pentagon",
-                                  f"at ({objs[ww]},{objs[xx]},{objs[yy]},{objs[zz]}): "
-                                  f"two-step side = {mors[lhs]}, three-step side = {mors[rhs]}")
+    passed += _pentagon(rep, "disp-pentagon", objs, mors, dcomp, ten, lw, rw, A)
     rep.tally(passed)
     return rep
 

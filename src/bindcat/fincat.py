@@ -111,6 +111,12 @@ class FinFunctor:
         for mid, _, _ in self.source.morphisms:
             if not self.target.has_mor(self.mor(mid)):
                 raise TableError(f"functor maps {mid!r} to unknown morphism {self.on_mor[mid]!r}")
+        # every source id has an entry by now, so a longer table has a foreign key
+        for table, ids in ((self.on_obj, self.source.objects), (self.on_mor, self.source._by_id)):
+            if len(table) != len(ids):
+                unknown = next(k for k in table if k not in ids)
+                raise TableError(f"functor {self.name or '<anon>'} has an image for unknown id "
+                                 f"{unknown!r}")
 
 
 @dataclass
@@ -328,6 +334,8 @@ def check_nat_trans(t: FinNatTrans) -> LawReport:
     rep = LawReport()
     for x in C.objects:
         cx = t.at(x)
+        if not D.has_mor(cx):
+            raise TableError(f"natural transformation has unknown morphism {cx!r} at {x!r}")
         rep.check(D.src(cx) == F.obj(x) and D.tgt(cx) == G.obj(x), "component-endpoints",
                   f"component at {x} is {cx}: {D.src(cx)}→{D.tgt(cx)}, "
                   f"expected {F.obj(x)}→{G.obj(x)}")

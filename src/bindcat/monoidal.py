@@ -168,26 +168,75 @@ def _check_whiskered(rep: LawReport, cx: _CatIndex, tx: _TensorIndex) -> None:
                               f"({mors[g]} after {mors[f]})⊗{objs[x]} = {mors[lhs]} but "
                               f"({mors[g]}⊗{objs[x]} after {mors[f]}⊗{objs[x]}) = {mors[rhs]}")
 
-    # interchange: for f: y→y' and g: x→x',
-    #   (g ⊗ y') ∘ (x ⊗ f)  =  (x' ⊗ f) ∘ (g ⊗ y)
-    for f in range(n_mor):
+    def interchange(f: int, g: int, lhs: int, rhs: int) -> str:
+        y, y1, x, x1 = src[f], tgt[f], src[g], tgt[g]
+        return (f"at f={mors[f]}: {objs[y]}→{objs[y1]}, g={mors[g]}: {objs[x]}→{objs[x1]}: "
+                f"({mors[g]}⊗{objs[y1]} after {objs[x]}⊗{mors[f]}) = {mors[lhs]} but "
+                f"({objs[x1]}⊗{mors[f]} after {mors[g]}⊗{objs[y]}) = {mors[rhs]}")
+
+    passed += _interchange(rep, "interchange", src, tgt, comp, lw, rw, interchange)
+    rep.tally(passed)
+
+
+def _interchange(rep: LawReport, law: str, src, tgt, comp, lw, rw, witness) -> int:
+    """Interchange over integer tables, for f: y→y' and g: x→x':
+    (g ⊗ y') ∘ (x ⊗ f) = (x' ⊗ f) ∘ (g ⊗ y).  An instance that reads an
+    absent entry (None in a displayed table, a TypeError) or composite (a
+    KeyError) is skipped uncounted: the totality and endpoint checks
+    report it.  A failure is reported under ``law`` with
+    ``witness(f, g, lhs, rhs)``.  Returns the number of passes."""
+    passed = 0
+    mors = range(len(src))
+    for f in mors:
         y, y1 = src[f], tgt[f]
         lw_f = [lwx[f] for lwx in lw]
-        for g in range(n_mor):
-            x, x1 = src[g], tgt[g]
+        for g in mors:
             rw_g = rw[g]
-            lhs = comp[rw_g[y1]].get(lw_f[x])
-            rhs = comp[lw_f[x1]].get(rw_g[y])
-            if lhs is None or rhs is None:
-                continue  # endpoint breakage already reported above
+            try:
+                lhs = comp[rw_g[y1]][lw_f[src[g]]]
+                rhs = comp[lw_f[tgt[g]]][rw_g[y]]
+            except (KeyError, TypeError):
+                continue
             if lhs == rhs:
                 passed += 1
             else:
-                rep.check(False, "interchange",
-                          f"at f={mors[f]}: {objs[y]}→{objs[y1]}, g={mors[g]}: {objs[x]}→{objs[x1]}: "
-                          f"({mors[g]}⊗{objs[y1]} after {objs[x]}⊗{mors[f]}) = {mors[lhs]} but "
-                          f"({objs[x1]}⊗{mors[f]} after {mors[g]}⊗{objs[y]}) = {mors[rhs]}")
-    rep.tally(passed)
+                rep.check(False, law, witness(f, g, lhs, rhs))
+    return passed
+
+
+def _pentagon(rep: LawReport, law: str, objs, mors, comp, ten, lw, rw, A) -> int:
+    """The pentagon over integer tables, at every (w, x, y, z):
+    α_(w,x,y⊗z) ∘ α_(w⊗x,y,z) = (w ⊗ α_(x,y,z)) ∘ α_(w,x⊗y,z) ∘ (α_(w,x,y) ⊗ z).
+    Instances that read an absent entry or composite are skipped uncounted,
+    as in ``_interchange``.  A failure is reported under ``law``.  Returns
+    the number of passes."""
+    passed = 0
+    n = len(objs)
+    for w in range(n):
+        A_w, lw_w, ten_w = A[w], lw[w], ten[w]
+        for x in range(n):
+            wx = ten_w[x]
+            if wx is None:
+                continue
+            A_wx, A_wx_, A_x, ten_x = A_w[x], A[wx], A[x], ten[x]
+            for y in range(n):
+                xy, a = ten_x[y], A_wx[y]
+                if xy is None or a is None:
+                    continue
+                rw_a, A_w_xy, A_wx_y, A_xy, ten_y = rw[a], A_w[xy], A_wx_[y], A_x[y], ten[y]
+                for z in range(n):
+                    try:
+                        lhs = comp[A_wx[ten_y[z]]][A_wx_y[z]]
+                        rhs = comp[lw_w[A_xy[z]]][comp[A_w_xy[z]][rw_a[z]]]
+                    except (KeyError, TypeError):
+                        continue
+                    if lhs == rhs:
+                        passed += 1
+                    else:
+                        rep.check(False, law,
+                                  f"at ({objs[w]},{objs[x]},{objs[y]},{objs[z]}): "
+                                  f"two-step side = {mors[lhs]}, three-step side = {mors[rhs]}")
+    return passed
 
 
 def whiskered_from_classical(F: FinFunctor) -> WhiskeredBifunctor:
@@ -361,32 +410,37 @@ def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
     for f in range(n_mor):
         x, x1 = src[f], tgt[f]
         rw_f, A_x, A_x1 = rw[f], A[x], A[x1]
+        lw_f = [lwx[f] for lwx in lw]
         for y in range(n_obj):
             rw_fy, ten_y, lw_y = rw[rw_f[y]], ten[y], lw[y]
             rw_lw_yf = rw[lw_y[f]]
             A_yx1, A_yx, A_y = A[y][x1], A[y][x], A[y]
             A_x1y, A_xy = A_x1[y], A_x[y]
             for z in range(n_obj):
-                # naturality in the first argument
-                lhs = comp[A_x1y[z]].get(rw_fy[z])
-                rhs = comp[rw_f[ten_y[z]]].get(A_xy[z])
-                if lhs is not None and rhs is not None:
+                try:  # naturality in the first argument
+                    lhs, rhs = comp[A_x1y[z]][rw_fy[z]], comp[rw_f[ten_y[z]]][A_xy[z]]
+                except KeyError:
+                    pass
+                else:
                     if lhs == rhs:
                         passed += 1
                     else:
                         naturality("first", f, y, z, lhs, rhs)
-                # second argument
-                lhs = comp[A_yx1[z]].get(rw_lw_yf[z])
-                rhs = comp[lw_y[rw_f[z]]].get(A_yx[z])
-                if lhs is not None and rhs is not None:
+                try:  # second argument
+                    lhs, rhs = comp[A_yx1[z]][rw_lw_yf[z]], comp[lw_y[rw_f[z]]][A_yx[z]]
+                except KeyError:
+                    pass
+                else:
                     if lhs == rhs:
                         passed += 1
                     else:
                         naturality("second", f, y, z, lhs, rhs)
-                # third argument
-                lhs = comp[A_y[z][x1]].get(lw[ten_y[z]][f])
-                rhs = comp[lw_y[lw[z][f]]].get(A_y[z][x])
-                if lhs is not None and rhs is not None:
+                A_yz = A_y[z]
+                try:  # third argument
+                    lhs, rhs = comp[A_yz[x1]][lw_f[ten_y[z]]], comp[lw_y[lw_f[z]]][A_yz[x]]
+                except KeyError:
+                    pass
+                else:
                     if lhs == rhs:
                         passed += 1
                     else:
@@ -405,29 +459,7 @@ def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
                               f"α_({objs[x]},{objs[I]},{objs[z]})) = {mors[lhs]} "
                               f"but runitor_{objs[x]}⊗{objs[z]} = {mors[rhs]}")
 
-    for w in range(n_obj):
-        A_w, lw_w, ten_w = A[w], lw[w], ten[w]
-        for x in range(n_obj):
-            A_wx, A_wx_, A_x, ten_x = A_w[x], A[ten_w[x]], A[x], ten[x]
-            for y in range(n_obj):
-                rw_a = rw[A_wx[y]]
-                A_w_xy, A_wx_y, A_xy, ten_y = A_w[ten_x[y]], A_wx_[y], A_x[y], ten[y]
-                for z in range(n_obj):
-                    lhs = comp[A_wx[ten_y[z]]].get(A_wx_y[z])
-                    if lhs is None:
-                        continue
-                    inner = comp[A_w_xy[z]].get(rw_a[z])
-                    if inner is None:
-                        continue
-                    rhs = comp[lw_w[A_xy[z]]].get(inner)
-                    if rhs is None:
-                        continue
-                    if lhs == rhs:
-                        passed += 1
-                    else:
-                        rep.check(False, "pentagon",
-                                  f"at ({objs[w]},{objs[x]},{objs[y]},{objs[z]}): "
-                                  f"two-step side = {mors[lhs]}, three-step side = {mors[rhs]}")
+    passed += _pentagon(rep, "pentagon", objs, mors, comp, ten, lw, rw, A)
     rep.tally(passed)
     return rep
 

@@ -18,6 +18,7 @@ from bindcat import (
     compose_functors,
     endofunctor_monoidal,
     from_displayed_doc,
+    from_monoidal_doc,
     identity_functor,
     lift_section,
     load_displayed,
@@ -208,6 +209,40 @@ def test_displayed_monoidal_missing_inverse_is_reported(endo_monoidal, table, la
     assert [v.law for v in rep.violations] == [law]
     assert "inverse" in rep.violations[0].witness
     assert "const_0^" in rep.violations[0].witness
+
+
+def test_absent_entries_skip_the_instances_that_read_them(endo_monoidal):
+    # each absent entry is one totality violation; every law instance that
+    # reads it, the interchange and pentagon among them, is skipped uncounted
+    DM = trivial_displayed_monoidal(endo_monoidal)
+    del DM.disp_associator[next(iter(DM.disp_associator))]
+    del DM.disp_lwhisker[next(iter(DM.disp_lwhisker))]
+    rep = check_displayed_monoidal(DM)
+    assert rep.checks_run == 386
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("disp-lwhisker-totality", "no displayed left whisker (const_0^, id_const_0^)"),
+        ("disp-associator-totality",
+         "no displayed associator at (const_0^, const_0^, const_0^)"),
+    ]
+
+
+def _starred(pentagon_witness: str) -> str:
+    """A base pentagon witness with every id renamed to its trivial
+    displayed id ``id^``."""
+    at, sides = pentagon_witness.split(": ", 1)
+    quad = at.removeprefix("at (").removesuffix(")").split(",")
+    sides = (side.split(" = ") for side in sides.split(", "))
+    return (f"at ({','.join(x + '^' for x in quad)}): "
+            + ", ".join(f"{side} = {m}^" for side, m in sides))
+
+
+def test_displayed_pentagon_agrees_with_the_base(fixtures):
+    M = from_monoidal_doc(json.loads((fixtures / "broken_pentagon.json").read_text()))
+    base = [v.witness for v in check_monoidal_laws(M).violations if v.law == "pentagon"]
+    disp = [v.witness for v in check_displayed_monoidal(trivial_displayed_monoidal(M)).violations
+            if v.law == "disp-pentagon"]
+    assert disp == [_starred(w) for w in base]
+    assert disp == ["at (e^,e^,e^,e^): two-step side = id_e^, three-step side = s^"]
 
 
 # --- saboteurs: the smallest broken End(chain 2) input for each law -------------------

@@ -8,6 +8,7 @@ import pytest
 from bindcat import (
     FinCategory,
     FinFunctor,
+    FinNatTrans,
     TableError,
     chain_category,
     check_category_laws,
@@ -139,6 +140,20 @@ def test_functor_identity_law_can_fail():
         ("functor-identity", "image of id_* is p, expected id_*")]
 
 
+@pytest.mark.parametrize("table, key, value", [("on_obj", "c", "zzz"), ("on_mor", "g", "f")])
+def test_functor_image_of_an_unknown_id_is_structural(table, key, value):
+    F = identity_functor(walking_arrow())
+    getattr(F, table)[key] = value
+    with pytest.raises(TableError, match=f"image for unknown id '{key}'"):
+        check_functor(F)
+
+
+def test_nat_trans_component_naming_an_unknown_morphism_is_structural():
+    Id = identity_functor(walking_arrow())
+    with pytest.raises(TableError, match="unknown morphism 'nope' at 'a'"):
+        check_nat_trans(FinNatTrans(Id, Id, {"a": "nope", "b": "id_b"}))
+
+
 def test_identity_nat_trans_is_natural():
     t = identity_nat_trans(identity_functor(walking_arrow()))
     assert check_nat_trans(t).ok
@@ -149,7 +164,6 @@ def test_non_natural_square_is_caught():
     Id = identity_functor(W)
     Cb = constant_functor(W, W, "b")
     # component at a points the wrong way round for naturality at f
-    from bindcat import FinNatTrans
     t = FinNatTrans(Cb, Id, {"a": "id_b", "b": "id_b"})
     rep = check_nat_trans(t)
     assert not rep.ok

@@ -27,6 +27,8 @@ from bindcat import (
     enumerate_endofunctors,
     enumerate_monoids,
     from_monoidal_doc,
+    identity_functor,
+    identity_nat_trans,
     monad_to_monoid,
     monoid_to_monad,
     to_monoidal_doc,
@@ -253,6 +255,13 @@ def test_broken_monads_on_chain_2(two_chain_endo, unit, mult, counts, first):
     if first is not None:
         law, witness = first
         assert next(v.witness for v in rep.violations if v.law == law) == witness
+
+
+def test_monad_with_a_component_naming_an_unknown_morphism_is_structural():
+    Id = identity_functor(walking_arrow())
+    T = Monad(Id, FinNatTrans(Id, Id, {"a": "nope", "b": "id_b"}), identity_nat_trans(Id))
+    with pytest.raises(TableError, match="unknown morphism 'nope' at 'a'"):
+        check_monad(T)
 
 
 def test_monoid_with_unknown_ids_is_structural(two_chain_endo):
