@@ -515,8 +515,9 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
 
     passed += _interchange(rep, "disp-interchange", src, tgt, dcomp, lw, rw, interchange)
 
-    def disp_iso(fwd, bwd, s, t, law: str, where) -> int:
-        # a side whose identity is missing was reported as disp-id-totality
+    def disp_iso(fwd, bwd, s, t, law: str, where: str, *at: int) -> int:
+        # a side whose identity is missing was reported as disp-id-totality;
+        # where is formatted with the names of the objects at, on failure only
         if fwd is None or bwd is None or s is None or t is None:
             return 0
         ok = 0
@@ -528,7 +529,8 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                 ok += 1
             else:
                 rep.check(False, law + "-iso",
-                          f"{where()}: ({mors[then]} after {mors[first]}) = {name(got)}, "
+                          f"{where.format(*(objs[i] for i in at))}: "
+                          f"({mors[then]} after {mors[first]}) = {name(got)}, "
                           f"expected disp_id({objs[end]})")
         return ok
 
@@ -551,8 +553,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
             if bwd is None:
                 rep.fail(f"disp-{which}-totality", f"no displayed {which} inverse at {objs[xx]}")
                 rep.tally()
-            passed += disp_iso(fwd, bwd, s, xx, f"disp-{which}",
-                               lambda: f"{which} at {objs[xx]}")
+            passed += disp_iso(fwd, bwd, s, xx, f"disp-{which}", which + " at {}", xx)
 
     for xx in range(n):
         ten_x = ten[xx]
@@ -563,7 +564,6 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                 s = None if ten_xy is None else ten_xy[zz]
                 yz = ten[yy][zz]
                 t = None if yz is None else ten_x[yz]
-                at = lambda: f"({objs[xx]},{objs[yy]},{objs[zz]})"
                 al = A[xx][yy][zz]
                 if al is None:
                     rep.fail("disp-associator-totality",
@@ -575,7 +575,8 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                         passed += 1
                     else:
                         rep.check(False, "disp-associator-over",
-                                  f"disp associator at {at()} = {mors[al]} has profile "
+                                  f"disp associator at ({objs[xx]},{objs[yy]},{objs[zz]}) = "
+                                  f"{mors[al]} has profile "
                                   f"{D.mor_info(mors[al])}, expected "
                                   f"({cx.mors[base_al]}, {objs[s]}, {objs[t]})")
                 al_inv = dm.a_inv[xx][yy][zz]
@@ -585,7 +586,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                              f"({objs[xx]}, {objs[yy]}, {objs[zz]})")
                     rep.tally()
                 passed += disp_iso(al, al_inv, s, t, "disp-associator",
-                                   lambda: f"associator at {at()}")
+                                   "associator at ({},{},{})", xx, yy, zz)
 
     for xx in range(n):
         ru_x = dm.ru[xx]

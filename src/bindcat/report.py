@@ -2,15 +2,47 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 
-@dataclass(frozen=True)
 class Violation:
-    """One failed law instance, with a rendered witness."""
+    """One failed law instance, with a rendered witness.
 
-    law: str
-    witness: str
+    The witness is stored as given: a string, or a tuple of string pieces
+    that many violations share and that are joined only when ``witness``
+    is read.  Either form compares, hashes and prints as the joined text.
+    """
+
+    __slots__ = ("law", "_witness")
+
+    def __init__(self, law: str, witness: str | tuple[str, ...]):
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "_witness", witness)
+
+    @property
+    def witness(self) -> str:
+        w = self._witness
+        return w if isinstance(w, str) else "".join(w)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Violation, (self.law, self._witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.law == other.law and self.witness == other.witness
+
+    def __hash__(self):
+        return hash((self.law, self.witness))
+
+    def __repr__(self):
+        return f"Violation(law={self.law!r}, witness={self.witness!r})"
 
 
 @dataclass
@@ -36,9 +68,13 @@ class LawReport:
         return ok
 
     def fail(self, law: str, witness) -> None:
+        """Record one failure; ``witness`` may be a string, a thunk, or a
+        tuple of string pieces kept unjoined until the witness is read."""
         if callable(witness):
             witness = witness()
-        self.violations.append(Violation(law, str(witness)))
+        if not isinstance(witness, tuple):
+            witness = str(witness)
+        self.violations.append(Violation(law, witness))
 
     def tally(self, n: int = 1) -> None:
         # for hot loops that count instances without going through check()

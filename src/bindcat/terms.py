@@ -399,8 +399,11 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
                           f"gives {render_term(got)}")
     # associativity: the sweep's memos are gone before any witness is rendered
     masks = _assoc_failures(terms_at, subs_from, sub, aux)
-    shown_t = {n: [render_term(t) for t in ts] for n, ts in terms_at.items()}
+    # each witness is a tuple of these shared pieces, joined when it is read
+    shown_t = {n: ["t = " + render_term(t) for t in ts] for n, ts in terms_at.items()}
     shown_s = {n: [render_substitution(s) for s in subs] for n, subs in subs_from.items()}
+    shown_sigma = {n: ["; sigma = " + r for r in rs] for n, rs in shown_s.items()}
+    shown_tau = {n: ["; tau = " + r for r in rs] for n, rs in shown_s.items()}
     for n in scopes:
         ts = terms_at[n]
         for i, s in enumerate(subs_from[n]):
@@ -408,9 +411,8 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
                 rep.tally(len(ts))
                 for j in range(len(ts)):
                     if mask >> j & 1:
-                        rep.fail("monad-assoc",
-                                 f"t = {shown_t[n][j]}; sigma = {shown_s[n][i]}; "
-                                 f"tau = {shown_s[s.target][k]}")
+                        rep.fail("monad-assoc", (shown_t[n][j], shown_sigma[n][i],
+                                                 shown_tau[s.target][k]))
     return rep
 
 

@@ -5,6 +5,7 @@ import copy
 import gc
 import itertools
 import pickle
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -424,6 +425,25 @@ def test_fault_injection_invisible_without_binders():
     # nat has no binders, so the broken lift is never exercised
     rep = check_monad_laws(nat_signature(), 3, 2, subst=broken_substitute)
     assert rep.ok
+
+
+def test_failing_sweep_keeps_its_witnesses_in_shared_pieces():
+    # a monad-assoc witness is a tuple of the sweep's rendered term and
+    # substitutions: about 120 B per violation with its slotted Violation;
+    # a string rendered per witness kept about 250 B
+    ac = parse_signature("sig ac { c : []; abs : [1]; s : [0]; }")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = check_monad_laws(ac, 2, 3, image_depth=1, subst=broken_substitute)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert Counter(v.law for v in rep.violations) == \
+        {"monad-assoc": 13_540, "monad-right-unit": 6}
+    assert retained / len(rep.violations) < 160
 
 
 def test_broken_lift_is_detected_on_the_library_path(monkeypatch):
