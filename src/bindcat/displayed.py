@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .fincat import (FinCategory, FinFunctor, TableError, _CatIndex, _doc_category, _grid,
-                     _indexing, pair_mor, pair_obj, unique_keys)
+from .fincat import (FinCategory, FinFunctor, TableError, _CatIndex, _doc_category, _doc_fields,
+                     _doc_rows, _functor_index, _grid, _indexing, pair_mor, pair_obj, unique_keys)
 from .monoidal import (MonoidalCategory, WhiskeredBifunctor, _MonoidalIndex, _interchange,
                        _pentagon)
 from .report import LawReport
@@ -304,21 +304,14 @@ class Section:
 
 def lift_section(s: Section) -> FinFunctor:
     """Mechanical lift base → total; lawfulness of the section is exactly
-    lawfulness (check_functor) of the returned functor."""
-    D = s.disp_cat
-    C = D.base
-    total, _ = total_category(D)
-    on_obj = {}
-    for x in C.objects:
-        if x not in s.on_obj:
-            raise TableError(f"section chooses no displayed object over {x!r}")
-        on_obj[x] = pair_obj(x, s.on_obj[x])
-    on_mor = {}
-    for f, _, _ in C.morphisms:
-        if f not in s.on_mor:
-            raise TableError(f"section chooses no displayed morphism over {f!r}")
-        on_mor[f] = pair_mor(f, s.on_mor[f])
-    return FinFunctor(C, total, on_obj, on_mor, name="section-lift")
+    lawfulness (check_functor) of the returned functor.  A section that
+    misses a base id, or names one its total category lacks, is a TableError."""
+    C = s.disp_cat.base
+    total, _ = total_category(s.disp_cat)
+    F = FinFunctor(C, total, {x: pair_obj(x, xx) for x, xx in s.on_obj.items()},
+                   {f: pair_mor(f, ff) for f, ff in s.on_mor.items()}, name="section-lift")
+    _functor_index(F, _CatIndex(C), _CatIndex(total))  # building the index is the validation
+    return F
 
 
 def projection_functor(D: DisplayedCategory) -> FinFunctor:
@@ -719,14 +712,7 @@ _DISP_FIELDS = {"base", "fiber_obj", "disp_hom", "disp_id", "disp_comp"}
 
 
 def from_displayed_doc(doc, base: FinCategory) -> DisplayedCategory:
-    if not isinstance(doc, dict):
-        raise TableError("displayed document must be a JSON object")
-    unknown = set(doc) - _DISP_FIELDS
-    if unknown:
-        raise TableError(f"unknown fields in displayed document: {sorted(unknown)}")
-    missing = _DISP_FIELDS - set(doc)
-    if missing:
-        raise TableError(f"displayed document missing fields: {sorted(missing)}")
+    _doc_fields(doc, _DISP_FIELDS, "displayed")
     fibers = doc["fiber_obj"]
     if not isinstance(fibers, dict) or not all(
             isinstance(k, str) and isinstance(v, list) and
@@ -750,18 +736,7 @@ def from_displayed_doc(doc, base: FinCategory) -> DisplayedCategory:
     if not isinstance(ids, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in ids.items()):
         raise TableError("'disp_id' must map displayed objects to displayed morphisms")
-    comp_rows = doc["disp_comp"]
-    if not isinstance(comp_rows, list):
-        raise TableError("'disp_comp' must be an array")
-    disp_comp = {}
-    for row in comp_rows:
-        if not isinstance(row, dict) or set(row) != {"after", "first", "result"} \
-                or not all(isinstance(row[k], str) for k in ("after", "first", "result")):
-            raise TableError(f"bad disp_comp row: {row!r}")
-        key = (row["after"], row["first"])
-        if key in disp_comp:
-            raise TableError(f"duplicate disp_comp entry {key}")
-        disp_comp[key] = row["result"]
+    disp_comp = _doc_rows(doc["disp_comp"], ("after", "first", "result"), "disp_comp")
     D = DisplayedCategory(base, dict(fibers), disp_hom, dict(ids), disp_comp)
     _DispIndex(D, _CatIndex(base))  # building the index is the validation
     return D

@@ -103,21 +103,6 @@ class FinFunctor:
         except KeyError:
             raise TableError(f"functor {self.name or '<anon>'} has no image for morphism {f!r}") from None
 
-    def validate(self) -> None:
-        objs = set(self.target.objects)
-        for x in self.source.objects:
-            if self.obj(x) not in objs:
-                raise TableError(f"functor maps {x!r} to unknown object {self.on_obj[x]!r}")
-        for mid, _, _ in self.source.morphisms:
-            if not self.target.has_mor(self.mor(mid)):
-                raise TableError(f"functor maps {mid!r} to unknown morphism {self.on_mor[mid]!r}")
-        # every source id has an entry by now, so a longer table has a foreign key
-        for table, ids in ((self.on_obj, self.source.objects), (self.on_mor, self.source._by_id)):
-            if len(table) != len(ids):
-                unknown = next(k for k in table if k not in ids)
-                raise TableError(f"functor {self.name or '<anon>'} has an image for unknown id "
-                                 f"{unknown!r}")
-
 
 @dataclass
 class FinNatTrans:
@@ -304,48 +289,94 @@ def check_category_laws(C: FinCategory) -> LawReport:
     return rep
 
 
+def _map_grid(table: dict, what: str, noun: str, value_no: dict, key_no: dict) -> list:
+    """``_full_grid`` of a one-key table, whose TableError names the entry
+    at fault: one keyed on an unknown id, or one naming an unknown ``noun``."""
+    for k, v in table.items():
+        if k not in key_no:
+            raise TableError(f"{what} for unknown id {k!r}")
+        if v not in value_no:
+            raise TableError(f"{what} names unknown {noun} {v!r} at {k!r}")
+    return _full_grid(table, what, value_no, key_no)
+
+
+def _functor_index(F: FinFunctor, cs: _CatIndex, ct: _CatIndex) -> tuple[tuple, tuple]:
+    """``F`` as the numbers of its object images and of its morphism
+    images, over the index ``cs`` of its source and ``ct`` of its target.
+    Building it is the functor's validation."""
+    what = f"functor {F.name or '<anon>'} image"
+    return (tuple(_map_grid(F.on_obj, what, "object", ct.obj_no, cs.obj_no)),
+            tuple(_map_grid(F.on_mor, what, "morphism", ct.mor_no, cs.mor_no)))
+
+
+def _nat_index(t: FinNatTrans, cs: _CatIndex, ct: _CatIndex) -> tuple[tuple, tuple, tuple]:
+    """``t`` as (source functor, target functor, component numbers) over
+    the index ``cs`` of its functors' source and ``ct`` of their target.
+    Building it is the transformation's validation, its functors' included."""
+    F, G = t.source, t.target
+    if G.source != F.source or G.target != F.target:
+        raise TableError("natural transformation between functors of different categories")
+    comps = _map_grid(t.components, "natural transformation component", "morphism",
+                      ct.mor_no, cs.obj_no)
+    return _functor_index(F, cs, ct), _functor_index(G, cs, ct), tuple(comps)
+
+
 def check_functor(F: FinFunctor) -> LawReport:
-    F.validate()
+    """Endpoint, identity and composition laws of a functor, exhaustively.
+    The loops run over integer indexes that live for this call only, and
+    a witness is rendered only for an instance that fails."""
+    cs = _CatIndex(F.source)
+    ct = cs if F.target is F.source else _CatIndex(F.target)
     rep = LawReport()
-    C, D = F.source, F.target
-    for f, x, y in C.morphisms:
-        ff = F.mor(f)
-        rep.check(D.src(ff) == F.obj(x) and D.tgt(ff) == F.obj(y), "functor-endpoints",
-                  f"image of {f}: {x}→{y} is {ff}: {D.src(ff)}→{D.tgt(ff)}, "
-                  f"expected {F.obj(x)}→{F.obj(y)}")
-    for x in C.objects:
-        rep.check(F.mor(C.id_of(x)) == D.id_of(F.obj(x)), "functor-identity",
-                  f"image of id_{x} is {F.mor(C.id_of(x))}, expected id_{F.obj(x)}")
-    for (g, f), h in C.comp.items():
-        img = D.comp.get((F.mor(g), F.mor(f)))
-        rep.check(img is not None and F.mor(h) == img, "functor-composition",
-                  f"image of ({g} after {f}) is {F.mor(h)}, "
-                  f"but ({F.mor(g)} after {F.mor(f)}) = {img}")
+    _check_functor(rep, cs, ct, _functor_index(F, cs, ct))
     return rep
+
+
+def _check_functor(rep: LawReport, cs: _CatIndex, ct: _CatIndex, fx: tuple) -> None:
+    fo, fm = fx
+    s_objs, s_mors, src, tgt = cs.objects, cs.mors, cs.src, cs.tgt
+    objs, mors, t_src, t_tgt = ct.objects, ct.mors, ct.src, ct.tgt
+    for f, m in enumerate(fm):
+        x, y = fo[src[f]], fo[tgt[f]]
+        rep.check(t_src[m] == x and t_tgt[m] == y, "functor-endpoints", lambda: (
+            f"image of {s_mors[f]}: {s_objs[src[f]]}→{s_objs[tgt[f]]} is {mors[m]}: "
+            f"{objs[t_src[m]]}→{objs[t_tgt[m]]}, expected {objs[x]}→{objs[y]}"))
+    for x, i in enumerate(cs.ident):
+        rep.check(fm[i] == ct.ident[fo[x]], "functor-identity", lambda: (
+            f"image of id_{s_objs[x]} is {mors[fm[i]]}, expected id_{objs[fo[x]]}"))
+    for g, f, h in cs.comp_items:
+        img = ct.comp[fm[g]].get(fm[f])
+        rep.check(img == fm[h], "functor-composition", lambda: (
+            f"image of ({s_mors[g]} after {s_mors[f]}) is {mors[fm[h]]}, "
+            f"but ({mors[fm[g]]} after {mors[fm[f]]}) = {ct.name(img)}"))
 
 
 def check_nat_trans(t: FinNatTrans) -> LawReport:
-    F, G = t.source, t.target
-    if F.source is not G.source and F.source != G.source:
-        raise TableError("natural transformation between functors with different sources")
-    if F.target is not G.target and F.target != G.target:
-        raise TableError("natural transformation between functors with different targets")
-    C, D = F.source, F.target
+    """Component endpoints and naturality squares, exhaustively, run as
+    check_functor runs its laws."""
+    C, D = t.source.source, t.source.target
+    cs = _CatIndex(C)
+    ct = cs if D is C else _CatIndex(D)
     rep = LawReport()
-    for x in C.objects:
-        cx = t.at(x)
-        if not D.has_mor(cx):
-            raise TableError(f"natural transformation has unknown morphism {cx!r} at {x!r}")
-        rep.check(D.src(cx) == F.obj(x) and D.tgt(cx) == G.obj(x), "component-endpoints",
-                  f"component at {x} is {cx}: {D.src(cx)}→{D.tgt(cx)}, "
-                  f"expected {F.obj(x)}→{G.obj(x)}")
-    for f, x, y in C.morphisms:
-        left = D.comp.get((t.at(y), F.mor(f)))
-        right = D.comp.get((G.mor(f), t.at(x)))
-        rep.check(left is not None and left == right, "naturality",
-                  f"square at {f}: {x}→{y}: ({t.at(y)} after {F.mor(f)}) = {left} "
-                  f"but ({G.mor(f)} after {t.at(x)}) = {right}")
+    _check_nat_trans(rep, cs, ct, *_nat_index(t, cs, ct))
     return rep
+
+
+def _check_nat_trans(rep: LawReport, cs: _CatIndex, ct: _CatIndex,
+                     fx: tuple, gx: tuple, comps: tuple) -> None:
+    (fo, fm), (go, gm) = fx, gx
+    s_objs, s_mors = cs.objects, cs.mors
+    objs, mors, t_src, t_tgt, comp, name = ct.objects, ct.mors, ct.src, ct.tgt, ct.comp, ct.name
+    for x, c in enumerate(comps):
+        rep.check(t_src[c] == fo[x] and t_tgt[c] == go[x], "component-endpoints", lambda: (
+            f"component at {s_objs[x]} is {mors[c]}: {objs[t_src[c]]}→{objs[t_tgt[c]]}, "
+            f"expected {objs[fo[x]]}→{objs[go[x]]}"))
+    for f, (x, y) in enumerate(zip(cs.src, cs.tgt)):
+        left, right = comp[comps[y]].get(fm[f]), comp[gm[f]].get(comps[x])
+        rep.check(left is not None and left == right, "naturality", lambda: (
+            f"square at {s_mors[f]}: {s_objs[x]}→{s_objs[y]}: ({mors[comps[y]]} after "
+            f"{mors[fm[f]]}) = {name(left)} but ({mors[gm[f]]} after {mors[comps[x]]}) = "
+            f"{name(right)}"))
 
 
 # --- constructions ---------------------------------------------------------
@@ -482,16 +513,38 @@ def from_doc(doc) -> FinCategory:
     return C
 
 
+def _doc_fields(doc, fields: set, what: str) -> None:
+    """A ``what`` document must be a JSON object with exactly ``fields``."""
+    if not isinstance(doc, dict):
+        raise TableError(f"{what} document must be a JSON object")
+    unknown = set(doc) - fields
+    if unknown:
+        raise TableError(f"unknown fields in {what} document: {sorted(unknown)}")
+    missing = fields - set(doc)
+    if missing:
+        raise TableError(f"{what} document missing fields: {sorted(missing)}")
+
+
+def _doc_rows(entries, keys: tuple[str, ...], what: str) -> dict:
+    """A document's array of ``what`` rows, each with exactly the string
+    fields ``keys``, as a table keyed on all but the last of them."""
+    if not isinstance(entries, list):
+        raise TableError(f"{what} table must be an array")
+    out = {}
+    for row in entries:
+        if not isinstance(row, dict) or set(row) != set(keys) \
+                or not all(isinstance(row[k], str) for k in keys):
+            raise TableError(f"bad {what} row: {row!r}")
+        key = tuple(row[k] for k in keys[:-1])
+        if key in out:
+            raise TableError(f"duplicate {what} entry {key}")
+        out[key] = row[keys[-1]]
+    return out
+
+
 def _doc_category(doc) -> FinCategory:
     """The category a document spells out; only its shape is checked."""
-    if not isinstance(doc, dict):
-        raise TableError("category document must be a JSON object")
-    unknown = set(doc) - _DOC_FIELDS
-    if unknown:
-        raise TableError(f"unknown fields in category document: {sorted(unknown)}")
-    missing = _DOC_FIELDS - set(doc)
-    if missing:
-        raise TableError(f"category document missing fields: {sorted(missing)}")
+    _doc_fields(doc, _DOC_FIELDS, "category")
     objects = doc["objects"]
     if not isinstance(objects, list) or not all(isinstance(x, str) for x in objects):
         raise TableError("'objects' must be an array of strings")
@@ -508,18 +561,7 @@ def _doc_category(doc) -> FinCategory:
     if not isinstance(ident, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in ident.items()):
         raise TableError("'identity' must map object ids to morphism ids")
-    comp_rows = doc["comp"]
-    if not isinstance(comp_rows, list):
-        raise TableError("'comp' must be an array")
-    comp = {}
-    for row in comp_rows:
-        if (not isinstance(row, dict) or set(row) != {"after", "first", "result"}
-                or not all(isinstance(row[k], str) for k in ("after", "first", "result"))):
-            raise TableError(f"bad comp row: {row!r}")
-        key = (row["after"], row["first"])
-        if key in comp:
-            raise TableError(f"duplicate comp entry for ({row['after']}, {row['first']})")
-        comp[key] = row["result"]
+    comp = _doc_rows(doc["comp"], ("after", "first", "result"), "comp")
     return FinCategory(tuple(objects), tuple(morphisms), dict(ident), comp)
 
 

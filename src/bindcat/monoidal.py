@@ -11,7 +11,6 @@ forms are exact inverses on lawful data.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .fincat import (
@@ -20,18 +19,20 @@ from .fincat import (
     FinNatTrans,
     TableError,
     check_category_laws,
-    check_functor,
-    check_nat_trans,
-    compose_functors,
     hom_enumerate,
-    identity_functor,
     pair_mor,
     pair_obj,
     product_category,
     to_doc,
     _CatIndex,
+    _check_functor,
+    _check_nat_trans,
     _doc_category,
+    _doc_fields,
+    _doc_rows,
     _full_grid,
+    _functor_index,
+    _nat_index,
 )
 from .report import LawReport
 
@@ -484,6 +485,10 @@ def check_monoid(M: MonoidalCategory, m: Monoid) -> LawReport:
         return rep
     comp = C.comp.get
 
+    for table, key in (("lunitor", m.carrier), ("runitor", m.carrier),
+                       ("associator", (m.carrier,) * 3)):
+        if key not in getattr(M, table):
+            raise TableError(f"{table} has no entry for {key!r}")
     lhs = comp((m.mult, T.rw(m.unit_map, m.carrier)))
     rep.check(lhs == M.lunitor[m.carrier], "monoid-unit-left",
               f"(mult after unit⊗{m.carrier}) = {lhs}, "
@@ -517,203 +522,201 @@ def enumerate_monoids(M: MonoidalCategory) -> list[Monoid]:
 
 # --- endofunctor categories -------------------------------------------------
 
-def functor_table_key(F: FinFunctor) -> tuple:
-    return (tuple(sorted(F.on_obj.items())), tuple(sorted(F.on_mor.items())))
+def _lawful(candidates, check, bound: int, what: str) -> list:
+    """The candidates that ``check(rep, candidate)`` passes; more than
+    ``bound`` of them is an EnumerationOverflow."""
+    found = []
+    for cand in candidates:
+        rep = LawReport()
+        check(rep, cand)
+        if rep.ok:
+            found.append(cand)
+            if len(found) > bound:
+                raise EnumerationOverflow(f"more than {bound} {what}; raise the bound to proceed")
+    return found
 
 
-def _nat_key(src_name: str, tgt_name: str, components: dict[str, str]) -> tuple:
-    return (src_name, tgt_name, tuple(sorted(components.items())))
+def _homs(cx: _CatIndex) -> list[list[list[int]]]:
+    """``homs[x][y]`` lists the morphisms x → y by number, in table order."""
+    return [[[f for f in into if cx.src[f] == x] for into in cx.into]
+            for x in range(len(cx.into))]
+
+
+def _endofunctors(cx: _CatIndex, bound: int) -> list[tuple[tuple, tuple]]:
+    """Every functor C → C as ``_functor_index`` gives it, by exhaustive
+    search over object maps and hom-constrained morphism maps."""
+    src, tgt, ident = cx.src, cx.tgt, cx.ident
+    homs = _homs(cx)
+    non_id = [f for f, x in enumerate(src) if f != ident[x] or x != tgt[f]]
+
+    def candidates():
+        for fo in itertools.product(range(len(cx.objects)), repeat=len(cx.objects)):
+            fm = [ident[fo[x]] for x in src]  # an identity goes to an identity
+            for picks in itertools.product(*(homs[fo[src[f]]][fo[tgt[f]]] for f in non_id)):
+                for f, m in zip(non_id, picks):
+                    fm[f] = m
+                yield fo, tuple(fm)
+
+    return _lawful(candidates(), lambda rep, fx: _check_functor(rep, cx, cx, fx),
+                   bound, "endofunctors")
+
+
+def _nat_transes(cx: _CatIndex, functors: list[tuple], bound: int) -> list[tuple]:
+    """Every natural transformation between the indexed endofunctors, as
+    (source number, target number, component numbers)."""
+    homs = _homs(cx)
+    candidates = ((i, j, comps) for i, (fo, _) in enumerate(functors)
+                  for j, (go, _) in enumerate(functors)
+                  for comps in itertools.product(*(homs[y][z] for y, z in zip(fo, go))))
+    return _lawful(candidates, lambda rep, nx: _check_nat_trans(
+        rep, cx, cx, functors[nx[0]], functors[nx[1]], nx[2]), bound, "natural transformations")
+
+
+def _functor(C: FinCategory, cx: _CatIndex, fx: tuple, name: str = "") -> FinFunctor:
+    objs, mors = cx.objects, cx.mors
+    return FinFunctor(C, C, dict(zip(objs, (objs[y] for y in fx[0]))),
+                      dict(zip(mors, (mors[m] for m in fx[1]))), name=name)
 
 
 def enumerate_endofunctors(C: FinCategory, bound: int = DEFAULT_ENUM_BOUND) -> list[FinFunctor]:
     """Every functor C → C, found by exhaustive search over object maps
     and hom-constrained morphism maps."""
-    found: list[FinFunctor] = []
-    non_id = [row for row in C.morphisms if row[0] != C.identity[row[1]] or row[1] != row[2]]
-    id_rows = [row for row in C.morphisms if row not in non_id]
-    for obj_images in itertools.product(C.objects, repeat=len(C.objects)):
-        on_obj = dict(zip(C.objects, obj_images))
-        choices = [hom_enumerate(C, on_obj[s], on_obj[t]) for _, s, t in non_id]
-        if math.prod(len(c) for c in choices) == 0:
-            continue
-        for picks in itertools.product(*choices):
-            on_mor = {m: C.id_of(on_obj[s]) for m, s, _ in id_rows}
-            on_mor.update({row[0]: img for row, img in zip(non_id, picks)})
-            cand = FinFunctor(C, C, on_obj, dict(on_mor))
-            if check_functor(cand).ok:
-                found.append(cand)
-                if len(found) > bound:
-                    raise EnumerationOverflow(
-                        f"more than {bound} endofunctors; raise the bound to proceed")
-    return found
+    cx = _CatIndex(C)
+    return [_functor(C, cx, fx) for fx in _endofunctors(cx, bound)]
 
 
 def enumerate_nat_transes(C: FinCategory, functors: list[FinFunctor],
                           bound: int = DEFAULT_ENUM_BOUND) -> list[FinNatTrans]:
-    found: list[FinNatTrans] = []
-    for F in functors:
-        for G in functors:
-            choices = [hom_enumerate(C, F.obj(x), G.obj(x)) for x in C.objects]
-            if math.prod(len(c) for c in choices) == 0:
-                continue
-            for picks in itertools.product(*choices):
-                cand = FinNatTrans(F, G, dict(zip(C.objects, picks)))
-                if check_nat_trans(cand).ok:
-                    found.append(cand)
-                    if len(found) > bound:
-                        raise EnumerationOverflow(
-                            f"more than {bound} natural transformations; "
-                            f"raise the bound to proceed")
-    return found
+    cx = _CatIndex(C)
+    indexed = [_functor_index(F, cx, cx) for F in functors]
+    objs, mors = cx.objects, cx.mors
+    return [FinNatTrans(functors[i], functors[j], {x: mors[c] for x, c in zip(objs, comps)})
+            for i, j, comps in _nat_transes(cx, indexed, bound)]
 
 
 @dataclass
 class EndofunctorMonoidal:
     """The monoidal category of all endofunctors of a finite category,
     together with the registries that let monoid data be read back as
-    monad data (and back) without recomputation."""
+    monad data (and back) without recomputation.  The registries key a
+    functor by its ``_functor_index`` and a transformation by its
+    ``_nat_index``."""
 
     category: FinCategory
     monoidal: MonoidalCategory
     functors: dict[str, FinFunctor]
     nats: dict[str, FinNatTrans]
-    _fkey_to_name: dict[tuple, str] = field(repr=False, default_factory=dict)
-    _nkey_to_id: dict[tuple, str] = field(repr=False, default_factory=dict)
-
-    def functor_name(self, F: FinFunctor) -> str:
-        try:
-            return self._fkey_to_name[functor_table_key(F)]
-        except KeyError:
-            raise TableError("functor is not in this endofunctor category") from None
-
-    def nat_id(self, src_name: str, tgt_name: str, components: dict[str, str]) -> str:
-        try:
-            return self._nkey_to_id[_nat_key(src_name, tgt_name, components)]
-        except KeyError:
-            raise TableError("transformation is not in this endofunctor category") from None
-
-
-def _functor_display_name(C: FinCategory, F: FinFunctor, index: int, used: set[str]) -> str:
-    name = None
-    if all(F.on_obj[x] == x for x in C.objects) and \
-            all(F.on_mor[m] == m for m, _, _ in C.morphisms):
-        name = "Id"
-    else:
-        targets = set(F.on_obj.values())
-        if len(targets) == 1:
-            y = next(iter(targets))
-            if all(F.on_mor[m] == C.id_of(y) for m, _, _ in C.morphisms):
-                name = f"const_{y}"
-    if name is None or name in used:
-        name = f"F{index}"
-    return name
+    _functor_names: dict[tuple, str] = field(repr=False, default_factory=dict)
+    _nat_ids: dict[tuple, str] = field(repr=False, default_factory=dict)
 
 
 def endofunctor_monoidal(C: FinCategory, bound: int = DEFAULT_ENUM_BOUND) -> EndofunctorMonoidal:
     """Materialize the endofunctor category of C as a MonoidalCategory:
     objects are the functors C→C, morphisms the natural transformations,
     tensor is composition, and every structural component is a pointwise
-    identity (the tensor is strictly unital and associative on tables)."""
-    functors = enumerate_endofunctors(C, bound)
-    f_names: dict[str, FinFunctor] = {}
-    fkey_to_name: dict[tuple, str] = {}
-    for i, F in enumerate(functors):
-        name = _functor_display_name(C, F, i, set(f_names))
-        F.name = name
-        f_names[name] = F
-        fkey_to_name[functor_table_key(F)] = name
+    identity (the tensor is strictly unital and associative on tables).
 
-    nats = enumerate_nat_transes(C, functors, bound)
-    n_ids: dict[str, FinNatTrans] = {}
-    nkey_to_id: dict[tuple, str] = {}
-    pair_counts: dict[tuple[str, str], int] = {}
-    for t in nats:
-        src, tgt = t.source.name, t.target.name
-        if src == tgt and all(t.components[x] == C.id_of(t.source.obj(x)) for x in C.objects):
-            nid = f"id_{src}"
+    Functors and transformations are composed and whiskered as tuples of
+    numbers over one index of C, and named only in the tables."""
+    cx = _CatIndex(C)
+    objs, mors, ident, comp = cx.objects, cx.mors, cx.ident, cx.comp
+    fxs = _endofunctors(cx, bound)
+    fn: list[str] = []
+    for i, (fo, fm) in enumerate(fxs):
+        name = None
+        if fo == tuple(range(len(fo))) and fm == tuple(range(len(fm))):
+            name = "Id"
+        elif len(set(fo)) == 1 and all(m == ident[fo[0]] for m in fm):
+            name = f"const_{objs[fo[0]]}"
+        fn.append(f"F{i}" if name is None or name in fn else name)
+    f_names = {name: _functor(C, cx, fx, name) for name, fx in zip(fn, fxs)}
+
+    nxs = _nat_transes(cx, fxs, bound)
+    nn: list[str] = []
+    pair_counts: dict[tuple[int, int], int] = {}
+    for i, j, comps in nxs:
+        if i == j and comps == tuple(ident[y] for y in fxs[i][0]):
+            nn.append(f"id_{fn[i]}")
         else:
-            k = pair_counts.get((src, tgt), 0)
-            pair_counts[(src, tgt)] = k + 1
-            nid = f"{src}=>{tgt}" if k == 0 else f"{src}=>{tgt}#{k}"
-        t.name = nid
-        n_ids[nid] = t
-        nkey_to_id[_nat_key(src, tgt, t.components)] = nid
+            k = pair_counts.get((i, j), 0)
+            pair_counts[(i, j)] = k + 1
+            nn.append(f"{fn[i]}=>{fn[j]}" if k == 0 else f"{fn[i]}=>{fn[j]}#{k}")
+    n_ids = {nid: FinNatTrans(f_names[fn[i]], f_names[fn[j]],
+                              {x: mors[c] for x, c in zip(objs, comps)}, name=nid)
+             for nid, (i, j, comps) in zip(nn, nxs)}
 
-    objects = tuple(f_names)
-    morphisms = tuple((nid, t.source.name, t.target.name) for nid, t in n_ids.items())
-    identity = {name: f"id_{name}" for name in f_names}
-    comp: dict[tuple[str, str], str] = {}
-    for b_id, beta in n_ids.items():
-        for a_id, alpha in n_ids.items():
-            if alpha.target.name != beta.source.name:
-                continue
-            composite = {x: C.compose(beta.components[x], alpha.components[x])
-                         for x in C.objects}
-            comp[(b_id, a_id)] = nkey_to_id[
-                _nat_key(alpha.source.name, beta.target.name, composite)]
-    base = FinCategory(objects, morphisms, identity, comp)
+    n_no = {nx: a for a, nx in enumerate(nxs)}
+    into: list[list[int]] = [[] for _ in fxs]
+    for a, (_, j, _) in enumerate(nxs):
+        into[j].append(a)
+    comp_table = {}
+    for b, (i, j, bc) in enumerate(nxs):
+        for a in into[i]:  # the α with β after α defined
+            h, _, ac = nxs[a]
+            composite = tuple(comp[y][x] for y, x in zip(bc, ac))
+            comp_table[(nn[b], nn[a])] = nn[n_no[(h, j, composite)]]
+    identity = {name: f"id_{name}" for name in fn}
+    base = FinCategory(tuple(fn), tuple((nid, fn[i], fn[j]) for nid, (i, j, _) in zip(nn, nxs)),
+                       identity, comp_table)
 
-    obj_table = {}
-    for fn, F in f_names.items():
-        for gn, G in f_names.items():
-            obj_table[(fn, gn)] = fkey_to_name[functor_table_key(compose_functors(F, G))]
+    f_no = {fx: f for f, fx in enumerate(fxs)}
+    ten = [[f_no[(tuple(fo[y] for y in go), tuple(fm[m] for m in gm))] for go, gm in fxs]
+           for fo, fm in fxs]  # ten[f][g] is F∘G, x ↦ F(G(x))
+    obj_table = {(fn[f], fn[g]): fn[fg] for f, row in enumerate(ten) for g, fg in enumerate(row)}
     lwhisker = {}
     rwhisker = {}
-    for fn, F in f_names.items():
-        for a_id, alpha in n_ids.items():
-            gn, hn = alpha.source.name, alpha.target.name
+    for f, (fo, fm) in enumerate(fxs):
+        for a, (i, j, ac) in enumerate(nxs):
             # F ⊗ α : F∘G ⇒ F∘G' with components F(α_x)
-            comps = {x: F.mor(alpha.components[x]) for x in C.objects}
-            lwhisker[(fn, a_id)] = nkey_to_id[
-                _nat_key(obj_table[(fn, gn)], obj_table[(fn, hn)], comps)]
+            lwhisker[(fn[f], nn[a])] = nn[n_no[(ten[f][i], ten[f][j], tuple(fm[c] for c in ac))]]
             # α ⊗ F : G∘F ⇒ G'∘F with components α_{F(x)}
-            comps = {x: alpha.components[F.obj(x)] for x in C.objects}
-            rwhisker[(a_id, fn)] = nkey_to_id[
-                _nat_key(obj_table[(gn, fn)], obj_table[(hn, fn)], comps)]
+            rwhisker[(nn[a], fn[f])] = nn[n_no[(ten[i][f], ten[j][f], tuple(ac[y] for y in fo))]]
     tensor = WhiskeredBifunctor(base, obj_table, lwhisker, rwhisker)
 
-    lunitor = {fn: identity[obj_table[("Id", fn)]] for fn in f_names}
-    runitor = {fn: identity[obj_table[(fn, "Id")]] for fn in f_names}
-    associator = {}
-    for fn, gn, hn in itertools.product(f_names, repeat=3):
-        o = obj_table[(obj_table[(fn, gn)], hn)]
-        associator[(fn, gn, hn)] = identity[o]
+    lunitor = {name: identity[obj_table[("Id", name)]] for name in fn}
+    runitor = {name: identity[obj_table[(name, "Id")]] for name in fn}
+    ids = [identity[name] for name in fn]
+    associator = {(fn[f], fn[g], fn[h]): ids[ten[ten[f][g]][h]]
+                  for f, g, h in itertools.product(range(len(fn)), repeat=3)}
     M = MonoidalCategory(
         base, "Id", tensor,
         lunitor, dict(lunitor), runitor, dict(runitor),
         associator, dict(associator),
         name="endofunctors",
     )
-    return EndofunctorMonoidal(C, M, f_names, n_ids, fkey_to_name, nkey_to_id)
+    nat_ids = {(fxs[i], fxs[j], comps): nid for nid, (i, j, comps) in zip(nn, nxs)}
+    return EndofunctorMonoidal(C, M, f_names, n_ids, dict(zip(fxs, fn)), nat_ids)
 
 
 def check_monad(T: Monad) -> LawReport:
     """Functor and naturality laws for the data, then the unit and
-    associativity laws componentwise."""
-    rep = check_functor(T.endofunctor)
-    rep.merge(check_nat_trans(T.unit))
-    rep.merge(check_nat_trans(T.mult))
-    C = T.endofunctor.source
-    F = T.endofunctor
-    rep.check(all(T.unit.source.obj(x) == x for x in C.objects)
-              and all(T.unit.source.mor(m) == m for m, _, _ in C.morphisms),
+    associativity laws componentwise, over one integer index of the
+    category built for this call only."""
+    cx = _CatIndex(T.endofunctor.source)
+    fo, fm = fx = _functor_index(T.endofunctor, cx, cx)
+    unit, mult = _nat_index(T.unit, cx, cx), _nat_index(T.mult, cx, cx)
+    rep = LawReport()
+    _check_functor(rep, cx, cx, fx)
+    _check_nat_trans(rep, cx, cx, *unit)
+    _check_nat_trans(rep, cx, cx, *mult)
+    (unit_src, _, eta), (mult_src, _, mu) = unit, mult
+    rep.check(unit_src == (tuple(range(len(fo))), tuple(range(len(fm)))),
               "monad-unit-shape", "unit transformation does not start at the identity functor")
-    FF = compose_functors(F, F)
-    rep.check(T.mult.source.on_obj == FF.on_obj and T.mult.source.on_mor == FF.on_mor,
+    rep.check(mult_src == (tuple(fo[y] for y in fo), tuple(fm[m] for m in fm)),
               "monad-mult-shape", "mult transformation does not start at the square")
-    for x in C.objects:
-        tx = F.obj(x)
-        lhs = C.comp.get((T.mult.at(x), T.unit.at(tx)))
-        rep.check(lhs == C.id_of(tx), "monad-unit-left",
-                  f"at {x}: (mult after unit_{tx}) = {lhs}, expected id_{tx}")
-        lhs = C.comp.get((T.mult.at(x), F.mor(T.unit.at(x))))
-        rep.check(lhs == C.id_of(tx), "monad-unit-right",
-                  f"at {x}: (mult after F(unit_{x})) = {lhs}, expected id_{tx}")
-        lhs = C.comp.get((T.mult.at(x), T.mult.at(tx)))
-        rhs = C.comp.get((T.mult.at(x), F.mor(T.mult.at(x))))
-        rep.check(lhs is not None and lhs == rhs, "monad-assoc",
-                  f"at {x}: (mult after mult_{tx}) = {lhs} but "
-                  f"(mult after F(mult_{x})) = {rhs}")
+    objs, ident, name = cx.objects, cx.ident, cx.name
+    for x, tx in enumerate(fo):
+        after_mu = cx.comp[mu[x]]
+        lhs = after_mu.get(eta[tx])
+        rep.check(lhs == ident[tx], "monad-unit-left", lambda: (
+            f"at {objs[x]}: (mult after unit_{objs[tx]}) = {name(lhs)}, expected id_{objs[tx]}"))
+        lhs = after_mu.get(fm[eta[x]])
+        rep.check(lhs == ident[tx], "monad-unit-right", lambda: (
+            f"at {objs[x]}: (mult after F(unit_{objs[x]})) = {name(lhs)}, expected id_{objs[tx]}"))
+        lhs, rhs = after_mu.get(mu[tx]), after_mu.get(fm[mu[x]])
+        rep.check(lhs is not None and lhs == rhs, "monad-assoc", lambda: (
+            f"at {objs[x]}: (mult after mult_{objs[tx]}) = {name(lhs)} but "
+            f"(mult after F(mult_{objs[x]})) = {name(rhs)}"))
     return rep
 
 
@@ -726,11 +729,12 @@ def monoid_to_monad(E: EndofunctorMonoidal, m: Monoid) -> Monad:
 
 
 def monad_to_monoid(E: EndofunctorMonoidal, T: Monad) -> Monoid:
-    carrier = E.functor_name(T.endofunctor)
-    unit_id = E.nat_id("Id", carrier, T.unit.components)
-    sq = E.monoidal.tensor.obj(carrier, carrier)
-    mult_id = E.nat_id(sq, carrier, T.mult.components)
-    return Monoid(carrier, unit_id, mult_id)
+    cx = _CatIndex(E.category)
+    try:
+        return Monoid(E._functor_names[_functor_index(T.endofunctor, cx, cx)],
+                      *(E._nat_ids[_nat_index(t, cx, cx)] for t in (T.unit, T.mult)))
+    except KeyError:
+        raise TableError("monad is not in this endofunctor category") from None
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -741,14 +745,7 @@ _MONOIDAL_FIELDS = {"objects", "morphisms", "identity", "comp", "unit", "tensor"
 
 
 def from_monoidal_doc(doc) -> MonoidalCategory:
-    if not isinstance(doc, dict):
-        raise TableError("monoidal document must be a JSON object")
-    unknown = set(doc) - _MONOIDAL_FIELDS
-    if unknown:
-        raise TableError(f"unknown fields in monoidal document: {sorted(unknown)}")
-    missing = _MONOIDAL_FIELDS - set(doc)
-    if missing:
-        raise TableError(f"monoidal document missing fields: {sorted(missing)}")
+    _doc_fields(doc, _MONOIDAL_FIELDS, "monoidal")
     base = _doc_category({k: doc[k] for k in ("objects", "morphisms", "identity", "comp")})
     unit = doc["unit"]
     if not isinstance(unit, str):
@@ -757,26 +754,11 @@ def from_monoidal_doc(doc) -> MonoidalCategory:
     if not isinstance(tdoc, dict) or set(tdoc) != {"obj", "lwhisker", "rwhisker"}:
         raise TableError("'tensor' must have exactly obj/lwhisker/rwhisker tables")
 
-    def rows(entries, keys, what):
-        """The table keyed on all but the last of its columns."""
-        if not isinstance(entries, list):
-            raise TableError(f"{what} table must be an array")
-        out = {}
-        for row in entries:
-            if not isinstance(row, dict) or set(row) != set(keys) \
-                    or not all(isinstance(row[k], str) for k in keys):
-                raise TableError(f"bad {what} row: {row!r}")
-            key = tuple(row[k] for k in keys[:-1])
-            if key in out:
-                raise TableError(f"duplicate {what} entry {key}")
-            out[key] = row[keys[-1]]
-        return out
-
     tensor = WhiskeredBifunctor(
         base,
-        rows(tdoc["obj"], ("left", "right", "result"), "tensor obj"),
-        rows(tdoc["lwhisker"], ("obj", "mor", "result"), "tensor lwhisker"),
-        rows(tdoc["rwhisker"], ("mor", "obj", "result"), "tensor rwhisker"),
+        _doc_rows(tdoc["obj"], ("left", "right", "result"), "tensor obj"),
+        _doc_rows(tdoc["lwhisker"], ("obj", "mor", "result"), "tensor lwhisker"),
+        _doc_rows(tdoc["rwhisker"], ("mor", "obj", "result"), "tensor rwhisker"),
     )
 
     def unitor(field_name):
@@ -790,8 +772,8 @@ def from_monoidal_doc(doc) -> MonoidalCategory:
     M = MonoidalCategory(base, unit, tensor,
                          unitor("lunitor"), unitor("lunitor_inv"),
                          unitor("runitor"), unitor("runitor_inv"),
-                         rows(doc["associator"], assoc, "associator"),
-                         rows(doc["associator_inv"], assoc, "associator_inv"))
+                         _doc_rows(doc["associator"], assoc, "associator"),
+                         _doc_rows(doc["associator_inv"], assoc, "associator_inv"))
     _MonoidalIndex(M)  # building the index is the validation
     return M
 

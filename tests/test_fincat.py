@@ -154,6 +154,12 @@ def test_nat_trans_component_naming_an_unknown_morphism_is_structural():
         check_nat_trans(FinNatTrans(Id, Id, {"a": "nope", "b": "id_b"}))
 
 
+def test_nat_trans_component_keyed_on_an_unknown_object_is_structural():
+    Id = identity_functor(walking_arrow())
+    with pytest.raises(TableError, match="unknown id 'zzz'"):
+        check_nat_trans(FinNatTrans(Id, Id, {"a": "id_a", "b": "id_b", "zzz": "f"}))
+
+
 def test_identity_nat_trans_is_natural():
     t = identity_nat_trans(identity_functor(walking_arrow()))
     assert check_nat_trans(t).ok

@@ -4,6 +4,7 @@ and the endofunctor instance with its monoid/monad correspondence."""
 import dataclasses
 import itertools
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -264,6 +265,16 @@ def test_monad_with_a_component_naming_an_unknown_morphism_is_structural():
         check_monad(T)
 
 
+@pytest.mark.parametrize("table, key", [
+    ("lunitor", "const_1"), ("runitor", "const_1"), ("associator", ("const_1",) * 3)])
+def test_monoid_check_names_a_missing_structure_entry(two_chain_endo, table, key):
+    M = two_chain_endo.monoidal
+    (m,) = [m for m in enumerate_monoids(M) if m.carrier == "const_1"]
+    short = {k: v for k, v in getattr(M, table).items() if k != key}
+    with pytest.raises(TableError, match=f"^{table} has no entry for {re.escape(repr(key))}$"):
+        check_monoid(dataclasses.replace(M, **{table: short}), m)
+
+
 def test_monoid_with_unknown_ids_is_structural(two_chain_endo):
     with pytest.raises(TableError):
         check_monoid(two_chain_endo.monoidal, Monoid("Id", "nope", "id_Id"))
@@ -272,6 +283,13 @@ def test_monoid_with_unknown_ids_is_structural(two_chain_endo):
 def test_enumeration_bound():
     with pytest.raises(EnumerationOverflow):
         enumerate_endofunctors(chain_category(2), bound=2)
+
+
+def test_enumerating_over_a_missing_identity_is_structural():
+    W = walking_arrow()
+    W.identity.pop("b")
+    with pytest.raises(TableError, match="^identity table has no entry for 'b'$"):
+        enumerate_endofunctors(W)
 
 
 def _closure_operators(n: int) -> set[tuple[int, ...]]:

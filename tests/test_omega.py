@@ -151,6 +151,17 @@ def test_identity_and_constant_endofunctors():
     assert check_endofunctor_laws(constant_endofunctor(X), X, [lambda e: e], 2).ok
 
 
+def test_a_level_shift_above_its_level_is_reported():
+    # the identity, claiming that level d needs level d + 1 of its argument
+    Id = identity_endofunctor()
+    F = EnumEndofunctor("Id", Id.apply, Id.apply_map, lambda d: d + 1)
+    rep = check_endofunctor_laws(F, const_enum_set([1, 2]), [], 1)
+    assert rep.checks_run == 6
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("level-shift-bound", "level_shift(0) = 1 > 0"),
+        ("level-shift-bound", "level_shift(1) = 2 > 1")]
+
+
 def test_chain_stages():
     chain = OmegaChain(numeral_functor())
     assert chain.stage(0).level(5) == []
@@ -611,6 +622,14 @@ def chain_map(C, m: dict) -> FinFunctor:
         return f"id_{i}" if i == j else f"le_{i}_{j}"
     return FinFunctor(C, C, {str(i): str(j) for i, j in m.items()},
                       {f: arrow(m[int(s)], m[int(t)]) for f, s, t in C.morphisms})
+
+
+def test_poset_mu_that_is_not_a_fixed_point():
+    C = chain_category(3)
+    rep = check_poset_initiality(C, constant_functor(C, C, "2"), "0", [])
+    assert rep.checks_run == 1
+    assert [(v.law, v.witness) for v in rep.violations] == \
+        [("poset-fixed-point", "F(0) = 2 is not 0")]
 
 
 def test_poset_fixed_point_that_is_not_least():
