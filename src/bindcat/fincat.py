@@ -309,16 +309,18 @@ def _functor_index(F: FinFunctor, cs: _CatIndex, ct: _CatIndex) -> tuple[tuple, 
             tuple(_map_grid(F.on_mor, what, "morphism", ct.mor_no, cs.mor_no)))
 
 
-def _nat_index(t: FinNatTrans, cs: _CatIndex, ct: _CatIndex) -> tuple[tuple, tuple, tuple]:
+def _nat_index(t: FinNatTrans, cs: _CatIndex, ct: _CatIndex,
+               index=_functor_index) -> tuple[tuple, tuple, tuple]:
     """``t`` as (source functor, target functor, component numbers) over
     the index ``cs`` of its functors' source and ``ct`` of their target.
-    Building it is the transformation's validation, its functors' included."""
+    Building it is the transformation's validation, its functors' included;
+    ``index`` builds a functor's index, or returns one the caller holds."""
     F, G = t.source, t.target
     if G.source != F.source or G.target != F.target:
         raise TableError("natural transformation between functors of different categories")
     comps = _map_grid(t.components, "natural transformation component", "morphism",
                       ct.mor_no, cs.obj_no)
-    return _functor_index(F, cs, ct), _functor_index(G, cs, ct), tuple(comps)
+    return index(F, cs, ct), index(G, cs, ct), tuple(comps)
 
 
 def check_functor(F: FinFunctor) -> LawReport:

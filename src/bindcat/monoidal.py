@@ -692,9 +692,14 @@ def check_monad(T: Monad) -> LawReport:
     """Functor and naturality laws for the data, then the unit and
     associativity laws componentwise, over one integer index of the
     category built for this call only."""
-    cx = _CatIndex(T.endofunctor.source)
-    fo, fm = fx = _functor_index(T.endofunctor, cx, cx)
-    unit, mult = _nat_index(T.unit, cx, cx), _nat_index(T.mult, cx, cx)
+    F = T.endofunctor
+    cx = _CatIndex(F.source)
+    fo, fm = fx = _functor_index(F, cx, cx)
+
+    def index(G: FinFunctor, cs: _CatIndex, ct: _CatIndex) -> tuple:
+        return fx if G is F else _functor_index(G, cs, ct)
+
+    unit, mult = _nat_index(T.unit, cx, cx, index), _nat_index(T.mult, cx, cx, index)
     rep = LawReport()
     _check_functor(rep, cx, cx, fx)
     _check_nat_trans(rep, cx, cx, *unit)

@@ -13,10 +13,12 @@ are checked exhaustively up to a configured level, never symbolically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .fincat import FinCategory, FinFunctor, hom_enumerate
+from .hashcons import Frozen, _Entry, _new_term
 from .report import LawReport
 
 
@@ -215,13 +217,16 @@ def check_initial_algebra(alg: InitialAlgebra, depth: int) -> LawReport:
         got, want = set(Fmu.level(d)), set(mu.level(d))
         rep.check(got == want, "str-iso",
                   f"level {d}: F(μ) has {len(got)} elements, μ has {len(want)}; "
-                  f"difference {[repr(e) for e in (got ^ want)][:3]}")
+                  f"difference {sorted(map(repr, got ^ want))[:3]}")
     for e in mu.level(depth):
         rep.check(alg.str_map(alg.str_inv(e)) == e, "str-section",
                   lambda e=e: f"str(str_inv({e!r})) differs")
         rep.check(alg.str_inv(alg.str_map(e)) == e, "str-retraction",
                   lambda e=e: f"str_inv(str({e!r})) differs")
     return rep
+
+
+_ABSENT = object()
 
 
 def _level_order(X: EnumSetObj, depth: int) -> list:
@@ -243,22 +248,22 @@ def _fold(F: EnumEndofunctor, alg: InitialAlgebra, g: Callable, depth: int) -> d
 
 
 def _count_solutions(dom: EnumSetObj, depth: int, targets: list,
-                     equation: Callable, known: dict) -> int:
+                     equation: Callable) -> int:
     """The number of maps k: dom.level(depth) → targets with k(e) =
     equation(k)(e) for all e.  A fold's equations read only lower levels
     (Abel–Matthes–Uustalu, TCS 2005), so a walk in _level_order forces each
     value from those walked before, except where an equation reads its own
-    element: that branches on each target value satisfying it.  A forced
-    value equal to ``known``'s, a map the caller holds, keeps its object.
+    element: that branches on each target value satisfying it.  Every
+    value is walked as the element of ``targets`` it equals.
     """
     order = _level_order(dom, depth)
     walk: dict = {}
-    rhs, xs = equation(walk), set(targets)
+    rhs, xs = equation(walk), {x: x for x in targets}
 
     def admissible(e) -> list:
         try:
-            v = rhs(e)
-            return [v] if v in xs else []
+            x = xs.get(rhs(e), _ABSENT)
+            return [] if x is _ABSENT else [x]
         except KeyError as missing:
             if missing.args[0] != e:
                 raise
@@ -288,7 +293,7 @@ def _count_solutions(dom: EnumSetObj, depth: int, targets: list,
         v, e = vals.pop(), order[p]
         if vals:
             branches.append((p, vals))
-        walk[e] = kv if (kv := known.get(e, v)) == v else v
+        walk[e] = v
         p += 1
 
 
@@ -328,7 +333,7 @@ def check_initiality(F: EnumEndofunctor, alg: InitialAlgebra,
             return required
 
         # no map satisfies an equation whose left side lies outside μ
-        count = _count_solutions(mu, depth, X.level(depth), equation, h) \
+        count = _count_solutions(mu, depth, X.level(depth), equation) \
             if eqs.keys() <= set(dom) else 0
         rep.check(count == 1, "initiality-uniqueness",
                   f"{count} solutions at level {depth}")
@@ -336,8 +341,6 @@ def check_initiality(F: EnumEndofunctor, alg: InitialAlgebra,
 
 
 # --- generalized Mendler iteration -------------------------------------------
-
-_ABSENT = object()
 
 
 def gen_mendler_iteration(F: EnumEndofunctor, alg: InitialAlgebra,
@@ -350,10 +353,11 @@ def gen_mendler_iteration(F: EnumEndofunctor, alg: InitialAlgebra,
     ``psi(A, h)`` receives the stage object and the current stage map (a
     dict on L(A)'s level) and must return a callable on L(F A) elements.
     Stage maps must extend one another — a stage that remaps an element
-    is reported as a naturality violation of ψ.
+    is reported as a naturality violation of ψ.  Every value is stored as
+    the element of ``X.level(depth)`` it equals, never as ψ's own copy.
     """
     chain = alg.chain
-    xs = set(X.level(depth))
+    xs = {x: x for x in X.level(depth)}
     dom0 = L.apply(chain.stage(0)).level(depth)
     if not dom0:
         h: dict = {}
@@ -370,10 +374,11 @@ def gen_mendler_iteration(F: EnumEndofunctor, alg: InitialAlgebra,
         h_next = {}
         for e in L.apply(chain.stage(m + 1)).level(depth):
             v = step(e)
-            if v not in xs:
+            x = xs.get(v, _ABSENT)
+            if x is _ABSENT:
                 raise IterationError(
                     f"stage {m + 1} sends {e!r} to {v!r}, outside the target truncation")
-            h_next[e] = v
+            h_next[e] = x
         for e, v in h.items():
             w = h_next.get(e, _ABSENT)
             if w is _ABSENT:
@@ -392,7 +397,9 @@ def check_mendler_fixed_point(F: EnumEndofunctor, alg: InitialAlgebra,
                               L: EnumEndofunctor, X: EnumSetObj,
                               psi: Callable, h: dict, depth: int) -> LawReport:
     """h ∘ L(str) = ψ_{μF}(h) on every element of L(F μ) at each level ≤
-    depth; L(str) is identity on elements here."""
+    depth; L(str) is identity on elements here.  An element outside h's
+    domain, or one whose ψ(h) reads such an element, is a domain
+    violation instead."""
     rep = LawReport()
     mu = alg.carrier
     step = psi(mu, h)
@@ -400,8 +407,14 @@ def check_mendler_fixed_point(F: EnumEndofunctor, alg: InitialAlgebra,
         if not rep.check(e in h, "mendler-domain",
                          lambda e=e: f"h is undefined on {e!r}"):
             continue
-        rep.check(h[e] == step(e), "mendler-fixed-point",
-                  lambda e=e: f"h({e!r}) = {h[e]!r} but ψ(h)({e!r}) = {step(e)!r}")
+        try:
+            v = step(e)
+        except KeyError as missing:
+            rep.fail("mendler-domain", lambda e=e, m=missing.args[0]:
+                     f"h is undefined on {m!r}, which ψ(h)({e!r}) reads")
+            continue
+        rep.check(h[e] == v, "mendler-fixed-point",
+                  lambda e=e, v=v: f"h({e!r}) = {h[e]!r} but ψ(h)({e!r}) = {v!r}")
     return rep
 
 
@@ -410,7 +423,7 @@ def count_mendler_solutions(F: EnumEndofunctor, alg: InitialAlgebra,
                             depth: int) -> int:
     """Number of maps h: L(μ) → X at the given level with h = ψ_μ(h)."""
     return _count_solutions(L.apply(alg.carrier), depth, X.level(depth),
-                            lambda h: psi(alg.carrier, h), {})
+                            lambda h: psi(alg.carrier, h))
 
 
 # --- parametrized initiality --------------------------------------------------
@@ -492,8 +505,13 @@ def _check_phi_naturality(PB: ParamBifunctor, fam: ParamAlgebraFamily, depth: in
 
 
 def _component_psi(PB: ParamBifunctor, fam: ParamAlgebraFamily, z: str) -> Callable:
-    """ψ_A(h) = φ_Z ∘ F(Z, h), the same at every stage A: component Z's step."""
-    lift, phi_z = PB.functor_at(z).apply_map, fam.phi(z)
+    """ψ_A(h) = φ_Z ∘ F(Z, h), the same at every stage A: component Z's step.
+
+    φ_Z is cached for as long as this ψ lives.  It runs once per element
+    of F(Z, G Z) that ψ meets, and the cache keeps each such element
+    alive, so F(Z, h) finds it again instead of making it afresh.
+    """
+    lift, phi_z = PB.functor_at(z).apply_map, functools.cache(fam.phi(z))
     return lambda A, h: (lambda e, lifted=lift(h.__getitem__): phi_z(lifted(e)))
 
 
@@ -610,7 +628,7 @@ def _param_initiality_report(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
     for z in C.objects:
         psi, carrier = _component_psi(PB, fam, z), mu[z].carrier
         count = _count_solutions(carrier, depth, fam.g_obj(z).level(depth),
-                                 lambda k: psi(carrier, k), hs[z])
+                                 lambda k: psi(carrier, k))
         rep.check(count == 1, "param-uniqueness",
                   f"component at {z} has {count} solutions at level {depth}")
     return rep
@@ -653,12 +671,49 @@ def check_poset_initiality(C: FinCategory, F: FinFunctor, mu_obj: str,
 
 # --- ready-made parametrized instances (leaf-labelled binary trees) -----------
 
-def leaf(z) -> tuple:
-    return ("leaf", z)
+class Tree(Frozen):
+    """A leaf-labelled binary tree cell, or a cell of F(Z, X) over any X.
+
+    Trees are hash-consed as terms are: a live tree is kept under its args,
+    ("leaf", z) or ("node", l, r), in one weak table, so equal trees are
+    one object and ``==`` and ``hash`` are those of identity.  Labels and
+    children must be hashable, and args that compare equal give one tree.
+    A tree prints, indexes and measures like its args tuple.
+    """
+
+    __slots__ = ("args",)
+
+    def __getitem__(self, i):
+        return self.args[i]
+
+    def __len__(self):
+        return len(self.args)
+
+    def __repr__(self):
+        return repr(self.args)
+
+    def __reduce__(self):
+        return _tree, (self.args,)
 
 
-def node(l, r) -> tuple:
-    return ("node", l, r)
+_trees: dict[tuple, _Entry] = {}
+
+
+def _tree(args: tuple) -> Tree:
+    """The live tree with these args, made if there is none."""
+    entry = _trees.get(args)
+    t = entry() if entry is not None else None
+    if t is None:
+        t = _new_term(Tree, _trees, args, args=args)
+    return t
+
+
+def leaf(z) -> Tree:
+    return _tree(("leaf", z))
+
+
+def node(l, r) -> Tree:
+    return _tree(("node", l, r))
 
 
 def tree_bifunctor(param_cat: FinCategory, carriers: dict[str, list],
@@ -681,9 +736,10 @@ def tree_bifunctor(param_cat: FinCategory, carriers: dict[str, list],
 
         def apply_map(h: Callable) -> Callable:
             def go(e):
-                if e[0] == "leaf":
+                a = e.args
+                if a[0] == "leaf":
                     return e
-                return node(h(e[1]), h(e[2]))
+                return node(h(a[1]), h(a[2]))
             return go
 
         return EnumEndofunctor(f"F({z},-)", apply, apply_map, lambda d: max(d - 1, 0))
@@ -696,8 +752,9 @@ def tree_bifunctor(param_cat: FinCategory, carriers: dict[str, list],
             fn = mor_maps[f]
 
         def go(e):
-            if e[0] == "leaf":
-                return leaf(fn[e[1]])
+            a = e.args
+            if a[0] == "leaf":
+                return leaf(fn[a[1]])
             return e
         return go
 
@@ -716,7 +773,7 @@ def leftmost_leaf_family(param_cat: FinCategory, carriers: dict[str, list],
 
     def phi(z: str) -> Callable:
         # a leaf's label and a node's left component both sit in slot 1
-        return lambda e: e[1]
+        return lambda e: e.args[1]
 
     return ParamAlgebraFamily(
         g_obj=lambda z: const_enum_set(carriers[z], name=f"G({z})"),
@@ -804,7 +861,10 @@ def powerset_family(param_cat: FinCategory, carriers: dict[str, list],
         return lambda s: frozenset(fn[v] for v in s)
 
     def phi(z: str) -> Callable:
-        return lambda e: frozenset([e[1]]) if e[0] == "leaf" else e[1] | e[2]
+        def collect(e):
+            a = e.args
+            return frozenset([a[1]]) if a[0] == "leaf" else a[1] | a[2]
+        return collect
 
     return ParamAlgebraFamily(
         g_obj=lambda z: const_enum_set(subsets(z), name=f"P({z})"),

@@ -19,9 +19,9 @@ checked against the direct implementation.
 from __future__ import annotations
 
 import itertools
-import weakref
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 
+from .hashcons import Frozen, _Entry, _new_term
 from .omega import (EnumEndofunctor, EnumSetObj, adamek_initial_algebra,
                     check_mendler_fixed_point, const_enum_set, count_mendler_solutions,
                     gen_mendler_iteration, identity_endofunctor)
@@ -39,34 +39,14 @@ class ScopeError(ValueError):
 
 # --- hash-consed terms ----------------------------------------------------------
 # Live variables are kept by (scope, index); live constructor applications
-# by args, in one table per (scope, name).  Entries are weak, so a term
-# leaves its table when the last reference to it goes.
-
-class _Entry(weakref.ref):
-    __slots__ = ("table", "key")
-
-
-def _forget(entry: _Entry) -> None:
-    if entry.table.get(entry.key) is entry:
-        del entry.table[entry.key]
-
+# by args, in one table per (scope, name).  Entries are weak (see
+# ``hashcons``), so a term leaves its table when the last reference goes.
 
 _vars: dict[tuple[int, int], _Entry] = {}
 _ctors: dict[tuple[int, str], dict[tuple, _Entry]] = {}
 
 
-def _new_term(cls, table: dict, key, **fields) -> Term:
-    """A fresh term with the given fields, entered in table under key."""
-    t = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(t, name, value)
-    entry = table[key] = _Entry(t, _forget)
-    entry.table = table
-    entry.key = key
-    return t
-
-
-class Term:
+class Term(Frozen):
     """A term in a scope; ``Var`` and ``Ctor`` are its two kinds.
 
     Constructing a term looks its fields up among the live terms first,
@@ -74,13 +54,7 @@ class Term:
     of identity.  Terms are immutable.
     """
 
-    __slots__ = ("scope", "__weakref__")
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __slots__ = ("scope",)
 
 
 class Var(Term):

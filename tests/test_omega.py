@@ -1,9 +1,13 @@
 """Chains of sets, initial algebras, Mendler-style iteration, and the
 parametrized variant on leaf-labelled trees."""
 
+import copy
 import dataclasses
+import gc
 import hashlib
 import itertools
+import pickle
+import weakref
 
 import pytest
 
@@ -36,6 +40,7 @@ from bindcat import (
 )
 from bindcat.omega import (
     OmegaChain,
+    _trees,
     _mu_actions,
     _param_initiality_report,
     check_endofunctor_laws,
@@ -304,6 +309,21 @@ def test_str_inv_that_swaps_two_elements_is_not_a_section():
     assert tally(rep) == {"str-section": 2, "str-retraction": 2}
 
 
+def test_carrier_missing_an_element_of_f_mu_is_not_a_fixed_point():
+    # μ without the numeral 2: F(μ) still has 2 (the successor of 1) and
+    # from level 3 on lacks 3; the difference is listed sorted by repr
+    alg = adamek_initial_algebra(numeral_functor())
+    mu = alg.carrier
+    short = dataclasses.replace(alg, carrier=EnumSetObj(
+        lambda d: [e for e in mu.level(d) if e != numeral(2)], name="mu without 2"))
+    rep = check_initial_algebra(short, 3)
+    assert rep.checks_run == 10
+    two, three = repr(repr(numeral(2))), repr(repr(numeral(3)))
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("str-iso", f"level 2: F(μ) has 3 elements, μ has 2; difference [{two}]"),
+        ("str-iso", f"level 3: F(μ) has 3 elements, μ has 3; difference [{two}, {three}]")]
+
+
 def test_str_map_that_swaps_two_elements_breaks_the_fold_equation():
     F = numeral_functor()
     alg = swapped(adamek_initial_algebra(F), "str_map")
@@ -325,6 +345,33 @@ def test_evenness_by_iteration():
     assert check_mendler_fixed_point(F, alg, L, X, psi, h, 6).ok
     assert h[nat_term(3)] is False
     assert h[nat_term(4)] is True
+
+
+def test_fixed_point_check_reports_what_psi_reads_outside_h():
+    # without zero, h misses one element of its domain, and ψ(h) at one
+    # reads the missing zero
+    F, alg, L, X, psi = evenness_instance(4)
+    h = gen_mendler_iteration(F, alg, L, X, psi, 4)
+    h.pop(nat_term(0))
+    rep = check_mendler_fixed_point(F, alg, L, X, psi, h, 4)
+    assert rep.checks_run == 6
+    zero, one = repr(nat_term(0)), repr(nat_term(1))
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("mendler-domain", f"h is undefined on {zero}"),
+        ("mendler-domain", f"h is undefined on {zero}, which ψ(h)({one}) reads")]
+
+
+def test_fixed_point_check_reports_a_wrong_value():
+    # h(2) = False breaks the equations at 2 and at 3, which reads it
+    F, alg, L, X, psi = evenness_instance(4)
+    h = gen_mendler_iteration(F, alg, L, X, psi, 4)
+    h[nat_term(2)] = False
+    rep = check_mendler_fixed_point(F, alg, L, X, psi, h, 4)
+    assert rep.checks_run == 8
+    two, three = repr(nat_term(2)), repr(nat_term(3))
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("mendler-fixed-point", f"h({two}) = False but ψ(h)({two}) = True"),
+        ("mendler-fixed-point", f"h({three}) = False but ψ(h)({three}) = True")]
 
 
 def test_evenness_unique_solution():
@@ -437,6 +484,43 @@ def test_value_outside_target_is_an_iteration_error():
 # ------------- parametrized initiality on leaf-labelled trees -------------
 
 
+def test_equal_trees_are_one_object():
+    assert node(leaf(1), node(leaf(2), leaf(3))) is node(leaf(1), node(leaf(2), leaf(3)))
+    assert leaf(1) is not leaf(2) and node(leaf(1), leaf(2)) is not node(leaf(2), leaf(1))
+
+
+def test_a_tree_prints_indexes_and_measures_as_its_tuple():
+    t = node(leaf(1), leaf(2))
+    assert repr(t) == "('node', ('leaf', 1), ('leaf', 2))"
+    assert (t[0], t[1], t[2], t[-1]) == ("node", leaf(1), leaf(2), leaf(2))
+    assert t[1][0] == "leaf" and t[1][1] == 1
+    assert len(t) == 3 and len(leaf(1)) == 2
+    with pytest.raises(IndexError):
+        t[3]
+    # equality is identity: a tree is not its tuple
+    assert t != ("node", ("leaf", 1), ("leaf", 2))
+
+
+def test_trees_are_immutable():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        leaf(1).args = ("leaf", 2)
+
+
+def test_copies_and_pickles_of_a_tree_are_the_tree():
+    t = node(leaf(1), node(leaf(frozenset({2})), leaf(3)))
+    assert copy.copy(t) is t and copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_interning_keeps_no_tree_alive():
+    t = node(leaf(-1), node(leaf(-2), leaf(-3)))
+    refs = [weakref.ref(t), weakref.ref(t[2]), weakref.ref(t[1])]
+    del t
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    assert not [k for k in _trees if k[0] == "leaf" and k[1] in (-1, -2, -3)]
+
+
 @pytest.fixture(scope="module")
 def corpus():
     cat, carriers, mor_maps = demo_param_corpus()
@@ -472,6 +556,24 @@ def test_powerset_fold_needs_no_extra_structure(corpus):
     h = parametrized_initiality(PB, mu, fam, 3)
     assert h["zc"][node(node(leaf(2), leaf(5)), leaf(9))] == frozenset({2, 5, 9})
     assert check_param_initiality(PB, mu, fam, 2).ok
+
+
+def test_mendler_values_are_the_targets_own_elements(corpus):
+    # φ builds a fresh frozenset per call; h keeps the target's own objects
+    cat, carriers, mor_maps, PB, mu = corpus
+    fam = powerset_family(cat, carriers, mor_maps)
+    F, phi, X = PB.functor_at("zc"), fam.phi("zc"), fam.g_obj("zc")
+
+    def psi(A, h):
+        lifted = F.apply_map(h.__getitem__)
+        return lambda e: phi(lifted(e))
+
+    h = gen_mendler_iteration(F, mu["zc"], identity_endofunctor(), X, psi, 3)
+    own = {id(x) for x in X.level(3)}
+    assert len(h) == 147 and all(id(v) in own for v in h.values())
+    act = mu_on_morphism(PB, mu, "f", 3)
+    own = {id(t) for t in mu["zb"].carrier.level(3)}
+    assert len(act) == 38 and all(id(t) in own for t in act.values())
 
 
 def test_mu_action_relabels_leaves(corpus):
