@@ -341,6 +341,10 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
     (see ``_assoc_failures``).  Check counts, the violations in their
     order and every witness are those of the plain exhaustive loop over
     n, then σ out of scope n, then τ out of σ's target, then t in scope n.
+    Only the order of computation differs from that loop's: τs run in
+    orbit order, not in declaration order.  So a ``subst`` that raises
+    may raise first at a different instance than the plain loop, or a
+    sweep in declaration order, would reach first.
     """
     if subst is None or subst is substitute:
         # the library's own substitute shares one memo of lifts per sweep
@@ -417,14 +421,25 @@ def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
     one memo per root substitution: ``_substitute`` with a lift, or
     ``_once`` with a user's subst.
 
-    The work runs τ by τ, and under one τ each distinct term (an image
-    of some σ, or some σ(t)) is substituted once.  A first pass builds
-    every τ∘σ and counts how often each distinct composite recurs; the
-    second substitutes the terms of a composite's source scope once for
-    the whole sweep, and keeps that column only until the composite's
-    last use.  Each σ(t) column under τ is read from τ's memo, with sub
-    called only on the misses, and a bit mask is built only for a column
-    that differs from its composite column.
+    Under one τ each distinct term (an image of some σ, or some σ(t)) is
+    substituted once.  A first pass builds every τ∘σ and counts how often
+    each distinct composite recurs; the second substitutes the terms of a
+    composite's source scope once for the whole sweep, and keeps that
+    column only until the composite's last use.  Each σ(t) column under τ
+    is read from τ's memo, with sub called only on the misses, and a bit
+    mask is built only for a column that differs from its composite
+    column.
+
+    The second pass visits the τs out of each scope m in orbit order: by
+    target scope, then by the multiset of their images, so τs whose
+    images permute one another run back to back.  Such τs share their
+    composites τ∘σ through renamings σ, and most composites are used by
+    exactly two τs, so a cached column dies soon after it is made (on
+    the lam sweep at depth 3, scope 2, at most 293 columns are alive at
+    once instead of 1,067 in declaration order).  Only the order of
+    computation changes: each τ's result depends on τ alone, and its
+    mask lands at its own [n][i][k], so the masks, and the witnesses the
+    caller renders from them, do not depend on the order.
     """
     into = {m: [(n, i, s) for n, subs in subs_from.items()
                 for i, s in enumerate(subs) if s.target == m]
@@ -449,13 +464,23 @@ def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
                 uses[c] += 1
                 row.append(c)
 
+    # a composite keeps its images alive: drop each once it is dead
+    del comp_ids
     mids = {n: [_column(terms_at[n], s, sub, aux) for s in subs]
             for n, subs in subs_from.items()}
     columns: dict[int, list[Term]] = {}
     failed = {n: [[0] * len(subs_from[s.target]) for s in subs]
               for n, subs in subs_from.items()}
     for m, taus in subs_from.items():
-        for k, tau in enumerate(taus):
+        rank: dict[Term, int] = {}
+        for tau in taus:
+            for img in tau.images:
+                rank.setdefault(img, len(rank))
+        # a stable sort: within an orbit, τs keep declaration order
+        orbits = sorted(range(len(taus)), key=lambda k: (
+            taus[k].target, sorted(rank[img] for img in taus[k].images)))
+        for k in orbits:
+            tau = taus[k]
             memo = under.pop((m, k))
             for (n, i, s), c in zip(into[m], rows.pop((m, k))):
                 # memo hits skip sub's entry check: check the column's scope once
@@ -468,6 +493,8 @@ def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
                 uses[c] -= 1
                 if uses[c]:
                     columns[c] = col
+                else:
+                    comps[c] = None
                 mid = mids[n][i]
                 got = list(map(memo.get, mid))
                 if None in got:

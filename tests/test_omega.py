@@ -17,10 +17,12 @@ from bindcat import (
     ChainError,
     EnumEndofunctor,
     EnumSetObj,
+    FinCategory,
     FinFunctor,
     IterationError,
     NaturalityError,
     ParamAlgebraFamily,
+    ParamBifunctor,
     adamek_initial_algebra,
     chain_category,
     check_functor,
@@ -37,6 +39,8 @@ from bindcat import (
     poset_initial_algebra,
     run_evenness_demo,
     run_param_demo,
+    terminal_category,
+    walking_arrow,
 )
 from bindcat.omega import (
     OmegaChain,
@@ -165,6 +169,29 @@ def test_a_level_shift_above_its_level_is_reported():
     assert [(v.law, v.witness) for v in rep.violations] == [
         ("level-shift-bound", "level_shift(0) = 1 > 0"),
         ("level-shift-bound", "level_shift(1) = 2 > 1")]
+
+
+def test_a_map_that_forgets_the_identity_is_reported():
+    # every map goes to the constant 0: composition holds, F(id) does not
+    Id = identity_endofunctor()
+    F = EnumEndofunctor("collapse", Id.apply, lambda h: (lambda e: 0), Id.level_shift)
+    rep = check_endofunctor_laws(F, const_enum_set([0, 1]), [lambda v: 1 - v], 0)
+    assert rep.checks_run == 6
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("endofunctor-identity", "F(id)(1) = 0")]
+
+
+def test_a_map_that_breaks_composition_is_reported():
+    # F(h) = h∘h keeps identities but not composites: with f constant 1
+    # and g swapping 0 and 1, F(g∘f) is constant 0 and F(g)∘F(f) constant 1
+    Id = identity_endofunctor()
+    F = EnumEndofunctor("square", Id.apply, lambda h: (lambda e: h(h(e))), Id.level_shift)
+    rep = check_endofunctor_laws(F, const_enum_set([0, 1]),
+                                 [lambda v: 1, lambda v: 1 - v], 0)
+    assert rep.checks_run == 12
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("endofunctor-composition", f"F(g∘f)({e}) = 0 but F(g)(F(f)({e})) = 1")
+        for e in (0, 1)]
 
 
 def test_chain_stages():
@@ -532,6 +559,39 @@ def test_param_bifunctor_laws(corpus):
     _, carriers, _, PB, _ = corpus
     sample = const_enum_set([leaf(v) for v in carriers["za"]], "sample")
     assert check_param_bifunctor(PB, sample, lambda e: e, 2).ok
+
+
+def test_a_parameter_identity_that_moves_elements_is_reported():
+    # id_* acts as the constant 0, which still composes with itself
+    PB = ParamBifunctor(terminal_category(), lambda z: identity_endofunctor(),
+                        lambda f: (lambda e: 0))
+    rep = check_param_bifunctor(PB, const_enum_set([0, 1]), lambda e: e, 0)
+    assert rep.checks_run == 6
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("param-action-identity", "F(id_*)(1) = 0")]
+
+
+def test_a_parameter_action_that_breaks_composition_is_reported():
+    # p is idempotent (p∘p = p) but acts by swapping 0 and 1
+    P = FinCategory(("*",), (("e", "*", "*"), ("p", "*", "*")), {"*": "e"},
+                    {("e", "e"): "e", ("e", "p"): "p", ("p", "e"): "p", ("p", "p"): "p"})
+    PB = ParamBifunctor(P, lambda z: identity_endofunctor(),
+                        lambda f: (lambda e: 1 - e) if f == "p" else (lambda e: e))
+    rep = check_param_bifunctor(PB, const_enum_set([0, 1]), lambda e: e, 0)
+    assert rep.checks_run == 14
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("param-action-composition", f"F(p after p)({e}) = {1 - e} but composite gives {e}")
+        for e in (0, 1)]
+
+
+def test_a_parameter_action_that_is_not_natural_is_reported():
+    # f: a → b acts as the constant 0, which the swap of 0 and 1 does not commute with
+    PB = ParamBifunctor(walking_arrow(), lambda z: identity_endofunctor(),
+                        lambda f: (lambda e: 0) if f == "f" else (lambda e: e))
+    rep = check_param_bifunctor(PB, const_enum_set([0, 1]), lambda e: 1 - e, 0)
+    assert rep.checks_run == 18
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("param-action-interchange", f"whiskering square fails at f, {e}") for e in (0, 1)]
 
 
 def test_tree_carrier_contents(corpus):

@@ -456,6 +456,77 @@ def test_broken_lift_is_detected_on_the_library_path(monkeypatch):
     assert any(v.law == "monad-assoc" and "abs" in v.witness for v in rep.violations)
 
 
+def plain_law_loop(sig, depth, max_scope, subst, compose):
+    """The ordered (law, witness) pairs of the plain exhaustive loop, with
+    no memo: right unit over n, t; left unit over n, σ, i; associativity
+    over n, σ, τ, t, against compose(τ, σ)."""
+    scopes = range(max_scope + 1)
+    terms_at = {n: enumerate_terms(sig, n, depth) for n in scopes}
+    subs_from = {n: [Substitution(n, m, images) for m in scopes
+                     for images in itertools.product(
+                         enumerate_terms(sig, m, max(depth - 1, 1)), repeat=n)]
+                 for n in scopes}
+    out = []
+    for n in scopes:
+        for t in terms_at[n]:
+            if subst(t, unit_substitution(n)) != t:
+                out.append(("monad-right-unit",
+                            f"t = {render_term(t)} changed under the identity substitution"))
+    for n in scopes:
+        for s in subs_from[n]:
+            for i in range(n):
+                got = subst(Var(n, i), s)
+                if got != s.images[i]:
+                    out.append(("monad-left-unit",
+                                f"var {i} under sigma = {render_substitution(s)} "
+                                f"gives {render_term(got)}"))
+    for n in scopes:
+        for s in subs_from[n]:
+            for tau in subs_from[s.target]:
+                ts = compose(tau, s)
+                for t in terms_at[n]:
+                    if subst(subst(t, s), tau) != subst(t, ts):
+                        out.append(("monad-assoc",
+                                    f"t = {render_term(t)}; sigma = {render_substitution(s)}; "
+                                    f"tau = {render_substitution(tau)}"))
+    return out
+
+
+def test_broken_lift_reports_in_the_plain_loop_order(monkeypatch):
+    # at scope 2 some τs permute one another's images, so the sweep's
+    # orbit order differs from declaration order; the report must not
+    monkeypatch.setattr(bindcat.terms, "lift_substitution", unweakened_lift)
+    rep = check_monad_laws(LAM, 2, 2)
+    got = [(v.law, v.witness) for v in rep.violations]
+    assert Counter(law for law, _ in got) == {"monad-assoc": 23, "monad-right-unit": 3}
+    assert got == plain_law_loop(LAM, 2, 2, substitute, compose_substitutions)
+
+
+def test_broken_subst_reports_in_the_plain_loop_order():
+    def compose(tau, s):
+        return Substitution(s.source, tau.target,
+                            tuple(broken_substitute(img, tau) for img in s.images))
+    rep = check_monad_laws(LAM, 2, 2, subst=broken_substitute)
+    got = [(v.law, v.witness) for v in rep.violations]
+    assert len(got) == 26
+    assert got == plain_law_loop(LAM, 2, 2, broken_substitute, compose)
+
+
+def test_clean_sweep_frees_composite_columns_early():
+    # τs that permute one another's images share composites, and the sweep
+    # runs them back to back: a traced peak of 0.43 MB, 1.09 MB in declaration order
+    sig = parse_signature("sig a { app : [0, 0]; }")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = check_monad_laws(sig, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.checks_run == 57_347
+    assert peak < 750_000
+
+
 def last_image_substitute(t, s):
     """substitute, except that every variable goes to the last image."""
     if isinstance(t, Var):
