@@ -138,7 +138,12 @@ def _grid(table: dict, what: str, value_no: dict, *key_nos: dict) -> list:
     """``table`` as nested lists indexed by the numbers of its key's one to
     three parts, holding the number of each entry and None where there is
     no entry.  An entry whose key or value is not numbered is a TableError
-    naming ``what``."""
+    naming ``what``.
+
+    Equal innermost rows of one grid are one list: each is replaced by the
+    first equal row, so a checker may recognise a repeated row by ``id``
+    (``monoidal._pentagon`` does).  A grid is therefore read-only once
+    built; writing an entry would change every row that shares it."""
     def empty(nos):
         return [None] * len(nos[0]) if len(nos) == 1 else [empty(nos[1:]) for _ in nos[0]]
 
@@ -156,6 +161,11 @@ def _grid(table: dict, what: str, value_no: dict, *key_nos: dict) -> list:
             a, b, c = key_nos
             for (x, y, z), v in table.items():
                 grid[a[x]][b[y]][c[z]] = value_no[v]
+    if len(key_nos) > 1:
+        seen: dict[tuple, list] = {}
+        for plane in ([grid] if len(key_nos) == 2 else grid):
+            for i, row in enumerate(plane):
+                plane[i] = seen.setdefault(tuple(row), row)
     return grid
 
 

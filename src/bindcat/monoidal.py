@@ -210,33 +210,68 @@ def _pentagon(rep: LawReport, law: str, objs, mors, comp, ten, lw, rw, A) -> int
     α_(w,x,y⊗z) ∘ α_(w⊗x,y,z) = (w ⊗ α_(x,y,z)) ∘ α_(w,x⊗y,z) ∘ (α_(w,x,y) ⊗ z).
     Instances that read an absent entry or composite are skipped uncounted,
     as in ``_interchange``.  A failure is reported under ``law``.  Returns
-    the number of passes."""
+    the number of passes.
+
+    Each side is computed as a row over z, with None where the instance
+    is skipped.  A row depends only on the table rows it reads, and
+    ``_grid`` makes equal table rows one list, so under one w each side's
+    row is kept in a dict keyed by the ``id``s of the rows it reads and
+    shared by every (x, y) that reads the same ones.  Both dicts are
+    dropped when w moves on, which bounds them by about twice the
+    associator grid.  A pair of equal rows with no None passes at every
+    z; any other pair is walked z by z, so failures come in (w, x, y, z)
+    order."""
     passed = 0
     n = len(objs)
-    for w in range(n):
-        A_w, lw_w, ten_w = A[w], lw[w], ten[w]
-        for x in range(n):
+    span = range(n)
+    ten_id, rw_id = [id(row) for row in ten], [id(row) for row in rw]
+    A_id = [[id(row) for row in plane] for plane in A]
+    for w in span:
+        A_w, lw_w, ten_w, A_w_id = A[w], lw[w], ten[w], A_id[w]
+        two_step: dict[tuple[int, int, int], list] = {}
+        three_step: dict[tuple[int, int, int], list] = {}
+        for x in span:
             wx = ten_w[x]
             if wx is None:
                 continue
             A_wx, A_wx_, A_x, ten_x = A_w[x], A[wx], A[x], ten[x]
-            for y in range(n):
+            A_wx_id, A_wx__id, A_x_id = A_w_id[x], A_id[wx], A_id[x]
+            for y in span:
                 xy, a = ten_x[y], A_wx[y]
                 if xy is None or a is None:
                     continue
-                rw_a, A_w_xy, A_wx_y, A_xy, ten_y = rw[a], A_w[xy], A_wx_[y], A_x[y], ten[y]
-                for z in range(n):
-                    try:
-                        lhs = comp[A_wx[ten_y[z]]][A_wx_y[z]]
-                        rhs = comp[lw_w[A_xy[z]]][comp[A_w_xy[z]][rw_a[z]]]
-                    except (KeyError, TypeError):
+                key = (A_wx_id, ten_id[y], A_wx__id[y])
+                lhs = two_step.get(key)
+                if lhs is None:
+                    ten_y, A_wx_y = ten[y], A_wx_[y]
+                    lhs = two_step[key] = []
+                    for z in span:
+                        try:
+                            lhs.append(comp[A_wx[ten_y[z]]][A_wx_y[z]])
+                        except (KeyError, TypeError):
+                            lhs.append(None)
+                key = (A_x_id[y], A_w_id[xy], rw_id[a])
+                rhs = three_step.get(key)
+                if rhs is None:
+                    A_xy, A_w_xy, rw_a = A_x[y], A_w[xy], rw[a]
+                    rhs = three_step[key] = []
+                    for z in span:
+                        try:
+                            rhs.append(comp[lw_w[A_xy[z]]][comp[A_w_xy[z]][rw_a[z]]])
+                        except (KeyError, TypeError):
+                            rhs.append(None)
+                if lhs == rhs and None not in lhs:
+                    passed += n
+                    continue
+                for z, l, r in zip(span, lhs, rhs):
+                    if l is None or r is None:
                         continue
-                    if lhs == rhs:
+                    if l == r:
                         passed += 1
                     else:
                         rep.check(False, law,
                                   f"at ({objs[w]},{objs[x]},{objs[y]},{objs[z]}): "
-                                  f"two-step side = {mors[lhs]}, three-step side = {mors[rhs]}")
+                                  f"two-step side = {mors[l]}, three-step side = {mors[r]}")
     return passed
 
 
@@ -343,41 +378,43 @@ def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
     _check_whiskered(rep, cx, mx.ten)
     passed = 0
 
-    def iso(fwd: int, bwd: int, s: int, t: int, law: str, where) -> int:
+    def place(where: str, at: tuple[int, ...]) -> str:
+        return where.format(*(objs[i] for i in at))
+
+    def iso(fwd: int, bwd: int, s: int, t: int, law: str, where: str, *at: int) -> int:
+        # where is formatted with the names of the objects at, on failure only
         ok = 0
         if src[fwd] == s and tgt[fwd] == t:
             ok += 1
         else:
             rep.check(False, law + "-endpoints",
-                      f"{where()}: {mors[fwd]}: {objs[src[fwd]]}→{objs[tgt[fwd]]}, "
+                      f"{place(where, at)}: {mors[fwd]}: {objs[src[fwd]]}→{objs[tgt[fwd]]}, "
                       f"expected {objs[s]}→{objs[t]}")
         one = comp[fwd].get(bwd)
         if one == ident[t]:
             ok += 1
         else:
             rep.check(False, law + "-iso",
-                      f"{where()}: ({mors[fwd]} after {mors[bwd]}) = {name(one)}, "
+                      f"{place(where, at)}: ({mors[fwd]} after {mors[bwd]}) = {name(one)}, "
                       f"expected id_{objs[t]}")
         other = comp[bwd].get(fwd)
         if other == ident[s]:
             ok += 1
         else:
             rep.check(False, law + "-iso",
-                      f"{where()}: ({mors[bwd]} after {mors[fwd]}) = {name(other)}, "
+                      f"{place(where, at)}: ({mors[bwd]} after {mors[fwd]}) = {name(other)}, "
                       f"expected id_{objs[s]}")
         return ok
 
     for x in range(n_obj):
-        passed += iso(lu[x], mx.lu_inv[x], ten[I][x], x, "lunitor",
-                      lambda: f"lunitor at {objs[x]}")
-        passed += iso(ru[x], mx.ru_inv[x], ten[x][I], x, "runitor",
-                      lambda: f"runitor at {objs[x]}")
+        passed += iso(lu[x], mx.lu_inv[x], ten[I][x], x, "lunitor", "lunitor at {}", x)
+        passed += iso(ru[x], mx.ru_inv[x], ten[x][I], x, "runitor", "runitor at {}", x)
     for x in range(n_obj):
         for y in range(n_obj):
             for z in range(n_obj):
                 passed += iso(A[x][y][z], mx.a_inv[x][y][z],
                               ten[ten[x][y]][z], ten[x][ten[y][z]], "associator",
-                              lambda: f"associator at ({objs[x]},{objs[y]},{objs[z]})")
+                              "associator at ({},{},{})", x, y, z)
 
     lw_I = lw[I]
     for f in range(n_mor):

@@ -387,10 +387,11 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
         for i, s in enumerate(subs_from[n]):
             for k, mask in enumerate(masks[n][i]):
                 rep.tally(len(ts))
-                for j in range(len(ts)):
-                    if mask >> j & 1:
-                        rep.fail("monad-assoc", (shown_t[n][j], shown_sigma[n][i],
-                                                 shown_tau[s.target][k]))
+                while mask:  # the set bits, lowest first
+                    low = mask & -mask
+                    rep.fail("monad-assoc", (shown_t[n][low.bit_length() - 1],
+                                             shown_sigma[n][i], shown_tau[s.target][k]))
+                    mask ^= low
     return rep
 
 

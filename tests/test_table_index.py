@@ -1,5 +1,8 @@
-"""The table checkers index their tables afresh on every call, and their
-check counts on End(chain 3) stay as pinned."""
+"""The table checkers index their tables afresh on every call, their
+check counts on End(chain 3) stay as pinned, index grids share equal
+rows, and the row-sharing pentagon agrees with a plain loop."""
+
+import itertools
 
 import pytest
 
@@ -13,6 +16,10 @@ from bindcat import (
     total_monoidal,
     trivial_displayed_monoidal,
 )
+from bindcat.displayed import _DispIndex, _DispMonoidalIndex
+from bindcat.fincat import _grid
+from bindcat.monoidal import _MonoidalIndex, _pentagon
+from bindcat.report import LawReport
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +62,136 @@ def test_chain3_counts_are_pinned(chain3):
     DM = trivial_displayed_monoidal(chain3)
     assert check_displayed_monoidal(DM).checks_run == 21_596
     assert check_monoidal_laws(total_monoidal(DM)).checks_run == 35_460
+
+
+# --- shared grid rows and the pentagon kernel ----------------------------------------
+
+def _row_ids(grid) -> set[int]:
+    return {id(row) for plane in grid for row in plane}
+
+
+def test_grid_keeps_equal_rows_of_one_grid_as_one_list():
+    on = {"a": 0, "b": 1, "c": 2}
+    table = {(x, y): "a" if y == "c" else "b" for x in "abc" for y in "abc"}
+    del table[("c", "a")]
+    grid = _grid(table, "table", on, on, on)
+    assert grid == [[1, 1, 0], [1, 1, 0], [None, 1, 0]]
+    assert grid[0] is grid[1] and grid[2] is not grid[0]
+    cube = _grid({(x, y, z): "a" for x in "ab" for y in "abc" for z in "abc"},
+                 "cube", on, on, on, on)
+    assert cube[0][0] == [0, 0, 0] and cube[2][2] == [None] * 3
+    assert len(_row_ids(cube)) == 2
+
+
+def test_two_grids_share_no_row(chain3):
+    # associator and associator_inv hold the same numbers on End(chain 3)
+    mx = _MonoidalIndex(chain3)
+    rows = _row_ids(mx.a)
+    assert len(rows) == 10  # distinct rows among 100
+    assert len({tuple(row) for plane in mx.a for row in plane}) == 10
+    assert mx.a == mx.a_inv
+    assert rows.isdisjoint(_row_ids(mx.a_inv))
+    tensor_rows = [mx.ten.obj, mx.ten.lw, mx.ten.rw]
+    assert all({id(r) for r in g}.isdisjoint({id(r) for r in h})
+               for g, h in itertools.combinations(tensor_rows, 2))
+
+
+def _plain_pentagon(rep, law, objs, mors, comp, ten, lw, rw, A) -> int:
+    # the four-deep loop the row-sharing kernel replaced, kept as its oracle
+    passed = 0
+    n = len(objs)
+    for w in range(n):
+        A_w, lw_w, ten_w = A[w], lw[w], ten[w]
+        for x in range(n):
+            wx = ten_w[x]
+            if wx is None:
+                continue
+            A_wx, A_wx_, A_x, ten_x = A_w[x], A[wx], A[x], ten[x]
+            for y in range(n):
+                xy, a = ten_x[y], A_wx[y]
+                if xy is None or a is None:
+                    continue
+                rw_a, A_w_xy, A_wx_y, A_xy, ten_y = rw[a], A_w[xy], A_wx_[y], A_x[y], ten[y]
+                for z in range(n):
+                    try:
+                        lhs = comp[A_wx[ten_y[z]]][A_wx_y[z]]
+                        rhs = comp[lw_w[A_xy[z]]][comp[A_w_xy[z]][rw_a[z]]]
+                    except (KeyError, TypeError):
+                        continue
+                    if lhs == rhs:
+                        passed += 1
+                    else:
+                        rep.check(False, law,
+                                  f"at ({objs[w]},{objs[x]},{objs[y]},{objs[z]}): "
+                                  f"two-step side = {mors[lhs]}, three-step side = {mors[rhs]}")
+    return passed
+
+
+def _both_pentagons(*tables) -> tuple:
+    out = []
+    for kernel in (_pentagon, _plain_pentagon):
+        rep = LawReport()
+        passed = kernel(rep, "pentagon", *tables)
+        out.append((passed, [(v.law, v.witness) for v in rep.violations]))
+    return tuple(out)
+
+
+def _unshared(grid) -> list:
+    return [[list(row) for row in plane] for plane in grid]
+
+
+def test_pentagon_agrees_with_a_plain_loop_when_no_row_is_shared():
+    mx = _MonoidalIndex(endofunctor_monoidal(chain_category(4)).monoidal)
+    cx, tx = mx.cat, mx.ten
+    ten, lw, rw = ([list(row) for row in g] for g in (tx.obj, tx.lw, tx.rw))
+    A = _unshared(mx.a)
+    assert len(_row_ids(A)) == 35 ** 2
+    rows, plain = _both_pentagons(cx.objects, cx.mors, cx.comp, ten, lw, rw, A)
+    assert rows == plain == (35 ** 4, [])
+
+
+def test_pentagon_agrees_with_a_plain_loop_over_absent_entries(chain3):
+    DM = trivial_displayed_monoidal(chain3)
+    for key in list(DM.disp_associator)[::37][:3]:
+        del DM.disp_associator[key]
+    mx = _MonoidalIndex(chain3)
+    dx = _DispIndex(DM.disp_cat, mx.cat)
+    dm = _DispMonoidalIndex(DM, dx)
+    assert sum(row.count(None) for plane in dm.a for row in plane) == 3
+    rows, plain = _both_pentagons(dx.objs, dx.mors, dx.comp, dm.ten, dm.lw, dm.rw, dm.a)
+    assert rows == plain == (9_867, [])
+
+
+def test_pentagon_agrees_with_a_plain_loop_on_a_changed_associator(chain3):
+    M = chain3
+    key = ("Id", "Id", "Id")
+    old = M.associator[key]
+    M.associator[key] = _other([m for m, _, _ in M.base.morphisms], old)
+    try:
+        mx = _MonoidalIndex(M)
+    finally:
+        M.associator[key] = old
+    cx, tx = mx.cat, mx.ten
+    rows, plain = _both_pentagons(cx.objects, cx.mors, cx.comp, tx.obj, tx.lw, tx.rw, mx.a)
+    assert rows == plain
+    assert rows[0] == 9_991 and len(rows[1]) == 3
+    assert rows[1][0] == ("pentagon", "at (F1,Id,Id,Id): two-step side = id_F1, "
+                                      "three-step side = F1=>F3")
+
+
+@pytest.mark.parametrize("table", ["lwhisker", "rwhisker", "associator"])
+def test_pentagon_agrees_with_a_plain_loop_on_single_changes(chain3, table):
+    # rows that differ only in the whisker or associator entry they read
+    # must not be shared, across (x, y) or across w
+    entries = getattr(chain3 if table == "associator" else chain3.tensor, table)
+    mors = [m for m, _, _ in chain3.base.morphisms]
+    for key in list(entries)[::50]:
+        old = entries[key]
+        entries[key] = _other(mors, old)
+        try:
+            mx = _MonoidalIndex(chain3)
+        finally:
+            entries[key] = old
+        cx, tx = mx.cat, mx.ten
+        rows, plain = _both_pentagons(cx.objects, cx.mors, cx.comp, tx.obj, tx.lw, tx.rw, mx.a)
+        assert rows == plain, key
