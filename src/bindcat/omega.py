@@ -812,8 +812,12 @@ def run_param_demo(depth: int = 3) -> LawReport:
     example; each family's components are built once and serve its checks,
     the level-ordered uniqueness count among them, and, for the
     leftmost-leaf family, the fold example.  None of these maps outlives
-    the call.
+    the call.  The example trees sit at level 3, so a depth below 3
+    raises ValueError.
     """
+    if depth < 3:
+        raise ValueError(f"the param demo needs depth at least 3, where its "
+                         f"example trees sit; got {depth}")
     cat, carriers, mor_maps = demo_param_corpus()
     PB = tree_bifunctor(cat, carriers, mor_maps)
     mu = param_initial_algebras(PB)

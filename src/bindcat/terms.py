@@ -194,6 +194,12 @@ def parse_term(sig: BindingSignature, scope: int, text: str) -> Term:
     return t
 
 
+def _nonnegative(**bounds: int | None) -> None:
+    for name, bound in bounds.items():
+        if bound is not None and bound < 0:
+            raise ValueError(f"{name} must not be negative, got {bound}")
+
+
 def _enum(sig: BindingSignature, scope: int, depth: int,
           memo: dict[tuple[int, int], tuple[Term, ...]]) -> tuple[Term, ...]:
     key = (scope, depth)
@@ -211,7 +217,9 @@ def _enum(sig: BindingSignature, scope: int, depth: int,
 
 def enumerate_terms(sig: BindingSignature, scope: int, depth: int) -> list[Term]:
     """All terms of depth < depth in the given scope, in a deterministic
-    order: variables first, then constructors in signature order."""
+    order: variables first, then constructors in signature order.  A
+    negative scope or depth raises ValueError."""
+    _nonnegative(scope=scope, depth=depth)
     return list(_enum(sig, scope, depth, {}))
 
 
@@ -329,7 +337,8 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
     Terms range over depth < depth at scopes ≤ max_scope; substitution
     images range over depth < image_depth (default depth − 1, so the
     instance count stays polynomial rather than doubly exponential).
-    ``subst`` swaps in an alternative substitute for fault injection.
+    A negative bound raises ValueError.  ``subst`` swaps in an
+    alternative substitute for fault injection.
 
     Every substitution in the sweep goes through a memo that lives for
     one root substitution.  The library's own substitute fills it with
@@ -344,8 +353,11 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
     Only the order of computation differs from that loop's: τs run in
     orbit order, not in declaration order.  So a ``subst`` that raises
     may raise first at a different instance than the plain loop, or a
-    sweep in declaration order, would reach first.
+    sweep in declaration order, would reach first.  The report keeps the
+    associativity failures as the sweep's bit masks, and makes each
+    violation only when it is read.
     """
+    _nonnegative(depth=depth, max_scope=max_scope, image_depth=image_depth)
     if subst is None or subst is substitute:
         # the library's own substitute shares one memo of lifts per sweep
         sub, aux = _substitute, _remembered_lifts()
@@ -382,16 +394,13 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
     shown_s = {n: [render_substitution(s) for s in subs] for n, subs in subs_from.items()}
     shown_sigma = {n: ["; sigma = " + r for r in rs] for n, rs in shown_s.items()}
     shown_tau = {n: ["; tau = " + r for r in rs] for n, rs in shown_s.items()}
+    rows = []
     for n in scopes:
-        ts = terms_at[n]
         for i, s in enumerate(subs_from[n]):
-            for k, mask in enumerate(masks[n][i]):
-                rep.tally(len(ts))
-                while mask:  # the set bits, lowest first
-                    low = mask & -mask
-                    rep.fail("monad-assoc", (shown_t[n][low.bit_length() - 1],
-                                             shown_sigma[n][i], shown_tau[s.target][k]))
-                    mask ^= low
+            rep.tally(len(terms_at[n]) * len(masks[n][i]))
+            rows.append((shown_t[n], shown_sigma[n][i], shown_tau[s.target], masks[n][i]))
+    # the masks stay the report's: each violation is made when it is read
+    rep.fail_bits("monad-assoc", rows)
     return rep
 
 

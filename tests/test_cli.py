@@ -184,6 +184,28 @@ def test_subst_parse_error(fixtures, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["laws", "--scope", "-1"], ["laws", "--depth", "-1"], ["laws", "--image-depth", "-1"],
+    ["gen-terms", "--depth", "-1"], ["gen-terms", "--scope", "-1"],
+], ids=["laws-scope", "laws-depth", "laws-image-depth", "gen-terms-depth", "gen-terms-scope"])
+def test_negative_bounds_exit_2(fixtures, capsys, argv):
+    # a negative bound is no sweep at all, not a vacuous pass
+    code = main(argv[:1] + ["--sig", str(fixtures / "lam.sig"), "--json"] + argv[1:])
+    out, err = capsys.readouterr()
+    assert (code, json.loads(out)["status"]) == (2, "error")
+    assert "must not be negative, got -1" in err
+
+
+@pytest.mark.parametrize("depth", ["1", "2"])
+def test_param_demo_below_its_examples_exit_2(capsys, depth):
+    # the example trees sit at level 3: below it their folds are not
+    # computed, which is no broken law
+    code = main(["param-initial-demo", "--depth", depth, "--json"])
+    out, err = capsys.readouterr()
+    assert (code, json.loads(out)["status"]) == (2, "error")
+    assert f"needs depth at least 3, where its example trees sit; got {depth}" in err
+
+
 def test_demos_take_no_bound(capsys):
     # uniqueness is counted in level order, so there is no candidate cap to set
     for cmd in ("mendler-demo", "param-initial-demo"):

@@ -1,8 +1,9 @@
 """A static census of the laws the checkers report: every ``rep.check`` /
-``rep.fail`` law in ``src/bindcat`` must be named somewhere under
-``tests/``, or sit on an allow-list with its reason.  A law that no test
-names is one that no test shows can fail; ``tools/mutation_sweep.py``
-finds the same sites by running the tests, this census only reads them."""
+``rep.fail`` / ``rep.fail_bits`` law in ``src/bindcat`` must be named
+somewhere under ``tests/``, or sit on an allow-list with its reason.  A
+law that no test names is one that no test shows can fail;
+``tools/mutation_sweep.py`` finds the same sites by running the tests,
+this census only reads them."""
 
 import ast
 import importlib.util
@@ -72,6 +73,11 @@ def named() -> set[str]:
     files = [p for p in (ROOT / "tests").glob("*.py") if p.resolve() != here]
     files += (ROOT / "tests" / "fixtures").glob("*.json")
     return {name for p in files for name in re.findall(r"[\w-]+", p.read_text(encoding="utf-8"))}
+
+
+def test_monad_assoc_is_a_site(sites):
+    # the associativity sweep reports through rep.fail_bits, not rep.fail
+    assert sites[("terms.py", "'monad-assoc'")] == "monad-assoc"
 
 
 def test_every_built_law_name_is_mapped(sites):

@@ -428,9 +428,10 @@ def test_fault_injection_invisible_without_binders():
 
 
 def test_failing_sweep_keeps_its_witnesses_in_shared_pieces():
-    # a monad-assoc witness is a tuple of the sweep's rendered term and
-    # substitutions: about 120 B per violation with its slotted Violation;
-    # a string rendered per witness kept about 250 B
+    # the report keeps the sweep's bit masks over its rendered terms and
+    # substitutions, and makes each Violation only when it is read: about
+    # 9 B per violation; a Violation with a tuple of pieces kept about
+    # 120 B, and a string rendered per witness about 250 B
     ac = parse_signature("sig ac { c : []; abs : [1]; s : [0]; }")
     gc.collect()
     tracemalloc.start()
@@ -443,7 +444,7 @@ def test_failing_sweep_keeps_its_witnesses_in_shared_pieces():
         tracemalloc.stop()
     assert Counter(v.law for v in rep.violations) == \
         {"monad-assoc": 13_540, "monad-right-unit": 6}
-    assert retained / len(rep.violations) < 160
+    assert retained / len(rep.violations) < 16
 
 
 def test_broken_lift_is_detected_on_the_library_path(monkeypatch):

@@ -2,10 +2,10 @@
 
 Each site is mutated on its own, in a copy of ``src/`` and ``tests/``:
 the condition of a ``rep.check(`` call becomes ``True`` and a
-``rep.fail(`` call becomes ``None``, so the law at that site can no
-longer fail.  The given test files then run with ``pytest -x``.  A site
-whose mutant still passes every test is a survivor: no test shows that
-its law can fail.
+``rep.fail(`` or ``rep.fail_bits(`` call becomes ``None``, so the law
+at that site can no longer fail.  The given test files then run with
+``pytest -x``.  A site whose mutant still passes every test is a
+survivor: no test shows that its law can fail.
 
     python3 tools/mutation_sweep.py src/bindcat/displayed.py tests/test_displayed.py ...
 
@@ -31,7 +31,7 @@ from pathlib import Path
 @dataclass(frozen=True)
 class Site:
     line: int
-    kind: str  # "check" or "fail"
+    kind: str  # "check", "fail" or "fail_bits"
     law: str
     start: tuple[int, int]  # (line, column) of the span replaced, 1-based lines
     end: tuple[int, int]
@@ -39,12 +39,13 @@ class Site:
 
 
 def find_sites(source: str) -> list[Site]:
-    """Every ``rep.check(`` and ``rep.fail(`` call in source order."""
+    """Every ``rep.check(``, ``rep.fail(`` and ``rep.fail_bits(`` call in
+    source order."""
     sites = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "rep"
-                and node.func.attr in ("check", "fail")):
+                and node.func.attr in ("check", "fail", "fail_bits")):
             continue
         if node.func.attr == "check":
             law = ast.unparse(node.args[1]) if len(node.args) > 1 else "?"
