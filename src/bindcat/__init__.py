@@ -19,17 +19,15 @@ from .monoidal import (EndofunctorMonoidal, EnumerationOverflow, Monad, Monoid,
                        check_monad, check_monoid, check_monoidal_laws,
                        check_whiskered_bifunctor, classical_from_whiskered,
                        endofunctor_monoidal, enumerate_endofunctors,
-                       enumerate_monoids, enumerate_nat_transes,
-                       from_monoidal_doc, monad_to_monoid, monoid_to_monad,
-                       to_monoidal_doc, whiskered_from_classical)
+                       enumerate_monoids, from_monoidal_doc, monad_to_monoid,
+                       monoid_to_monad, to_monoidal_doc, whiskered_from_classical)
 from .omega import (ChainError, EnumEndofunctor, EnumSetObj, InitialAlgebra,
                     IterationError, NaturalityError, OmegaChain,
                     ParamAlgebraFamily, ParamBifunctor, adamek_initial_algebra,
                     check_initial_algebra, check_initiality,
-                    check_mendler_fixed_point, check_mu_functor_laws,
-                    check_param_bifunctor, check_param_initiality,
-                    count_mendler_solutions, gen_mendler_iteration,
-                    mu_on_morphism, param_initial_algebras,
+                    check_mendler_fixed_point, check_param_bifunctor,
+                    check_param_initiality, count_mendler_solutions,
+                    gen_mendler_iteration, mu_on_morphism, param_initial_algebras,
                     parametrized_initiality, poset_initial_algebra,
                     check_poset_initiality, run_param_demo)
 from .report import LawReport, Violation

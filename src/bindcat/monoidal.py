@@ -622,15 +622,6 @@ def enumerate_endofunctors(C: FinCategory, bound: int = DEFAULT_ENUM_BOUND) -> l
     return [_functor(C, cx, fx) for fx in _endofunctors(cx, bound)]
 
 
-def enumerate_nat_transes(C: FinCategory, functors: list[FinFunctor],
-                          bound: int = DEFAULT_ENUM_BOUND) -> list[FinNatTrans]:
-    cx = _CatIndex(C)
-    indexed = [_functor_index(F, cx, cx) for F in functors]
-    objs, mors = cx.objects, cx.mors
-    return [FinNatTrans(functors[i], functors[j], {x: mors[c] for x, c in zip(objs, comps)})
-            for i, j, comps in _nat_transes(cx, indexed, bound)]
-
-
 @dataclass
 class EndofunctorMonoidal:
     """The monoidal category of all endofunctors of a finite category,

@@ -555,17 +555,10 @@ def _mu_actions(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
     return {f: mu_on_morphism(PB, mu, f, depth) for f, _, _ in PB.param_cat.morphisms}
 
 
-def check_mu_functor_laws(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
-                          depth: int) -> LawReport:
-    """Identity and composition laws of Z ↦ μ_Z on parameter morphisms.
-
-    Builds μ's action on each parameter morphism once, for this call only.
-    """
-    return _mu_functor_report(PB, mu, _mu_actions(PB, mu, depth), depth)
-
-
 def _mu_functor_report(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
                        actions: dict[str, dict], depth: int) -> LawReport:
+    """Identity and composition laws of Z ↦ μ_Z on parameter morphisms,
+    given μ's action on each of them."""
     rep = LawReport()
     C = PB.param_cat
     for z in C.objects:

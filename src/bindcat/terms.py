@@ -19,6 +19,8 @@ checked against the direct implementation.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 
 from .hashcons import Frozen, _Entry, _new_term
@@ -337,7 +339,8 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
     Terms range over depth < depth at scopes ≤ max_scope; substitution
     images range over depth < image_depth (default depth − 1, so the
     instance count stays polynomial rather than doubly exponential).
-    A negative bound raises ValueError.  ``subst`` swaps in an
+    A negative bound, or bounds at which one of the three law families
+    has no instance, raises ValueError.  ``subst`` swaps in an
     alternative substitute for fault injection.
 
     Every substitution in the sweep goes through a memo that lives for
@@ -347,15 +350,24 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
     terms it is called on.  So the associativity family substitutes far
     fewer times than it checks: under each τ once per distinct term, and
     once per term of the source scope for each distinct composite τ∘σ
-    (see ``_assoc_failures``).  Check counts, the violations in their
-    order and every witness are those of the plain exhaustive loop over
-    n, then σ out of scope n, then τ out of σ's target, then t in scope n.
-    Only the order of computation differs from that loop's: τs run in
-    orbit order, not in declaration order.  So a ``subst`` that raises
-    may raise first at a different instance than the plain loop, or a
-    sweep in declaration order, would reach first.  The report keeps the
-    associativity failures as the sweep's bit masks, and makes each
-    violation only when it is read.
+    in each part (see ``_assoc_failures``).  Check counts, the violations
+    in their order and every witness are those of the plain exhaustive
+    loop over n, then σ out of scope n, then τ out of σ's target, then t
+    in scope n.  Only the order of computation differs from that loop's:
+    τs run in orbit order, not in declaration order.
+
+    The unit laws, the columns σ(t), the tally and the witnesses are this
+    process's work.  A large associativity family is split into parts,
+    one per CPU this process may use: this process runs one, and a
+    forked child runs each other one and sends back its bit masks (see
+    ``_assoc_failures``), so ``subst`` then also runs in those children
+    and must not rely on state it changes.  A ``subst`` that raises may
+    raise first at a different instance than the plain loop, or a sweep
+    in declaration order, would reach first; in a split sweep its
+    exception is that of the lowest-numbered failing part, raised here
+    once every child has ended.  The report keeps the associativity
+    failures as the sweep's bit masks, and makes each violation only
+    when it is read.
     """
     _nonnegative(depth=depth, max_scope=max_scope, image_depth=image_depth)
     if subst is None or subst is substitute:
@@ -373,6 +385,15 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
                      for images in itertools.product(_enum(sig, m, image_depth, memo),
                                                      repeat=n)]
                  for n in scopes}
+    instances = {
+        "monad-right-unit": sum(map(len, terms_at.values())),
+        "monad-left-unit": sum(n * len(subs) for n, subs in subs_from.items()),
+        "monad-assoc": sum(len(terms_at[n]) * len(subs_from[s.target])
+                           for n, subs in subs_from.items() for s in subs)}
+    empty = [law for law, count in instances.items() if not count]
+    if empty:
+        raise ValueError(f"depth {depth}, scope {max_scope} and image depth "
+                         f"{image_depth} give no instance of {', '.join(empty)}")
 
     for n in scopes:
         ts = terms_at[n]
@@ -422,6 +443,26 @@ def _column(terms, s: Substitution, sub, aux) -> list[Term]:
     return [sub(memo, t, s, aux) for t in terms]
 
 
+# Below this many associativity instances a sweep runs in one process.
+# On a 2-CPU host a forked part's round trip (fork, masks back through a
+# pipe, reap) takes about 3 ms, and the child pays for first touching
+# the pages it writes: split sweeps of 20,000 instances (11-14 ms in one
+# process) ran slower, and from about 50,000 they ran faster.
+_SPLIT_BREAK_EVEN = 50_000
+
+
+def _usable_cpus() -> int:
+    """How many parts of a sweep may run at once: the CPUs this process
+    may use, or 1 where it cannot fork safely (no ``os.fork``, or other
+    threads running)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
                     subs_from: dict[int, list[Substitution]],
                     sub, aux) -> dict[int, list[list[int]]]:
@@ -431,89 +472,202 @@ def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
     one memo per root substitution: ``_substitute`` with a lift, or
     ``_once`` with a user's subst.
 
-    Under one τ each distinct term (an image of some σ, or some σ(t)) is
-    substituted once.  A first pass builds every τ∘σ and counts how often
-    each distinct composite recurs; the second substitutes the terms of a
-    composite's source scope once for the whole sweep, and keeps that
-    column only until the composite's last use.  Each σ(t) column under τ
-    is read from τ's memo, with sub called only on the misses, and a bit
-    mask is built only for a column that differs from its composite
-    column.
-
-    The second pass visits the τs out of each scope m in orbit order: by
-    target scope, then by the multiset of their images, so τs whose
-    images permute one another run back to back.  Such τs share their
-    composites τ∘σ through renamings σ, and most composites are used by
-    exactly two τs, so a cached column dies soon after it is made (on
-    the lam sweep at depth 3, scope 2, at most 293 columns are alive at
-    once instead of 1,067 in declaration order).  Only the order of
-    computation changes: each τ's result depends on τ alone, and its
-    mask lands at its own [n][i][k], so the masks, and the witnesses the
-    caller renders from them, do not depend on the order.
+    The τs out of each scope m fall into orbits: τs with the same target
+    scope and the same multiset of images, which permute one another's
+    images and so share their composites τ∘σ through renamings σ.  The
+    orbits are dealt, heaviest first (by instance count) and each to the
+    least loaded part, into as many parts as ``_usable_cpus`` allows, at
+    most one per orbit; a sweep of fewer than ``_SPLIT_BREAK_EVEN``
+    instances is one part.  Each τ's masks depend on τ alone and land at
+    its own [n][i][k], so the parts are independent: this process runs
+    the first (``_assoc_part``) and a forked child runs each other one,
+    after the columns σ(t) are built here and shared with the children
+    as they stand.  A composite that τs of two parts share is
+    substituted once in each part.  Any exception a part raises is
+    raised here, the lowest-numbered failing part's, once every child
+    has ended.  Only the order of computation depends on the split, so
+    the masks, and the witnesses the caller renders from them, do not.
     """
     into = {m: [(n, i, s) for n, subs in subs_from.items()
                 for i, s in enumerate(subs) if s.target == m]
             for m in subs_from}
-
-    comp_ids: dict[Substitution, int] = {}
-    comps: list[Substitution] = []
-    uses: list[int] = []
-    under: dict[tuple[int, int], dict[Term, Term]] = {}
-    rows: dict[tuple[int, int], list[int]] = {}
-    for m, taus in subs_from.items():
-        for k, tau in enumerate(taus):
-            memo = under[(m, k)] = {}
-            row = rows[(m, k)] = []
-            for n, _, s in into[m]:
-                comp = Substitution(n, tau.target,
-                                    tuple([sub(memo, img, tau, aux) for img in s.images]))
-                c = comp_ids.setdefault(comp, len(comps))
-                if c == len(comps):
-                    comps.append(comp)
-                    uses.append(0)
-                uses[c] += 1
-                row.append(c)
-
-    # a composite keeps its images alive: drop each once it is dead
-    del comp_ids
-    mids = {n: [_column(terms_at[n], s, sub, aux) for s in subs]
-            for n, subs in subs_from.items()}
-    columns: dict[int, list[Term]] = {}
-    failed = {n: [[0] * len(subs_from[s.target]) for s in subs]
-              for n, subs in subs_from.items()}
+    # the orbits in sweep order, each with its instance count
+    orbits: list[tuple[int, list[tuple[int, int]]]] = []
     for m, taus in subs_from.items():
         rank: dict[Term, int] = {}
         for tau in taus:
             for img in tau.images:
                 rank.setdefault(img, len(rank))
+        keys = [(tau.target, sorted(rank[img] for img in tau.images)) for tau in taus]
+        per_tau = sum(len(terms_at[n]) for n, _, _ in into[m])
         # a stable sort: within an orbit, τs keep declaration order
-        orbits = sorted(range(len(taus)), key=lambda k: (
-            taus[k].target, sorted(rank[img] for img in taus[k].images)))
-        for k in orbits:
-            tau = taus[k]
-            memo = under.pop((m, k))
-            for (n, i, s), c in zip(into[m], rows.pop((m, k))):
-                # memo hits skip sub's entry check: check the column's scope once
-                if s.target != tau.source:
-                    raise ScopeError(f"column in scope {s.target} substituted "
-                                     f"from scope {tau.source}")
-                col = columns.pop(c, None)
-                if col is None:
-                    col = _column(terms_at[n], comps[c], sub, aux)
-                uses[c] -= 1
-                if uses[c]:
-                    columns[c] = col
-                else:
-                    comps[c] = None
-                mid = mids[n][i]
-                got = list(map(memo.get, mid))
-                if None in got:
-                    got = [sub(memo, ti, tau, aux) if g is None else g
-                           for ti, g in zip(mid, got)]
-                if got != col:
-                    failed[n][i][k] = sum(1 << j for j, (g, want) in enumerate(zip(got, col))
-                                          if not g == want)
+        for _, ks in itertools.groupby(sorted(range(len(taus)), key=keys.__getitem__),
+                                       key=keys.__getitem__):
+            ks = [(m, k) for k in ks]
+            orbits.append((len(ks) * per_tau, ks))
+    width = 1
+    if sum(w for w, _ in orbits) >= _SPLIT_BREAK_EVEN:
+        width = min(_usable_cpus(), len(orbits))
+    loads = [0] * width
+    dealt: list[list[int]] = [[] for _ in range(width)]
+    for o in sorted(range(len(orbits)), key=lambda o: -orbits[o][0]):
+        p = loads.index(min(loads))
+        loads[p] += orbits[o][0]
+        dealt[p].append(o)
+    parts = [[mk for o in sorted(d) for mk in orbits[o][1]] for d in dealt]
+
+    mids = {n: [_column(terms_at[n], s, sub, aux) for s in subs]
+            for n, subs in subs_from.items()}
+    results = _in_parts(lambda part: _assoc_part(terms_at, subs_from, into, mids,
+                                                 part, sub, aux), parts)
+    failed = {n: [[0] * len(subs_from[s.target]) for s in subs]
+              for n, subs in subs_from.items()}
+    for part, masks in zip(parts, results):
+        masks = iter(masks)
+        for m, k in part:
+            for n, i, _ in into[m]:
+                failed[n][i][k] = next(masks)
     return failed
+
+
+def _assoc_part(terms_at, subs_from, into, mids, part: list[tuple[int, int]],
+                sub, aux) -> list[int]:
+    """The masks of the τs in part, each given as (m, k) for
+    τ = subs_from[m][k]: for each τ in turn, one mask per σ in into[m].
+
+    Under one τ each distinct term (an image of some σ, or some σ(t)) is
+    substituted once.  A first pass builds every τ∘σ and counts how often
+    each distinct composite recurs; the second substitutes the terms of a
+    composite's source scope once for the part, and keeps that column
+    only until the composite's last use.  Each σ(t) column (``mids``)
+    under τ is read from τ's memo, with sub called only on the misses,
+    and a bit mask is built only for a column that differs from its
+    composite column.  The part lists each orbit's τs back to back, so a
+    cached column dies soon after it is made (on the lam sweep at depth
+    3, scope 2, in one part, at most 293 columns are alive at once
+    instead of 1,067 in declaration order).
+    """
+    taus = [subs_from[m][k] for m, k in part]
+    comp_ids: dict[Substitution, int] = {}
+    comps: list[Substitution] = []
+    uses: list[int] = []
+    under: list[dict[Term, Term]] = []
+    rows: list[list[int]] = []
+    for tau in taus:
+        memo: dict[Term, Term] = {}
+        row = []
+        for n, _, s in into[tau.source]:
+            comp = Substitution(n, tau.target,
+                                tuple([sub(memo, img, tau, aux) for img in s.images]))
+            c = comp_ids.setdefault(comp, len(comps))
+            if c == len(comps):
+                comps.append(comp)
+                uses.append(0)
+            uses[c] += 1
+            row.append(c)
+        under.append(memo)
+        rows.append(row)
+
+    # a composite keeps its images alive: drop each once it is dead
+    del comp_ids
+    columns: dict[int, list[Term]] = {}
+    out: list[int] = []
+    for x, tau in enumerate(taus):
+        memo, row = under[x], rows[x]
+        under[x] = rows[x] = None
+        for (n, i, s), c in zip(into[tau.source], row):
+            # memo hits skip sub's entry check: check the column's scope once
+            if s.target != tau.source:
+                raise ScopeError(f"column in scope {s.target} substituted "
+                                 f"from scope {tau.source}")
+            col = columns.pop(c, None)
+            if col is None:
+                col = _column(terms_at[n], comps[c], sub, aux)
+            uses[c] -= 1
+            if uses[c]:
+                columns[c] = col
+            else:
+                comps[c] = None
+            mid = mids[n][i]
+            got = list(map(memo.get, mid))
+            if None in got:
+                got = [sub(memo, ti, tau, aux) if g is None else g
+                       for ti, g in zip(mid, got)]
+            mask = 0
+            if got != col:
+                mask = sum(1 << j for j, (g, want) in enumerate(zip(got, col))
+                           if not g == want)
+            out.append(mask)
+    return out
+
+
+def _in_parts(run, parts: list) -> list:
+    """[run(part) for part in parts]: this process runs parts[0], and a
+    forked child runs each other part and sends back its result, or the
+    exception it raised, as one pickle through a pipe.  The results must
+    pickle.  Every child has ended and been reaped when this returns or
+    raises; a part's exception is raised here, the lowest-numbered
+    failing part's."""
+    # imported here, by the sweeps that split: importing pickle at module
+    # level raised the peak RSS of runs that never split by about 0.4 MB
+    import pickle
+    import signal
+    children: list[tuple[int, object]] = []  # (pid, read end of its pipe)
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _send(w, run, part)  # ends the child
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [run(parts[0])]
+        for p, (_, pipe) in enumerate(children, 1):
+            try:
+                ok, got = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"part {p} of the sweep ended without a result") from None
+            if not ok:
+                raise got
+            results.append(got)
+        return results
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _send(fd: int, run, part) -> None:
+    """In a forked child: write (True, run(part)), or (False, the
+    exception it raised), to fd as one pickle, then end the process at
+    once, running none of the parent's cleanup and flushing none of its
+    buffers."""
+    import pickle
+    status = 1
+    try:
+        try:
+            out = (True, run(part))
+        except Exception as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # an exception that does not survive a pickle
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            out = (False, exc)
+        with os.fdopen(fd, "wb") as pipe:
+            pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # --- the term functor and chain-based substitution ----------------------------
@@ -710,15 +864,18 @@ def evenness_instance(depth: int):
 def run_evenness_demo(depth: int = 6, uniqueness_level: int = 4) -> LawReport:
     """Evenness end to end: fixed-point equation at the given level, spot
     values at 3 and 4, and uniqueness at ``uniqueness_level``, counted level
-    by level (each numeral's equation reads only its predecessor)."""
+    by level (each numeral's equation reads only its predecessor).  The
+    numeral 4 sits at level 5, so a depth below 5 raises ValueError."""
+    if depth < 5:
+        raise ValueError(f"the evenness demo needs depth at least 5, where its "
+                         f"spot values h(3) and h(4) sit; got {depth}")
     F, alg, L, X, psi = evenness_instance(depth)
     h = gen_mendler_iteration(F, alg, L, X, psi, depth)
     rep = check_mendler_fixed_point(F, alg, L, X, psi, h, depth)
-    if depth >= 5:
-        rep.check(h[nat_term(3)] is False, "evenness-value",
-                  "h(3) should be False")
-        rep.check(h[nat_term(4)] is True, "evenness-value",
-                  "h(4) should be True")
+    rep.check(h[nat_term(3)] is False, "evenness-value",
+              "h(3) should be False")
+    rep.check(h[nat_term(4)] is True, "evenness-value",
+              "h(4) should be True")
     n = count_mendler_solutions(*evenness_instance(uniqueness_level), uniqueness_level)
     rep.check(n == 1, "mendler-uniqueness",
               f"{n} maps satisfy the equation at level {uniqueness_level}")

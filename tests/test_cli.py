@@ -206,6 +206,34 @@ def test_param_demo_below_its_examples_exit_2(capsys, depth):
     assert f"needs depth at least 3, where its example trees sit; got {depth}" in err
 
 
+@pytest.mark.parametrize("depth, scope, missing", [
+    ("0", "0", "monad-right-unit, monad-left-unit, monad-assoc"),
+    ("1", "0", "monad-right-unit, monad-left-unit, monad-assoc"),
+    ("0", "1", "monad-right-unit, monad-assoc"),
+    ("0", "2", "monad-right-unit, monad-assoc"),
+    ("2", "0", "monad-left-unit"),
+], ids=["depth0-scope0", "depth1-scope0", "depth0-scope1", "depth0-scope2", "depth2-scope0"])
+def test_laws_bounds_without_an_instance_exit_2(fixtures, capsys, depth, scope, missing):
+    # a law family with no instance at the bounds is not checked, which is
+    # no pass
+    code = main(["laws", "--sig", str(fixtures / "lam.sig"), "--depth", depth,
+                 "--scope", scope, "--json"])
+    out, err = capsys.readouterr()
+    assert (code, json.loads(out)["status"]) == (2, "error")
+    assert err == (f"error: depth {depth}, scope {scope} and image depth 1 "
+                   f"give no instance of {missing}\n")
+
+
+@pytest.mark.parametrize("depth", ["0", "4"])
+def test_mendler_demo_below_its_spot_values_exit_2(capsys, depth):
+    # h(3) and h(4) sit at levels 4 and 5: below 5 they are not checked
+    code = main(["mendler-demo", "--depth", depth, "--json"])
+    out, err = capsys.readouterr()
+    assert (code, json.loads(out)["status"]) == (2, "error")
+    assert f"needs depth at least 5, where its spot values h(3) and h(4) sit; " \
+           f"got {depth}" in err
+
+
 def test_demos_take_no_bound(capsys):
     # uniqueness is counted in level order, so there is no candidate cap to set
     for cmd in ("mendler-demo", "param-initial-demo"):

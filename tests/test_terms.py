@@ -3,7 +3,9 @@ substitution (weakening included), and the substitution monad laws."""
 
 import copy
 import gc
+import hashlib
 import itertools
+import os
 import pickle
 import tracemalloc
 import weakref
@@ -513,9 +515,11 @@ def test_broken_subst_reports_in_the_plain_loop_order():
     assert got == plain_law_loop(LAM, 2, 2, broken_substitute, compose)
 
 
-def test_clean_sweep_frees_composite_columns_early():
+def test_clean_sweep_frees_composite_columns_early(monkeypatch):
     # τs that permute one another's images share composites, and the sweep
-    # runs them back to back: a traced peak of 0.43 MB, 1.09 MB in declaration order
+    # runs them back to back: a traced peak of 0.43 MB, 1.09 MB in declaration
+    # order; in one part, so that the whole sweep is traced
+    monkeypatch.setattr(bindcat.terms, "_usable_cpus", lambda: 1)
     sig = parse_signature("sig a { app : [0, 0]; }")
     gc.collect()
     tracemalloc.start()
@@ -576,6 +580,138 @@ def test_subst_wrong_on_one_pair_gives_exactly_its_violations():
         f"t = app(var 1, var 0); sigma = {s21}; tau = {s12}",
         f"t = app(var 1, var 1); sigma = {s21}; tau = {s12}",
     ]]
+
+
+# ------------- the sweep split across processes -------------
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """split(w): later sweeps, however small, run in w parts (w - 1 of
+    them in forked children).  split.widths lists the part counts of the
+    sweeps run and split.children the pids forked; no child may outlive
+    the test."""
+    in_parts, fork = bindcat.terms._in_parts, os.fork
+
+    def counted(run, parts):
+        set_width.widths.append(len(parts))
+        return in_parts(run, parts)
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            set_width.children.append(pid)
+        return pid
+
+    def set_width(w):
+        monkeypatch.setattr(bindcat.terms, "_usable_cpus", lambda: w)
+    set_width.widths, set_width.children = [], []
+    monkeypatch.setattr(bindcat.terms, "_SPLIT_BREAK_EVEN", 0)
+    monkeypatch.setattr(bindcat.terms, "_in_parts", counted)
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    yield set_width
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def ordered_digest(rep):
+    """checks_run, the (law, witness) pairs in order, and their SHA-256
+    in criterion 1's encoding."""
+    pairs = [(v.law, v.witness) for v in rep.violations]
+    return rep.checks_run, pairs, hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_sweep_reports_as_one_part(monkeypatch, split, workers):
+    split(1)
+    one_pair = ordered_digest(check_monad_laws(LAM, 2, 2, subst=wrong_on_one_pair))
+    split(workers)
+    assert ordered_digest(check_monad_laws(LAM, 2, 2, subst=wrong_on_one_pair)) == one_pair
+    assert one_pair[0] == 297 and len(one_pair[1]) == 10
+
+    monkeypatch.setattr(bindcat.terms, "lift_substitution", unweakened_lift)
+    split(1)
+    broken_lift = ordered_digest(check_monad_laws(LAM, 3, 1))
+    split(workers)
+    assert ordered_digest(check_monad_laws(LAM, 3, 1)) == broken_lift
+    assert broken_lift[0] == 643 and len(broken_lift[1]) == 158
+    assert split.widths == [1, workers, 1, workers]
+
+
+def test_split_sweep_raises_the_first_failing_part(split):
+    # the parent's part succeeds and both children's raise: the first
+    # child forked runs part 1, whose exception is raised
+    parent = os.getpid()
+
+    def in_children_only(t, s):
+        if os.getpid() != parent:
+            raise ScopeError(f"no substitution in process {os.getpid()}")
+        return substitute(t, s)
+
+    split(3)
+    with pytest.raises(ScopeError) as exc:
+        check_monad_laws(LAM, 2, 2, subst=in_children_only)
+    assert str(exc.value) == f"no substitution in process {split.children[0]}"
+    assert len(split.children) == 2
+
+
+def test_split_sweep_reaps_its_children_when_its_own_part_raises(split):
+    # the parent raises in its own part, once the children are running
+    parent = os.getpid()
+
+    def in_parent_only(t, s):
+        if os.getpid() == parent and split.children:
+            raise ScopeError("no substitution here")
+        return substitute(t, s)
+
+    split(2)
+    with pytest.raises(ScopeError) as exc:
+        check_monad_laws(LAM, 2, 2, subst=in_parent_only)
+    assert str(exc.value) == "no substitution here"
+    assert len(split.children) == 1
+
+
+def test_split_sweep_reports_what_a_child_cannot_send(split):
+    class Local(Exception):
+        """An exception that does not pickle: its class is local."""
+
+    parent = os.getpid()
+
+    def unpicklable(t, s):
+        if os.getpid() != parent:
+            raise Local("boom")
+        return substitute(t, s)
+
+    def dies(t, s):
+        if os.getpid() != parent:
+            os._exit(3)
+        return substitute(t, s)
+
+    split(2)
+    with pytest.raises(RuntimeError) as exc:
+        check_monad_laws(LAM, 2, 2, subst=unpicklable)
+    assert str(exc.value) == "Local: boom"
+    with pytest.raises(RuntimeError) as exc:
+        check_monad_laws(LAM, 2, 2, subst=dies)
+    assert str(exc.value) == "part 1 of the sweep ended without a result"
+
+
+def test_split_children_write_nothing(split, capfd):
+    split(2)
+    rep = check_monad_laws(LAM, 2, 2, subst=wrong_on_one_pair)
+    assert len(rep.violations) == 10 and split.widths == [2]
+    assert capfd.readouterr() == ("", "")
+
+
+def test_small_sweep_starts_no_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("a sweep below the break-even forked")
+
+    monkeypatch.setattr(bindcat.terms, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert bindcat.terms._SPLIT_BREAK_EVEN > 21_714
+    rep = check_monad_laws(LAM, 2, 3)
+    assert rep.ok and rep.checks_run == 21_714
 
 
 # ------------- substitution via the iteration scheme -------------
