@@ -151,12 +151,22 @@ class OmegaChain:
         return self._stages[n]
 
     def stable_at(self, n: int, depth: int) -> bool:
-        """True when stages n and n+1 agree on every level ≤ depth."""
+        """True when stages n and n+1 agree on every level ≤ depth.  Levels
+        are compared upwards; ChainError if stage n is not included in
+        stage n+1 at a level before the first that differs."""
         key = (n, depth)
         if key not in self._stable:
             a, b = self.stage(n), self.stage(n + 1)
-            self._stable[key] = all(set(a.level(e)) == set(b.level(e))
-                                    for e in range(depth + 1))
+            for e in range(depth + 1):
+                before, after = set(a.level(e)), set(b.level(e))
+                if not before <= after:
+                    raise ChainError(
+                        f"chain stage {n} is not included in stage {n + 1} at level {e}")
+                if before != after:
+                    self._stable[key] = False
+                    break
+            else:
+                self._stable[key] = True
         return self._stable[key]
 
 
@@ -187,18 +197,8 @@ def adamek_initial_algebra(F: EnumEndofunctor,
 
     def level_fn(d: int) -> list:
         for k in range(max_stage):
-            prev, nxt = chain.stage(k), chain.stage(k + 1)
-            ok = True
-            for e in range(d + 1):
-                before, after = set(prev.level(e)), set(nxt.level(e))
-                if not before <= after:
-                    raise ChainError(
-                        f"chain stage {k} is not included in stage {k + 1} at level {e}")
-                if before != after:
-                    ok = False
-                    break
-            if ok:
-                return prev.level(d)
+            if chain.stable_at(k, d):
+                return chain.stage(k).level(d)
         raise ChainError(
             f"chain did not stabilize at level {d} within {max_stage} stages")
 
@@ -454,23 +454,34 @@ class ParamAlgebraFamily:
     phi: Callable[[str], Callable]
 
 
+def _set_functor_laws(C: FinCategory, elems: Callable[[str], list],
+                      act: Callable[[str], Callable], law: str, name: str,
+                      composite: str) -> LawReport:
+    """Identity and composition laws, ``law + '-identity'`` and ``law +
+    '-composition'``, of a functor from C to sets, on ``elems(z)`` for each
+    object z, where ``act(f)`` is f's action on elements.  Witnesses call
+    the functor ``name`` and its composite action ``composite``."""
+    rep = LawReport()
+    for z in C.objects:
+        a = act(C.id_of(z))
+        for e in elems(z):
+            rep.check(a(e) == e, law + "-identity",
+                      lambda e=e: f"{name}(id_{z})({e!r}) = {a(e)!r}")
+    for (g, f), h in C.comp.items():
+        a_f, a_g, a_h = act(f), act(g), act(h)
+        for e in elems(C.src(f)):
+            rep.check(a_h(e) == a_g(a_f(e)), law + "-composition",
+                      lambda e=e: f"{name}({g} after {f})({e!r}) = {a_h(e)!r} but "
+                                  f"{composite} gives {a_g(a_f(e))!r}")
+    return rep
+
+
 def check_param_bifunctor(PB: ParamBifunctor, X: EnumSetObj,
                           sample_map: Callable, depth: int) -> LawReport:
     """Whiskering laws for the parameter action, on truncations."""
-    rep = LawReport()
     C = PB.param_cat
-    for z in C.objects:
-        act = PB.param_action(C.id_of(z))
-        for e in PB.functor_at(z).apply(X).level(depth):
-            rep.check(act(e) == e, "param-action-identity",
-                      lambda e=e: f"F(id_{z})({e!r}) = {act(e)!r}")
-    for (g, f), h in C.comp.items():
-        z = C.src(f)
-        act_f, act_g, act_h = PB.param_action(f), PB.param_action(g), PB.param_action(h)
-        for e in PB.functor_at(z).apply(X).level(depth):
-            rep.check(act_h(e) == act_g(act_f(e)), "param-action-composition",
-                      lambda e=e: f"F({g} after {f})({e!r}) = {act_h(e)!r} but "
-                                  f"composite gives {act_g(act_f(e))!r}")
+    rep = _set_functor_laws(C, lambda z: PB.functor_at(z).apply(X).level(depth),
+                            PB.param_action, "param-action", "F", "composite")
     for f, z, z1 in C.morphisms:
         act = PB.param_action(f)
         FZ, FZ1 = PB.functor_at(z), PB.functor_at(z1)
@@ -555,27 +566,6 @@ def _mu_actions(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
     return {f: mu_on_morphism(PB, mu, f, depth) for f, _, _ in PB.param_cat.morphisms}
 
 
-def _mu_functor_report(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
-                       actions: dict[str, dict], depth: int) -> LawReport:
-    """Identity and composition laws of Z ↦ μ_Z on parameter morphisms,
-    given μ's action on each of them."""
-    rep = LawReport()
-    C = PB.param_cat
-    for z in C.objects:
-        act = actions[C.id_of(z)]
-        for t in mu[z].carrier.level(depth):
-            rep.check(act[t] == t, "mu-identity",
-                      lambda t=t: f"μ(id_{z})({t!r}) = {act[t]!r}")
-    for (g, f), h in C.comp.items():
-        z = C.src(f)
-        for t in mu[z].carrier.level(depth):
-            got = actions[g][actions[f][t]]
-            rep.check(actions[h][t] == got, "mu-composition",
-                      lambda t=t: f"μ({g} after {f})({t!r}) = {actions[h][t]!r} "
-                                  f"but the composite gives {got!r}")
-    return rep
-
-
 def count_param_solutions(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
                           fam: ParamAlgebraFamily, z: str, depth: int) -> int:
     """Number of maps h: μ_Z → G Z at the given level with h = φ_Z ∘ F(Z, h)."""
@@ -619,9 +609,7 @@ def _param_initiality_report(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
                       lambda t=t, f=f, lhs=lhs, rhs=rhs:
                       f"square at {f} fails on {t!r}: {lhs!r} vs {rhs!r}")
     for z in C.objects:
-        psi, carrier = _component_psi(PB, fam, z), mu[z].carrier
-        count = _count_solutions(carrier, depth, fam.g_obj(z).level(depth),
-                                 lambda k: psi(carrier, k))
+        count = count_param_solutions(PB, mu, fam, z, depth)
         rep.check(count == 1, "param-uniqueness",
                   f"component at {z} has {count} solutions at level {depth}")
     return rep
@@ -709,6 +697,14 @@ def node(l, r) -> Tree:
     return _tree(("node", l, r))
 
 
+def _label_map(param_cat: FinCategory, carriers: dict[str, list],
+               mor_maps: dict[str, dict], f: str) -> dict:
+    """The function on labels under parameter morphism f: the identity on
+    its source's carrier, or f's entry in ``mor_maps``."""
+    z = param_cat.src(f)
+    return {v: v for v in carriers[z]} if f == param_cat.id_of(z) else mor_maps[f]
+
+
 def tree_bifunctor(param_cat: FinCategory, carriers: dict[str, list],
                    mor_maps: dict[str, dict]) -> ParamBifunctor:
     """F(Z, X) = Z ⊎ X×X: leaves labelled from the parameter carrier,
@@ -738,11 +734,7 @@ def tree_bifunctor(param_cat: FinCategory, carriers: dict[str, list],
         return EnumEndofunctor(f"F({z},-)", apply, apply_map, lambda d: max(d - 1, 0))
 
     def param_action(f: str) -> Callable:
-        z = param_cat.src(f)
-        if f == param_cat.id_of(z):
-            fn = {v: v for v in carriers[z]}
-        else:
-            fn = mor_maps[f]
+        fn = _label_map(param_cat, carriers, mor_maps, f)
 
         def go(e):
             a = e.args
@@ -760,9 +752,7 @@ def leftmost_leaf_family(param_cat: FinCategory, carriers: dict[str, list],
     left value, so the mediating map is the leftmost-leaf fold."""
 
     def g_mor(f: str) -> Callable:
-        z = param_cat.src(f)
-        fn = {v: v for v in carriers[z]} if f == param_cat.id_of(z) else mor_maps[f]
-        return lambda v: fn[v]
+        return _label_map(param_cat, carriers, mor_maps, f).__getitem__
 
     def phi(z: str) -> Callable:
         # a leaf's label and a node's left component both sit in slot 1
@@ -833,7 +823,10 @@ def run_param_demo(depth: int = 3) -> LawReport:
     hs = parametrized_initiality(PB, mu, fam, depth)
     rep.merge(_param_initiality_report(PB, mu, fam, hs, actions, depth))
     del hs
-    rep.merge(_mu_functor_report(PB, mu, actions, depth))
+    # the identity and composition laws of Z ↦ μ_Z on parameter morphisms
+    rep.merge(_set_functor_laws(cat, lambda z: mu[z].carrier.level(depth),
+                                lambda f: actions[f].__getitem__, "mu", "μ",
+                                "the composite"))
     rep.check(folded == 2, "leftmost-leaf-example",
               f"fold of {example!r} gave {folded!r}, expected 2")
     rep.check(relabelled == node(leaf(7), leaf(7)), "mu-action-example",
@@ -853,8 +846,7 @@ def powerset_family(param_cat: FinCategory, carriers: dict[str, list],
         return out
 
     def g_mor(f: str) -> Callable:
-        z = param_cat.src(f)
-        fn = {v: v for v in carriers[z]} if f == param_cat.id_of(z) else mor_maps[f]
+        fn = _label_map(param_cat, carriers, mor_maps, f)
         return lambda s: frozenset(fn[v] for v in s)
 
     def phi(z: str) -> Callable:

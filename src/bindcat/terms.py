@@ -575,11 +575,7 @@ def _assoc_part(terms_at, subs_from, into, mids, part: list[tuple[int, int]],
     for x, tau in enumerate(taus):
         memo, row = under[x], rows[x]
         under[x] = rows[x] = None
-        for (n, i, s), c in zip(into[tau.source], row):
-            # memo hits skip sub's entry check: check the column's scope once
-            if s.target != tau.source:
-                raise ScopeError(f"column in scope {s.target} substituted "
-                                 f"from scope {tau.source}")
+        for (n, i, _), c in zip(into[tau.source], row):
             col = columns.pop(c, None)
             if col is None:
                 col = _column(terms_at[n], comps[c], sub, aux)

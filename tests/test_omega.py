@@ -171,6 +171,18 @@ def test_a_level_shift_above_its_level_is_reported():
         ("level-shift-bound", "level_shift(1) = 2 > 1")]
 
 
+def test_a_level_shift_below_what_a_level_reads_is_reported():
+    # the numerals, claiming that every level of F(X) needs only level 0
+    # of X: levels 0 and 1 read no more, levels 2 and 3 do
+    F = numeral_functor()
+    F = EnumEndofunctor(F.name, F.apply, F.apply_map, lambda d: 0)
+    rep = check_endofunctor_laws(F, EnumSetObj(lambda d: list(range(d + 1))), [], 3)
+    assert rep.checks_run == 12
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("level-shift-witness", f"level {d} of F(X) changes when X is frozen at level 0")
+        for d in (2, 3)]
+
+
 def test_a_map_that_forgets_the_identity_is_reported():
     # every map goes to the constant 0: composition holds, F(id) does not
     Id = identity_endofunctor()
@@ -229,15 +241,35 @@ def test_adamek_detects_non_stabilizing_chain():
         alg.carrier.level(0)
 
 
-def test_adamek_detects_non_monotone_chain():
+def swap_functor() -> EnumEndofunctor:
+    """F(X) = {("x", |X at level 0|)}: stage 1 is {("x", 0)}, stage 2
+    {("x", 1)}, so the chain is not monotone."""
     def apply(X: EnumSetObj):
         base = X.level(0)
         return EnumSetObj(lambda d: [("x", len(base))])
 
-    F = EnumEndofunctor("swap", apply, lambda h: h, lambda d: 0)
-    alg = adamek_initial_algebra(F, max_stage=5)
+    return EnumEndofunctor("swap", apply, lambda h: h, lambda d: 0)
+
+
+def test_adamek_detects_non_monotone_chain():
+    alg = adamek_initial_algebra(swap_functor(), max_stage=5)
     with pytest.raises(ChainError, match="not included"):
         alg.carrier.level(0)
+
+
+def test_stability_test_rejects_a_stage_not_included_in_the_next():
+    included = "chain stage 1 is not included in stage 2 at level 0"
+    chain = OmegaChain(swap_functor())
+    assert not chain.stable_at(0, 0)
+    with pytest.raises(ChainError, match=f"^{included}$"):
+        chain.stable_at(1, 0)
+    # Mendler iteration builds the stage map out of stage 1, then asks
+    # whether stages 1 and 2 agree
+    F = swap_functor()
+    with pytest.raises(ChainError, match=f"^{included}$"):
+        gen_mendler_iteration(F, adamek_initial_algebra(F), identity_endofunctor(),
+                              const_enum_set(["only"], "1"),
+                              lambda A, h: (lambda e: "only"), 0)
 
 
 def test_initiality_with_brute_force():
@@ -697,6 +729,21 @@ def test_param_uniqueness_fails_when_the_target_omits_a_component_value(corpus):
         ("param-uniqueness", "component at zc has 0 solutions at level 2")]
 
 
+def test_a_component_off_its_fixed_point_is_reported(corpus):
+    # h_zc moved at one tree breaks its own equation and those of the 12
+    # trees that have it as left child; no square and no count reads it
+    cat, carriers, mor_maps, PB, mu = corpus
+    fam = leftmost_leaf_family(cat, carriers, mor_maps)
+    hs = parametrized_initiality(PB, mu, fam, 3)
+    moved = node(leaf(2), leaf(5))
+    hs["zc"][moved] = 5
+    rep = _param_initiality_report(PB, mu, fam, hs, _mu_actions(PB, mu, 3), 3)
+    assert rep.checks_run == 464
+    assert tally(rep) == {"param-fixed-point": 13}
+    assert rep.violations[0].witness == \
+        f"at zc: h(str({moved!r})) = 5 but φ(F(h)({moved!r})) = 2"
+
+
 def test_non_natural_family_is_rejected(corpus):
     cat, carriers, mor_maps, PB, mu = corpus
     fam = powerset_family(cat, carriers, mor_maps)
@@ -758,6 +805,60 @@ def test_run_param_demo_with_a_broken_mu_action(monkeypatch):
     pairs = repr([(v.law, v.witness) for v in rep.violations])
     assert hashlib.sha256(pairs.encode()).hexdigest() == \
         "06024537a3f382479ae294911e5376eacb63047d472d7679ed26feb97edd4274"
+
+
+def test_run_param_demo_with_a_mu_identity_that_moves_trees(monkeypatch):
+    # μ(id_zb) sends every tree to leaf(7), which moves zb's four nodes
+    # at level 3
+    real = bindcat.omega.mu_on_morphism
+
+    def broken(PB, mu, f, depth):
+        h = real(PB, mu, f, depth)
+        return {t: leaf(7) for t in h} if f == "id_zb" else h
+
+    monkeypatch.setattr(bindcat.omega, "mu_on_morphism", broken)
+    rep = run_param_demo(depth=3)
+    assert rep.checks_run == 1621
+    assert tally(rep) == {"mu-identity": 4, "mu-composition": 40}
+    seven = node(leaf(7), leaf(7))
+    assert rep.violations[0].witness == f"μ(id_zb)({seven!r}) = {leaf(7)!r}"
+
+
+def test_run_param_demo_with_a_rightmost_leaf_fold(monkeypatch):
+    # the rightmost-leaf family is just as lawful, but folds the example to 9
+    real = bindcat.omega.leftmost_leaf_family
+
+    def rightmost(param_cat, carriers, mor_maps):
+        fam = real(param_cat, carriers, mor_maps)
+        return ParamAlgebraFamily(fam.g_obj, fam.g_mor,
+                                  lambda z: (lambda e: e[1] if e[0] == "leaf" else e[2]))
+
+    monkeypatch.setattr(bindcat.omega, "leftmost_leaf_family", rightmost)
+    rep = run_param_demo(depth=3)
+    assert rep.checks_run == 1621
+    example = node(node(leaf(2), leaf(5)), leaf(9))
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("leftmost-leaf-example", f"fold of {example!r} gave 9, expected 2")]
+
+
+def test_run_param_demo_with_a_wrong_relabelling(monkeypatch):
+    # μ(f) sends the example pair to leaf(7), which μ(g) sends to leaf(9)
+    # where μ(gf) gives node(leaf(9), leaf(9))
+    real = bindcat.omega.mu_on_morphism
+    pair = node(leaf(1), leaf(2))
+
+    def broken(PB, mu, f, depth):
+        h = real(PB, mu, f, depth)
+        return {**h, pair: leaf(7)} if f == "f" else h
+
+    monkeypatch.setattr(bindcat.omega, "mu_on_morphism", broken)
+    rep = run_param_demo(depth=3)
+    assert rep.checks_run == 1621
+    nines = node(leaf(9), leaf(9))
+    assert [(v.law, v.witness) for v in rep.violations] == [
+        ("mu-composition",
+         f"μ(g after f)({pair!r}) = {nines!r} but the composite gives {leaf(9)!r}"),
+        ("mu-action-example", f"relabelling {pair!r} gave {leaf(7)!r}")]
 
 
 # ------------- poset-shaped instances -------------
