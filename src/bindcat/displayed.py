@@ -18,7 +18,7 @@ from .fincat import (FinCategory, FinFunctor, TableError, _CatIndex, _doc_catego
                      _doc_rows, _functor_index, _grid, _indexing, pair_mor, pair_obj, unique_keys)
 from .monoidal import (MonoidalCategory, WhiskeredBifunctor, _MonoidalIndex, _interchange,
                        _pentagon)
-from .report import LawReport
+from .report import LawReport, _split_families
 
 
 @dataclass
@@ -374,7 +374,8 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
     totality violation.  The base and displayed tables are indexed by
     integers for this call only, the index shared with the displayed
     category checks; a witness is rendered only for an instance that
-    fails."""
+    fails.  Large tables are checked in parts across CPUs
+    (``report._split_families``)."""
     D = DM.disp_cat
     M = DM.base_monoidal
     if D.base is not M.base and D.base != M.base:
@@ -389,116 +390,128 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
     base, src, tgt, ident, dcomp = dx.base, dx.src, dx.tgt, dx.ident, dx.comp
     ten, lw, rw, A = dm.ten, dm.lw, dm.rw, dm.a
     n, n_mor = len(objs), len(mors)
-    passed = 0
 
     rep.check(over[dm.unit] == mx.unit, "disp-unit-over",
               lambda: f"displayed unit {DM.disp_unit} lies over "
                       f"{D.obj_over(DM.disp_unit)}, expected {M.unit}")
 
-    for xx in range(n):
-        ten_x, base_ten_x = ten[xx], mx.ten.obj[over[xx]]
-        for yy in range(n):
-            oo = ten_x[yy]
-            if oo is None:
-                rep.fail("disp-tensor-totality", f"no displayed tensor for ({objs[xx]}, {objs[yy]})")
-                rep.tally()
-                continue
-            want = base_ten_x[over[yy]]
-            if over[oo] == want:
-                passed += 1
-            else:
-                rep.check(False, "disp-tensor-over",
-                          f"{objs[xx]}⊗̂{objs[yy]} = {objs[oo]} lies over "
-                          f"{D.obj_over(objs[oo])}, expected {cx.objects[want]}")
+    def tensor_over(rep: LawReport, xxs: range) -> int:
+        passed = 0
+        for xx in xxs:
+            ten_x, base_ten_x = ten[xx], mx.ten.obj[over[xx]]
+            for yy in range(n):
+                oo = ten_x[yy]
+                if oo is None:
+                    rep.fail("disp-tensor-totality",
+                             f"no displayed tensor for ({objs[xx]}, {objs[yy]})")
+                    rep.tally()
+                    continue
+                want = base_ten_x[over[yy]]
+                if over[oo] == want:
+                    passed += 1
+                else:
+                    rep.check(False, "disp-tensor-over",
+                              f"{objs[xx]}⊗̂{objs[yy]} = {objs[oo]} lies over "
+                              f"{D.obj_over(objs[oo])}, expected {cx.objects[want]}")
+        return passed
 
-    for xx in range(n):
-        x = over[xx]
-        lw_x, ten_x, base_lw_x = lw[xx], ten[xx], mx.ten.lw[x]
-        for ff in range(n_mor):
-            f, yy, zz = base[ff], src[ff], tgt[ff]
-            mm = lw_x[ff]
-            if mm is None:
-                rep.fail("disp-lwhisker-totality",
-                         f"no displayed left whisker ({objs[xx]}, {mors[ff]})")
-                rep.tally()
-            else:
-                s, t = ten_x[yy], ten_x[zz]
-                if s is not None and t is not None:
-                    if base[mm] == base_lw_x[f] and src[mm] == s and tgt[mm] == t:
+    def whiskers_over(rep: LawReport, xxs: range) -> int:
+        passed = 0
+        for xx in xxs:
+            x = over[xx]
+            lw_x, ten_x, base_lw_x = lw[xx], ten[xx], mx.ten.lw[x]
+            for ff in range(n_mor):
+                f, yy, zz = base[ff], src[ff], tgt[ff]
+                mm = lw_x[ff]
+                if mm is None:
+                    rep.fail("disp-lwhisker-totality",
+                             f"no displayed left whisker ({objs[xx]}, {mors[ff]})")
+                    rep.tally()
+                else:
+                    s, t = ten_x[yy], ten_x[zz]
+                    if s is not None and t is not None:
+                        if base[mm] == base_lw_x[f] and src[mm] == s and tgt[mm] == t:
+                            passed += 1
+                        else:
+                            rep.check(False, "disp-lwhisker-over",
+                                      f"{objs[xx]}⊗̂{mors[ff]} = {mors[mm]} has profile "
+                                      f"{D.mor_info(mors[mm])}, expected "
+                                      f"({cx.mors[base_lw_x[f]]}, {objs[s]}, {objs[t]})")
+                mm = rw[ff][xx]
+                if mm is None:
+                    rep.fail("disp-rwhisker-totality",
+                             f"no displayed right whisker ({mors[ff]}, {objs[xx]})")
+                    rep.tally()
+                else:
+                    s, t = ten[yy][xx], ten[zz][xx]
+                    if s is not None and t is not None:
+                        want = mx.ten.rw[f][x]
+                        if base[mm] == want and src[mm] == s and tgt[mm] == t:
+                            passed += 1
+                        else:
+                            rep.check(False, "disp-rwhisker-over",
+                                      f"{mors[ff]}⊗̂{objs[xx]} = {mors[mm]} has profile "
+                                      f"{D.mor_info(mors[mm])}, expected "
+                                      f"({cx.mors[want]}, {objs[s]}, {objs[t]})")
+        return passed
+
+    def whisker_identities(rep: LawReport, xxs: range) -> int:
+        passed = 0
+        for xx in xxs:
+            ix = ident[xx]
+            for yy in range(n):
+                oo = ten[xx][yy]
+                io = None if oo is None else ident[oo]
+                if io is None:
+                    continue
+                iy = ident[yy]
+                mm = None if iy is None else lw[xx][iy]
+                if mm is not None:
+                    if mm == io:
                         passed += 1
                     else:
-                        rep.check(False, "disp-lwhisker-over",
-                                  f"{objs[xx]}⊗̂{mors[ff]} = {mors[mm]} has profile "
-                                  f"{D.mor_info(mors[mm])}, expected "
-                                  f"({cx.mors[base_lw_x[f]]}, {objs[s]}, {objs[t]})")
-            mm = rw[ff][xx]
-            if mm is None:
-                rep.fail("disp-rwhisker-totality",
-                         f"no displayed right whisker ({mors[ff]}, {objs[xx]})")
-                rep.tally()
-            else:
-                s, t = ten[yy][xx], ten[zz][xx]
-                if s is not None and t is not None:
-                    want = mx.ten.rw[f][x]
-                    if base[mm] == want and src[mm] == s and tgt[mm] == t:
+                        rep.check(False, "disp-lwhisker-identity",
+                                  f"{objs[xx]}⊗̂disp_id({objs[yy]}) = {mors[mm]}, "
+                                  f"expected disp_id({objs[oo]})")
+                mm = None if ix is None else rw[ix][yy]
+                if mm is not None:
+                    if mm == io:
                         passed += 1
                     else:
-                        rep.check(False, "disp-rwhisker-over",
-                                  f"{mors[ff]}⊗̂{objs[xx]} = {mors[mm]} has profile "
-                                  f"{D.mor_info(mors[mm])}, expected "
-                                  f"({cx.mors[want]}, {objs[s]}, {objs[t]})")
+                        rep.check(False, "disp-rwhisker-identity",
+                                  f"disp_id({objs[xx]})⊗̂{objs[yy]} = {mors[mm]}, "
+                                  f"expected disp_id({objs[oo]})")
+        return passed
 
-    for xx in range(n):
-        ix = ident[xx]
-        for yy in range(n):
-            oo = ten[xx][yy]
-            io = None if oo is None else ident[oo]
-            if io is None:
-                continue
-            iy = ident[yy]
-            mm = None if iy is None else lw[xx][iy]
-            if mm is not None:
-                if mm == io:
-                    passed += 1
-                else:
-                    rep.check(False, "disp-lwhisker-identity",
-                              f"{objs[xx]}⊗̂disp_id({objs[yy]}) = {mors[mm]}, "
-                              f"expected disp_id({objs[oo]})")
-            mm = None if ix is None else rw[ix][yy]
-            if mm is not None:
-                if mm == io:
-                    passed += 1
-                else:
-                    rep.check(False, "disp-rwhisker-identity",
-                              f"disp_id({objs[xx]})⊗̂{objs[yy]} = {mors[mm]}, "
-                              f"expected disp_id({objs[oo]})")
-
-    for gg, ff, hh in dx.comp_items:
-        if not (base[ff] in cx.comp[base[gg]] and tgt[ff] == src[gg]):
-            continue  # reported as disp-comp-composable
-        rw_g, rw_f, rw_h = rw[gg], rw[ff], rw[hh]
-        for xx in range(n):
-            lw_x = lw[xx]
-            l_g, l_f, l_h = lw_x[gg], lw_x[ff], lw_x[hh]
-            if l_g is not None and l_f is not None and l_h is not None:
-                got = dcomp[l_g].get(l_f)
-                if got == l_h:
-                    passed += 1
-                else:
-                    rep.check(False, "disp-lwhisker-composition",
-                              f"{objs[xx]}⊗̂({mors[gg]} after {mors[ff]}) = {mors[l_h]} but "
-                              f"({objs[xx]}⊗̂{mors[gg]} after {objs[xx]}⊗̂{mors[ff]}) = "
-                              f"{name(got)}")
-            r_g, r_f, r_h = rw_g[xx], rw_f[xx], rw_h[xx]
-            if r_g is not None and r_f is not None and r_h is not None:
-                got = dcomp[r_g].get(r_f)
-                if got == r_h:
-                    passed += 1
-                else:
-                    rep.check(False, "disp-rwhisker-composition",
-                              f"({mors[gg]} after {mors[ff]})⊗̂{objs[xx]} = {mors[r_h]} but "
-                              f"({mors[gg]}⊗̂{objs[xx]} after {mors[ff]}⊗̂{objs[xx]}) = "
-                              f"{name(got)}")
+    def whisker_composition(rep: LawReport, items: range) -> int:
+        passed = 0
+        for gg, ff, hh in dx.comp_items[items.start:items.stop]:
+            if not (base[ff] in cx.comp[base[gg]] and tgt[ff] == src[gg]):
+                continue  # reported as disp-comp-composable
+            rw_g, rw_f, rw_h = rw[gg], rw[ff], rw[hh]
+            for xx in range(n):
+                lw_x = lw[xx]
+                l_g, l_f, l_h = lw_x[gg], lw_x[ff], lw_x[hh]
+                if l_g is not None and l_f is not None and l_h is not None:
+                    got = dcomp[l_g].get(l_f)
+                    if got == l_h:
+                        passed += 1
+                    else:
+                        rep.check(False, "disp-lwhisker-composition",
+                                  f"{objs[xx]}⊗̂({mors[gg]} after {mors[ff]}) = {mors[l_h]} but "
+                                  f"({objs[xx]}⊗̂{mors[gg]} after {objs[xx]}⊗̂{mors[ff]}) = "
+                                  f"{name(got)}")
+                r_g, r_f, r_h = rw_g[xx], rw_f[xx], rw_h[xx]
+                if r_g is not None and r_f is not None and r_h is not None:
+                    got = dcomp[r_g].get(r_f)
+                    if got == r_h:
+                        passed += 1
+                    else:
+                        rep.check(False, "disp-rwhisker-composition",
+                                  f"({mors[gg]} after {mors[ff]})⊗̂{objs[xx]} = {mors[r_h]} but "
+                                  f"({mors[gg]}⊗̂{objs[xx]} after {mors[ff]}⊗̂{objs[xx]}) = "
+                                  f"{name(got)}")
+        return passed
 
     def interchange(ff: int, gg: int, lhs: int, rhs: int) -> str:
         yy, yy1, xx, xx1 = src[ff], tgt[ff], src[gg], tgt[gg]
@@ -506,9 +519,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                 f"{objs[xx]}⊗̂{mors[ff]}) = {mors[lhs]} but ({objs[xx1]}⊗̂{mors[ff]} "
                 f"after {mors[gg]}⊗̂{objs[yy]}) = {mors[rhs]}")
 
-    passed += _interchange(rep, "disp-interchange", src, tgt, dcomp, lw, rw, interchange)
-
-    def disp_iso(fwd, bwd, s, t, law: str, where: str, *at: int) -> int:
+    def disp_iso(rep: LawReport, fwd, bwd, s, t, law: str, where: str, *at: int) -> int:
         # a side whose identity is missing was reported as disp-id-totality;
         # where is formatted with the names of the objects at, on failure only
         if fwd is None or bwd is None or s is None or t is None:
@@ -528,79 +539,102 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
         return ok
 
     uu = dm.unit
-    for xx in range(n):
-        x = over[xx]
-        for which, fwd, bwd, base_fwd, s in (
-                ("lunitor", dm.lu[xx], dm.lu_inv[xx], mx.lu[x], ten[uu][xx]),
-                ("runitor", dm.ru[xx], dm.ru_inv[xx], mx.ru[x], ten[xx][uu])):
-            if fwd is None:
-                rep.fail(f"disp-{which}-totality", f"no displayed {which} at {objs[xx]}")
-                rep.tally()
-            elif base[fwd] == base_fwd and src[fwd] == s and tgt[fwd] == xx:
-                passed += 1
-            else:
-                want = (cx.mors[base_fwd], None if s is None else objs[s], objs[xx])
-                rep.check(False, f"disp-{which}-over",
-                          f"disp {which} at {objs[xx]} = {mors[fwd]} has profile "
-                          f"{D.mor_info(mors[fwd])}, expected {want}")
-            if bwd is None:
-                rep.fail(f"disp-{which}-totality", f"no displayed {which} inverse at {objs[xx]}")
-                rep.tally()
-            passed += disp_iso(fwd, bwd, s, xx, f"disp-{which}", which + " at {}", xx)
 
-    for xx in range(n):
-        ten_x = ten[xx]
-        for yy in range(n):
-            xy = ten_x[yy]
-            ten_xy = None if xy is None else ten[xy]
+    def unitors(rep: LawReport, xxs: range) -> int:
+        passed = 0
+        for xx in xxs:
+            x = over[xx]
+            for which, fwd, bwd, base_fwd, s in (
+                    ("lunitor", dm.lu[xx], dm.lu_inv[xx], mx.lu[x], ten[uu][xx]),
+                    ("runitor", dm.ru[xx], dm.ru_inv[xx], mx.ru[x], ten[xx][uu])):
+                if fwd is None:
+                    rep.fail(f"disp-{which}-totality", f"no displayed {which} at {objs[xx]}")
+                    rep.tally()
+                elif base[fwd] == base_fwd and src[fwd] == s and tgt[fwd] == xx:
+                    passed += 1
+                else:
+                    want = (cx.mors[base_fwd], None if s is None else objs[s], objs[xx])
+                    rep.check(False, f"disp-{which}-over",
+                              f"disp {which} at {objs[xx]} = {mors[fwd]} has profile "
+                              f"{D.mor_info(mors[fwd])}, expected {want}")
+                if bwd is None:
+                    rep.fail(f"disp-{which}-totality",
+                             f"no displayed {which} inverse at {objs[xx]}")
+                    rep.tally()
+                passed += disp_iso(rep, fwd, bwd, s, xx, f"disp-{which}", which + " at {}", xx)
+        return passed
+
+    def associators(rep: LawReport, xxs: range) -> int:
+        passed = 0
+        for xx in xxs:
+            ten_x = ten[xx]
+            for yy in range(n):
+                xy = ten_x[yy]
+                ten_xy = None if xy is None else ten[xy]
+                for zz in range(n):
+                    s = None if ten_xy is None else ten_xy[zz]
+                    yz = ten[yy][zz]
+                    t = None if yz is None else ten_x[yz]
+                    al = A[xx][yy][zz]
+                    if al is None:
+                        rep.fail("disp-associator-totality",
+                                 f"no displayed associator at "
+                                 f"({objs[xx]}, {objs[yy]}, {objs[zz]})")
+                        rep.tally()
+                    elif s is not None and t is not None:
+                        base_al = mx.a[over[xx]][over[yy]][over[zz]]
+                        if base[al] == base_al and src[al] == s and tgt[al] == t:
+                            passed += 1
+                        else:
+                            rep.check(False, "disp-associator-over",
+                                      f"disp associator at ({objs[xx]},{objs[yy]},{objs[zz]}) = "
+                                      f"{mors[al]} has profile "
+                                      f"{D.mor_info(mors[al])}, expected "
+                                      f"({cx.mors[base_al]}, {objs[s]}, {objs[t]})")
+                    al_inv = dm.a_inv[xx][yy][zz]
+                    if al_inv is None:
+                        rep.fail("disp-associator-totality",
+                                 f"no displayed associator inverse at "
+                                 f"({objs[xx]}, {objs[yy]}, {objs[zz]})")
+                        rep.tally()
+                    passed += disp_iso(rep, al, al_inv, s, t, "disp-associator",
+                                       "associator at ({},{},{})", xx, yy, zz)
+        return passed
+
+    def triangle(rep: LawReport, xxs: range) -> int:
+        passed = 0
+        for xx in xxs:
+            ru_x = dm.ru[xx]
             for zz in range(n):
-                s = None if ten_xy is None else ten_xy[zz]
-                yz = ten[yy][zz]
-                t = None if yz is None else ten_x[yz]
-                al = A[xx][yy][zz]
-                if al is None:
-                    rep.fail("disp-associator-totality",
-                             f"no displayed associator at ({objs[xx]}, {objs[yy]}, {objs[zz]})")
-                    rep.tally()
-                elif s is not None and t is not None:
-                    base_al = mx.a[over[xx]][over[yy]][over[zz]]
-                    if base[al] == base_al and src[al] == s and tgt[al] == t:
-                        passed += 1
-                    else:
-                        rep.check(False, "disp-associator-over",
-                                  f"disp associator at ({objs[xx]},{objs[yy]},{objs[zz]}) = "
-                                  f"{mors[al]} has profile "
-                                  f"{D.mor_info(mors[al])}, expected "
-                                  f"({cx.mors[base_al]}, {objs[s]}, {objs[t]})")
-                al_inv = dm.a_inv[xx][yy][zz]
-                if al_inv is None:
-                    rep.fail("disp-associator-totality",
-                             f"no displayed associator inverse at "
-                             f"({objs[xx]}, {objs[yy]}, {objs[zz]})")
-                    rep.tally()
-                passed += disp_iso(al, al_inv, s, t, "disp-associator",
-                                   "associator at ({},{},{})", xx, yy, zz)
+                lu_z = dm.lu[zz]
+                al = A[xx][uu][zz]
+                if lu_z is None or al is None or ru_x is None:
+                    continue
+                w, r = lw[xx][lu_z], rw[ru_x][zz]
+                if w is None or r is None:
+                    continue
+                lhs = dcomp[w].get(al)
+                if lhs == r:
+                    passed += 1
+                else:
+                    rep.check(False, "disp-triangle",
+                              f"at ({objs[xx]},{objs[zz]}): ({objs[xx]}⊗̂lunitor after "
+                              f"associator) = {name(lhs)} but runitor⊗̂{objs[zz]} = {mors[r]}")
+        return passed
 
-    for xx in range(n):
-        ru_x = dm.ru[xx]
-        for zz in range(n):
-            lu_z = dm.lu[zz]
-            al = A[xx][uu][zz]
-            if lu_z is None or al is None or ru_x is None:
-                continue
-            w, r = lw[xx][lu_z], rw[ru_x][zz]
-            if w is None or r is None:
-                continue
-            lhs = dcomp[w].get(al)
-            if lhs == r:
-                passed += 1
-            else:
-                rep.check(False, "disp-triangle",
-                          f"at ({objs[xx]},{objs[zz]}): ({objs[xx]}⊗̂lunitor after associator) "
-                          f"= {name(lhs)} but runitor⊗̂{objs[zz]} = {mors[r]}")
-
-    passed += _pentagon(rep, "disp-pentagon", objs, mors, dcomp, ten, lw, rw, A)
-    rep.tally(passed)
+    n_comp = len(dx.comp_items)
+    _split_families(rep, [
+        (n, n * n, tensor_over),
+        (n, 2 * n * n_mor, whiskers_over),
+        (n, 2 * n * n, whisker_identities),
+        (n_comp, 2 * n_comp * n, whisker_composition),
+        (n_mor, n_mor * n_mor, lambda rep, ffs: _interchange(
+            rep, ffs, "disp-interchange", src, tgt, dcomp, lw, rw, interchange)),
+        (n, 6 * n, unitors),
+        (n, 3 * n ** 3, associators),
+        (n, n * n, triangle),
+        (n, n ** 4, lambda rep, ws: _pentagon(
+            rep, ws, "disp-pentagon", objs, mors, dcomp, ten, lw, rw, A))])
     return rep
 
 

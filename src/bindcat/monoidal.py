@@ -34,7 +34,7 @@ from .fincat import (
     _functor_index,
     _nat_index,
 )
-from .report import LawReport
+from .report import LawReport, _split_families
 
 DEFAULT_ENUM_BOUND = 10_000
 
@@ -99,75 +99,86 @@ def check_whiskered_bifunctor(T: WhiskeredBifunctor) -> LawReport:
     """Identity, composition, endpoint, and interchange laws, exhaustively.
 
     The loops run over an integer index that lives for this call only,
-    and a witness is rendered only for an instance that fails."""
+    and a witness is rendered only for an instance that fails.  A large
+    table is checked in parts across CPUs (``report._split_families``)."""
     cx = _CatIndex(T.base)
     rep = LawReport()
-    _check_whiskered(rep, cx, _TensorIndex(T, cx))
+    _split_families(rep, _whiskered_families(cx, _TensorIndex(T, cx)))
     return rep
 
 
-def _check_whiskered(rep: LawReport, cx: _CatIndex, tx: _TensorIndex) -> None:
+def _whiskered_families(cx: _CatIndex, tx: _TensorIndex) -> list:
+    """The whiskered-bifunctor law families, in report order, as
+    ``_split_families`` takes them."""
     objs, mors = cx.objects, cx.mors
     src, tgt, ident, comp = cx.src, cx.tgt, cx.ident, cx.comp
     ten, lw, rw = tx.obj, tx.lw, tx.rw
     n_obj, n_mor = len(objs), len(mors)
-    passed = 0
 
-    for x in range(n_obj):
-        tx_, lwx = ten[x], lw[x]
-        for f in range(n_mor):
-            y, z = src[f], tgt[f]
-            m = lwx[f]
-            if src[m] == tx_[y] and tgt[m] == tx_[z]:
-                passed += 1
-            else:
-                rep.check(False, "lwhisker-endpoints",
-                          f"{objs[x]}⊗{mors[f]} = {mors[m]}: {objs[src[m]]}→{objs[tgt[m]]}, "
-                          f"expected {objs[tx_[y]]}→{objs[tx_[z]]}")
-            m = rw[f][x]
-            if src[m] == ten[y][x] and tgt[m] == ten[z][x]:
-                passed += 1
-            else:
-                rep.check(False, "rwhisker-endpoints",
-                          f"{mors[f]}⊗{objs[x]} = {mors[m]}: {objs[src[m]]}→{objs[tgt[m]]}, "
-                          f"expected {objs[ten[y][x]]}→{objs[ten[z][x]]}")
-
-    for x in range(n_obj):
-        for y in range(n_obj):
-            xy = ten[x][y]
-            m = lw[x][ident[y]]
-            if m == ident[xy]:
-                passed += 1
-            else:
-                rep.check(False, "lwhisker-identity",
-                          f"{objs[x]}⊗id_{objs[y]} = {mors[m]}, expected id_{objs[xy]}")
-            m = rw[ident[x]][y]
-            if m == ident[xy]:
-                passed += 1
-            else:
-                rep.check(False, "rwhisker-identity",
-                          f"id_{objs[x]}⊗{objs[y]} = {mors[m]}, expected id_{objs[xy]}")
-
-    for g, f, h in cx.comp_items:
-        rw_g, rw_f, rw_h = rw[g], rw[f], rw[h]
-        for x in range(n_obj):
-            lwx = lw[x]
-            lhs, rhs = lwx[h], comp[lwx[g]].get(lwx[f])
-            if rhs is not None:
-                if lhs == rhs:
+    def endpoints(rep: LawReport, xs: range) -> int:
+        passed = 0
+        for x in xs:
+            tx_, lwx = ten[x], lw[x]
+            for f in range(n_mor):
+                y, z = src[f], tgt[f]
+                m = lwx[f]
+                if src[m] == tx_[y] and tgt[m] == tx_[z]:
                     passed += 1
                 else:
-                    rep.check(False, "lwhisker-composition",
-                              f"{objs[x]}⊗({mors[g]} after {mors[f]}) = {mors[lhs]} but "
-                              f"({objs[x]}⊗{mors[g]} after {objs[x]}⊗{mors[f]}) = {mors[rhs]}")
-            lhs, rhs = rw_h[x], comp[rw_g[x]].get(rw_f[x])
-            if rhs is not None:
-                if lhs == rhs:
+                    rep.check(False, "lwhisker-endpoints",
+                              f"{objs[x]}⊗{mors[f]} = {mors[m]}: {objs[src[m]]}→{objs[tgt[m]]}, "
+                              f"expected {objs[tx_[y]]}→{objs[tx_[z]]}")
+                m = rw[f][x]
+                if src[m] == ten[y][x] and tgt[m] == ten[z][x]:
                     passed += 1
                 else:
-                    rep.check(False, "rwhisker-composition",
-                              f"({mors[g]} after {mors[f]})⊗{objs[x]} = {mors[lhs]} but "
-                              f"({mors[g]}⊗{objs[x]} after {mors[f]}⊗{objs[x]}) = {mors[rhs]}")
+                    rep.check(False, "rwhisker-endpoints",
+                              f"{mors[f]}⊗{objs[x]} = {mors[m]}: {objs[src[m]]}→{objs[tgt[m]]}, "
+                              f"expected {objs[ten[y][x]]}→{objs[ten[z][x]]}")
+        return passed
+
+    def identities(rep: LawReport, xs: range) -> int:
+        passed = 0
+        for x in xs:
+            for y in range(n_obj):
+                xy = ten[x][y]
+                m = lw[x][ident[y]]
+                if m == ident[xy]:
+                    passed += 1
+                else:
+                    rep.check(False, "lwhisker-identity",
+                              f"{objs[x]}⊗id_{objs[y]} = {mors[m]}, expected id_{objs[xy]}")
+                m = rw[ident[x]][y]
+                if m == ident[xy]:
+                    passed += 1
+                else:
+                    rep.check(False, "rwhisker-identity",
+                              f"id_{objs[x]}⊗{objs[y]} = {mors[m]}, expected id_{objs[xy]}")
+        return passed
+
+    def composition(rep: LawReport, items: range) -> int:
+        passed = 0
+        for g, f, h in cx.comp_items[items.start:items.stop]:
+            rw_g, rw_f, rw_h = rw[g], rw[f], rw[h]
+            for x in range(n_obj):
+                lwx = lw[x]
+                lhs, rhs = lwx[h], comp[lwx[g]].get(lwx[f])
+                if rhs is not None:
+                    if lhs == rhs:
+                        passed += 1
+                    else:
+                        rep.check(False, "lwhisker-composition",
+                                  f"{objs[x]}⊗({mors[g]} after {mors[f]}) = {mors[lhs]} but "
+                                  f"({objs[x]}⊗{mors[g]} after {objs[x]}⊗{mors[f]}) = {mors[rhs]}")
+                lhs, rhs = rw_h[x], comp[rw_g[x]].get(rw_f[x])
+                if rhs is not None:
+                    if lhs == rhs:
+                        passed += 1
+                    else:
+                        rep.check(False, "rwhisker-composition",
+                                  f"({mors[g]} after {mors[f]})⊗{objs[x]} = {mors[lhs]} but "
+                                  f"({mors[g]}⊗{objs[x]} after {mors[f]}⊗{objs[x]}) = {mors[rhs]}")
+        return passed
 
     def interchange(f: int, g: int, lhs: int, rhs: int) -> str:
         y, y1, x, x1 = src[f], tgt[f], src[g], tgt[g]
@@ -175,20 +186,24 @@ def _check_whiskered(rep: LawReport, cx: _CatIndex, tx: _TensorIndex) -> None:
                 f"({mors[g]}⊗{objs[y1]} after {objs[x]}⊗{mors[f]}) = {mors[lhs]} but "
                 f"({objs[x1]}⊗{mors[f]} after {mors[g]}⊗{objs[y]}) = {mors[rhs]}")
 
-    passed += _interchange(rep, "interchange", src, tgt, comp, lw, rw, interchange)
-    rep.tally(passed)
+    n_comp = len(cx.comp_items)
+    return [(n_obj, 2 * n_obj * n_mor, endpoints),
+            (n_obj, 2 * n_obj * n_obj, identities),
+            (n_comp, 2 * n_comp * n_obj, composition),
+            (n_mor, n_mor * n_mor, lambda rep, fs: _interchange(
+                rep, fs, "interchange", src, tgt, comp, lw, rw, interchange))]
 
 
-def _interchange(rep: LawReport, law: str, src, tgt, comp, lw, rw, witness) -> int:
-    """Interchange over integer tables, for f: y→y' and g: x→x':
-    (g ⊗ y') ∘ (x ⊗ f) = (x' ⊗ f) ∘ (g ⊗ y).  An instance that reads an
-    absent entry (None in a displayed table, a TypeError) or composite (a
-    KeyError) is skipped uncounted: the totality and endpoint checks
-    report it.  A failure is reported under ``law`` with
+def _interchange(rep: LawReport, fs: range, law: str, src, tgt, comp, lw, rw, witness) -> int:
+    """Interchange over integer tables, for f in fs, f: y→y' and every
+    g: x→x': (g ⊗ y') ∘ (x ⊗ f) = (x' ⊗ f) ∘ (g ⊗ y).  An instance that
+    reads an absent entry (None in a displayed table, a TypeError) or
+    composite (a KeyError) is skipped uncounted: the totality and
+    endpoint checks report it.  A failure is reported under ``law`` with
     ``witness(f, g, lhs, rhs)``.  Returns the number of passes."""
     passed = 0
     mors = range(len(src))
-    for f in mors:
+    for f in fs:
         y, y1 = src[f], tgt[f]
         lw_f = [lwx[f] for lwx in lw]
         for g in mors:
@@ -205,8 +220,8 @@ def _interchange(rep: LawReport, law: str, src, tgt, comp, lw, rw, witness) -> i
     return passed
 
 
-def _pentagon(rep: LawReport, law: str, objs, mors, comp, ten, lw, rw, A) -> int:
-    """The pentagon over integer tables, at every (w, x, y, z):
+def _pentagon(rep: LawReport, ws: range, law: str, objs, mors, comp, ten, lw, rw, A) -> int:
+    """The pentagon over integer tables, at every (w, x, y, z) with w in ws:
     α_(w,x,y⊗z) ∘ α_(w⊗x,y,z) = (w ⊗ α_(x,y,z)) ∘ α_(w,x⊗y,z) ∘ (α_(w,x,y) ⊗ z).
     Instances that read an absent entry or composite are skipped uncounted,
     as in ``_interchange``.  A failure is reported under ``law``.  Returns
@@ -226,7 +241,7 @@ def _pentagon(rep: LawReport, law: str, objs, mors, comp, ten, lw, rw, A) -> int
     span = range(n)
     ten_id, rw_id = [id(row) for row in ten], [id(row) for row in rw]
     A_id = [[id(row) for row in plane] for plane in A]
-    for w in span:
+    for w in ws:
         A_w, lw_w, ten_w, A_w_id = A[w], lw[w], ten[w], A_id[w]
         two_step: dict[tuple[int, int, int], list] = {}
         three_step: dict[tuple[int, int, int], list] = {}
@@ -366,7 +381,8 @@ def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
 
     One integer index, built for this call only and shared with the
     whiskered checks, carries every loop; a witness is rendered only for
-    an instance that fails."""
+    an instance that fails.  A large table is checked in parts across
+    CPUs (``report._split_families``)."""
     mx = _MonoidalIndex(M)
     cx, I = mx.cat, mx.unit
     objs, mors, name = cx.objects, cx.mors, cx.name
@@ -374,14 +390,12 @@ def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
     ten, lw, rw = mx.ten.obj, mx.ten.lw, mx.ten.rw
     lu, ru, A = mx.lu, mx.ru, mx.a
     n_obj, n_mor = len(objs), len(mors)
-    rep = LawReport()
-    _check_whiskered(rep, cx, mx.ten)
-    passed = 0
 
     def place(where: str, at: tuple[int, ...]) -> str:
         return where.format(*(objs[i] for i in at))
 
-    def iso(fwd: int, bwd: int, s: int, t: int, law: str, where: str, *at: int) -> int:
+    def iso(rep: LawReport, fwd: int, bwd: int, s: int, t: int, law: str, where: str,
+            *at: int) -> int:
         # where is formatted with the names of the objects at, on failure only
         ok = 0
         if src[fwd] == s and tgt[fwd] == t:
@@ -406,99 +420,123 @@ def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
                       f"expected id_{objs[s]}")
         return ok
 
-    for x in range(n_obj):
-        passed += iso(lu[x], mx.lu_inv[x], ten[I][x], x, "lunitor", "lunitor at {}", x)
-        passed += iso(ru[x], mx.ru_inv[x], ten[x][I], x, "runitor", "runitor at {}", x)
-    for x in range(n_obj):
-        for y in range(n_obj):
-            for z in range(n_obj):
-                passed += iso(A[x][y][z], mx.a_inv[x][y][z],
-                              ten[ten[x][y]][z], ten[x][ten[y][z]], "associator",
-                              "associator at ({},{},{})", x, y, z)
+    def unitor_isos(rep: LawReport, xs: range) -> int:
+        passed = 0
+        for x in xs:
+            passed += iso(rep, lu[x], mx.lu_inv[x], ten[I][x], x, "lunitor", "lunitor at {}", x)
+            passed += iso(rep, ru[x], mx.ru_inv[x], ten[x][I], x, "runitor", "runitor at {}", x)
+        return passed
 
-    lw_I = lw[I]
-    for f in range(n_mor):
-        x, y = src[f], tgt[f]
-        lhs = comp[lu[y]].get(lw_I[f])
-        rhs = comp[f].get(lu[x])
-        if lhs is not None and rhs is not None:
-            if lhs == rhs:
-                passed += 1
-            else:
-                rep.check(False, "lunitor-naturality",
-                          f"at {mors[f]}: {objs[x]}→{objs[y]}: ({mors[lu[y]]} after "
-                          f"{objs[I]}⊗{mors[f]}) = {mors[lhs]} "
-                          f"but ({mors[f]} after {mors[lu[x]]}) = {mors[rhs]}")
-        lhs = comp[ru[y]].get(rw[f][I])
-        rhs = comp[f].get(ru[x])
-        if lhs is not None and rhs is not None:
-            if lhs == rhs:
-                passed += 1
-            else:
-                rep.check(False, "runitor-naturality",
-                          f"at {mors[f]}: {objs[x]}→{objs[y]}: ({mors[ru[y]]} after "
-                          f"{mors[f]}⊗{objs[I]}) = {mors[lhs]} "
-                          f"but ({mors[f]} after {mors[ru[x]]}) = {mors[rhs]}")
+    def associator_isos(rep: LawReport, xs: range) -> int:
+        passed = 0
+        for x in xs:
+            for y in range(n_obj):
+                for z in range(n_obj):
+                    passed += iso(rep, A[x][y][z], mx.a_inv[x][y][z],
+                                  ten[ten[x][y]][z], ten[x][ten[y][z]], "associator",
+                                  "associator at ({},{},{})", x, y, z)
+        return passed
 
-    def naturality(slot: str, f: int, y: int, z: int, lhs: int, rhs: int) -> None:
+    def unitor_naturality(rep: LawReport, fs: range) -> int:
+        passed = 0
+        lw_I = lw[I]
+        for f in fs:
+            x, y = src[f], tgt[f]
+            lhs = comp[lu[y]].get(lw_I[f])
+            rhs = comp[f].get(lu[x])
+            if lhs is not None and rhs is not None:
+                if lhs == rhs:
+                    passed += 1
+                else:
+                    rep.check(False, "lunitor-naturality",
+                              f"at {mors[f]}: {objs[x]}→{objs[y]}: ({mors[lu[y]]} after "
+                              f"{objs[I]}⊗{mors[f]}) = {mors[lhs]} "
+                              f"but ({mors[f]} after {mors[lu[x]]}) = {mors[rhs]}")
+            lhs = comp[ru[y]].get(rw[f][I])
+            rhs = comp[f].get(ru[x])
+            if lhs is not None and rhs is not None:
+                if lhs == rhs:
+                    passed += 1
+                else:
+                    rep.check(False, "runitor-naturality",
+                              f"at {mors[f]}: {objs[x]}→{objs[y]}: ({mors[ru[y]]} after "
+                              f"{mors[f]}⊗{objs[I]}) = {mors[lhs]} "
+                              f"but ({mors[f]} after {mors[ru[x]]}) = {mors[rhs]}")
+        return passed
+
+    def naturality(rep: LawReport, slot: str, f: int, y: int, z: int, lhs: int,
+                   rhs: int) -> None:
         rep.check(False, "associator-naturality",
                   f"{slot} slot, f={mors[f]}, (y,z)=({objs[y]},{objs[z]}): "
                   f"{mors[lhs]} vs {mors[rhs]}")
 
-    for f in range(n_mor):
-        x, x1 = src[f], tgt[f]
-        rw_f, A_x, A_x1 = rw[f], A[x], A[x1]
-        lw_f = [lwx[f] for lwx in lw]
-        for y in range(n_obj):
-            rw_fy, ten_y, lw_y = rw[rw_f[y]], ten[y], lw[y]
-            rw_lw_yf = rw[lw_y[f]]
-            A_yx1, A_yx, A_y = A[y][x1], A[y][x], A[y]
-            A_x1y, A_xy = A_x1[y], A_x[y]
+    def associator_naturality(rep: LawReport, fs: range) -> int:
+        passed = 0
+        for f in fs:
+            x, x1 = src[f], tgt[f]
+            rw_f, A_x, A_x1 = rw[f], A[x], A[x1]
+            lw_f = [lwx[f] for lwx in lw]
+            for y in range(n_obj):
+                rw_fy, ten_y, lw_y = rw[rw_f[y]], ten[y], lw[y]
+                rw_lw_yf = rw[lw_y[f]]
+                A_yx1, A_yx, A_y = A[y][x1], A[y][x], A[y]
+                A_x1y, A_xy = A_x1[y], A_x[y]
+                for z in range(n_obj):
+                    try:  # naturality in the first argument
+                        lhs, rhs = comp[A_x1y[z]][rw_fy[z]], comp[rw_f[ten_y[z]]][A_xy[z]]
+                    except KeyError:
+                        pass
+                    else:
+                        if lhs == rhs:
+                            passed += 1
+                        else:
+                            naturality(rep, "first", f, y, z, lhs, rhs)
+                    try:  # second argument
+                        lhs, rhs = comp[A_yx1[z]][rw_lw_yf[z]], comp[lw_y[rw_f[z]]][A_yx[z]]
+                    except KeyError:
+                        pass
+                    else:
+                        if lhs == rhs:
+                            passed += 1
+                        else:
+                            naturality(rep, "second", f, y, z, lhs, rhs)
+                    A_yz = A_y[z]
+                    try:  # third argument
+                        lhs, rhs = comp[A_yz[x1]][lw_f[ten_y[z]]], comp[lw_y[lw_f[z]]][A_yz[x]]
+                    except KeyError:
+                        pass
+                    else:
+                        if lhs == rhs:
+                            passed += 1
+                        else:
+                            naturality(rep, "third", f, y, z, lhs, rhs)
+        return passed
+
+    def triangle(rep: LawReport, xs: range) -> int:
+        passed = 0
+        for x in xs:
             for z in range(n_obj):
-                try:  # naturality in the first argument
-                    lhs, rhs = comp[A_x1y[z]][rw_fy[z]], comp[rw_f[ten_y[z]]][A_xy[z]]
-                except KeyError:
-                    pass
-                else:
+                lhs = comp[lw[x][lu[z]]].get(A[x][I][z])
+                rhs = rw[ru[x]][z]
+                if lhs is not None:
                     if lhs == rhs:
                         passed += 1
                     else:
-                        naturality("first", f, y, z, lhs, rhs)
-                try:  # second argument
-                    lhs, rhs = comp[A_yx1[z]][rw_lw_yf[z]], comp[lw_y[rw_f[z]]][A_yx[z]]
-                except KeyError:
-                    pass
-                else:
-                    if lhs == rhs:
-                        passed += 1
-                    else:
-                        naturality("second", f, y, z, lhs, rhs)
-                A_yz = A_y[z]
-                try:  # third argument
-                    lhs, rhs = comp[A_yz[x1]][lw_f[ten_y[z]]], comp[lw_y[lw_f[z]]][A_yz[x]]
-                except KeyError:
-                    pass
-                else:
-                    if lhs == rhs:
-                        passed += 1
-                    else:
-                        naturality("third", f, y, z, lhs, rhs)
+                        rep.check(False, "triangle",
+                                  f"at ({objs[x]},{objs[z]}): ({objs[x]}⊗lunitor_{objs[z]} after "
+                                  f"α_({objs[x]},{objs[I]},{objs[z]})) = {mors[lhs]} "
+                                  f"but runitor_{objs[x]}⊗{objs[z]} = {mors[rhs]}")
+        return passed
 
-    for x in range(n_obj):
-        for z in range(n_obj):
-            lhs = comp[lw[x][lu[z]]].get(A[x][I][z])
-            rhs = rw[ru[x]][z]
-            if lhs is not None:
-                if lhs == rhs:
-                    passed += 1
-                else:
-                    rep.check(False, "triangle",
-                              f"at ({objs[x]},{objs[z]}): ({objs[x]}⊗lunitor_{objs[z]} after "
-                              f"α_({objs[x]},{objs[I]},{objs[z]})) = {mors[lhs]} "
-                              f"but runitor_{objs[x]}⊗{objs[z]} = {mors[rhs]}")
-
-    passed += _pentagon(rep, "pentagon", objs, mors, comp, ten, lw, rw, A)
-    rep.tally(passed)
+    rep = LawReport()
+    _split_families(rep, _whiskered_families(cx, mx.ten) + [
+        (n_obj, 6 * n_obj, unitor_isos),
+        (n_obj, 3 * n_obj ** 3, associator_isos),
+        (n_mor, 2 * n_mor, unitor_naturality),
+        (n_mor, 3 * n_mor * n_obj ** 2, associator_naturality),
+        (n_obj, n_obj ** 2, triangle),
+        (n_obj, n_obj ** 4, lambda rep, ws: _pentagon(
+            rep, ws, "pentagon", objs, mors, comp, ten, lw, rw, A))])
     return rep
 
 

@@ -19,14 +19,13 @@ checked against the direct implementation.
 from __future__ import annotations
 
 import itertools
-import os
-import threading
 from dataclasses import dataclass
 
 from .hashcons import Frozen, _Entry, _new_term
 from .omega import (EnumEndofunctor, EnumSetObj, adamek_initial_algebra,
                     check_mendler_fixed_point, const_enum_set, count_mendler_solutions,
                     gen_mendler_iteration, identity_endofunctor)
+from . import report
 from .report import LawReport
 from .signature import BindingSignature, Constructor, ParseError, _Parser
 
@@ -443,26 +442,6 @@ def _column(terms, s: Substitution, sub, aux) -> list[Term]:
     return [sub(memo, t, s, aux) for t in terms]
 
 
-# Below this many associativity instances a sweep runs in one process.
-# On a 2-CPU host a forked part's round trip (fork, masks back through a
-# pipe, reap) takes about 3 ms, and the child pays for first touching
-# the pages it writes: split sweeps of 20,000 instances (11-14 ms in one
-# process) ran slower, and from about 50,000 they ran faster.
-_SPLIT_BREAK_EVEN = 50_000
-
-
-def _usable_cpus() -> int:
-    """How many parts of a sweep may run at once: the CPUs this process
-    may use, or 1 where it cannot fork safely (no ``os.fork``, or other
-    threads running)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
                     subs_from: dict[int, list[Substitution]],
                     sub, aux) -> dict[int, list[list[int]]]:
@@ -476,8 +455,8 @@ def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
     scope and the same multiset of images, which permute one another's
     images and so share their composites τ∘σ through renamings σ.  The
     orbits are dealt, heaviest first (by instance count) and each to the
-    least loaded part, into as many parts as ``_usable_cpus`` allows, at
-    most one per orbit; a sweep of fewer than ``_SPLIT_BREAK_EVEN``
+    least loaded part, into as many parts as ``report._width`` allows, at
+    most one per orbit; a sweep of fewer than ``report._SPLIT_BREAK_EVEN``
     instances is one part.  Each τ's masks depend on τ alone and land at
     its own [n][i][k], so the parts are independent: this process runs
     the first (``_assoc_part``) and a forked child runs each other one,
@@ -505,9 +484,8 @@ def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
                                        key=keys.__getitem__):
             ks = [(m, k) for k in ks]
             orbits.append((len(ks) * per_tau, ks))
-    width = 1
-    if sum(w for w, _ in orbits) >= _SPLIT_BREAK_EVEN:
-        width = min(_usable_cpus(), len(orbits))
+    width = min(report._width(sum(w for w, _ in orbits), report._SPLIT_BREAK_EVEN),
+                len(orbits))
     loads = [0] * width
     dealt: list[list[int]] = [[] for _ in range(width)]
     for o in sorted(range(len(orbits)), key=lambda o: -orbits[o][0]):
@@ -518,8 +496,8 @@ def _assoc_failures(terms_at: dict[int, tuple[Term, ...]],
 
     mids = {n: [_column(terms_at[n], s, sub, aux) for s in subs]
             for n, subs in subs_from.items()}
-    results = _in_parts(lambda part: _assoc_part(terms_at, subs_from, into, mids,
-                                                 part, sub, aux), parts)
+    results = report._in_parts(lambda part: _assoc_part(terms_at, subs_from, into, mids,
+                                                        part, sub, aux), parts)
     failed = {n: [[0] * len(subs_from[s.target]) for s in subs]
               for n, subs in subs_from.items()}
     for part, masks in zip(parts, results):
@@ -595,75 +573,6 @@ def _assoc_part(terms_at, subs_from, into, mids, part: list[tuple[int, int]],
                            if not g == want)
             out.append(mask)
     return out
-
-
-def _in_parts(run, parts: list) -> list:
-    """[run(part) for part in parts]: this process runs parts[0], and a
-    forked child runs each other part and sends back its result, or the
-    exception it raised, as one pickle through a pipe.  The results must
-    pickle.  Every child has ended and been reaped when this returns or
-    raises; a part's exception is raised here, the lowest-numbered
-    failing part's."""
-    # imported here, by the sweeps that split: importing pickle at module
-    # level raised the peak RSS of runs that never split by about 0.4 MB
-    import pickle
-    import signal
-    children: list[tuple[int, object]] = []  # (pid, read end of its pipe)
-    try:
-        for part in parts[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                os.close(r)
-                _send(w, run, part)  # ends the child
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb")))
-        results = [run(parts[0])]
-        for p, (_, pipe) in enumerate(children, 1):
-            try:
-                ok, got = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"part {p} of the sweep ended without a result") from None
-            if not ok:
-                raise got
-            results.append(got)
-        return results
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-
-
-def _send(fd: int, run, part) -> None:
-    """In a forked child: write (True, run(part)), or (False, the
-    exception it raised), to fd as one pickle, then end the process at
-    once, running none of the parent's cleanup and flushing none of its
-    buffers."""
-    import pickle
-    status = 1
-    try:
-        try:
-            out = (True, run(part))
-        except Exception as exc:
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:  # an exception that does not survive a pickle
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            out = (False, exc)
-        with os.fdopen(fd, "wb") as pipe:
-            pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 # --- the term functor and chain-based substitution ----------------------------

@@ -1,9 +1,12 @@
-"""Shared test setup: strict scope checking on, fixture-path helper."""
+"""Shared test setup: strict scope checking on, fixture-path helper, and
+sweeps forced to split across processes."""
 
+import os
 from pathlib import Path
 
 import pytest
 
+import bindcat.report
 import bindcat.terms
 
 # The scope invariant checks are off by default (they cost a constant
@@ -16,3 +19,33 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture
 def fixtures() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """split(w): later sweeps, however small, run in w parts (w - 1 of
+    them in forked children).  split.widths lists the part counts of the
+    sweeps run and split.children the pids forked; no child may outlive
+    the test."""
+    in_parts, fork = bindcat.report._in_parts, os.fork
+
+    def counted(run, parts):
+        set_width.widths.append(len(parts))
+        return in_parts(run, parts)
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            set_width.children.append(pid)
+        return pid
+
+    def set_width(w):
+        monkeypatch.setattr(bindcat.report, "_usable_cpus", lambda: w)
+    set_width.widths, set_width.children = [], []
+    monkeypatch.setattr(bindcat.report, "_SPLIT_BREAK_EVEN", 0)
+    monkeypatch.setattr(bindcat.report, "_TABLE_SPLIT_BREAK_EVEN", 0)
+    monkeypatch.setattr(bindcat.report, "_in_parts", counted)
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    yield set_width
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -272,6 +272,24 @@ def test_stability_test_rejects_a_stage_not_included_in_the_next():
                               lambda A, h: (lambda e: "only"), 0)
 
 
+def test_mendler_iteration_rejects_a_stage_that_loses_an_element():
+    # stage 1 is {a} / {a, b} at levels 0 / 1 and stage 2 {a, c} / {a, c}:
+    # the stages differ at level 0 already, so the stability test never
+    # reaches level 1, where stage 2 has lost b
+    stage1, stage2 = {0: ["a"], 1: ["a", "b"]}, {0: ["a", "c"], 1: ["a", "c"]}
+
+    def apply(X: EnumSetObj):
+        levels = stage2 if X.level(0) else stage1
+        return EnumSetObj(lambda d: levels[min(d, 1)])
+
+    F = EnumEndofunctor("loses-b", apply, lambda h: h, lambda d: d)
+    assert not OmegaChain(F).stable_at(1, 1)
+    with pytest.raises(ChainError, match="^stage 2 lost element 'b'; L is not monotone$"):
+        gen_mendler_iteration(F, adamek_initial_algebra(F), identity_endofunctor(),
+                              const_enum_set(["only"], "1"),
+                              lambda A, h: (lambda e: "only"), 1)
+
+
 def test_initiality_with_brute_force():
     F = numeral_functor()
     alg = adamek_initial_algebra(F)

@@ -129,7 +129,8 @@ def _plain_pentagon(rep, law, objs, mors, comp, ten, lw, rw, A) -> int:
 
 def _both_pentagons(*tables) -> tuple:
     out = []
-    for kernel in (_pentagon, _plain_pentagon):
+    for kernel in (lambda rep, *args: _pentagon(rep, range(len(tables[0])), *args),
+                   _plain_pentagon):
         rep = LawReport()
         passed = kernel(rep, "pentagon", *tables)
         out.append((passed, [(v.law, v.witness) for v in rep.violations]))

@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bindcat.report
 import bindcat.terms
 from bindcat import (
     Ctor,
@@ -519,7 +520,7 @@ def test_clean_sweep_frees_composite_columns_early(monkeypatch):
     # τs that permute one another's images share composites, and the sweep
     # runs them back to back: a traced peak of 0.43 MB, 1.09 MB in declaration
     # order; in one part, so that the whole sweep is traced
-    monkeypatch.setattr(bindcat.terms, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(bindcat.report, "_usable_cpus", lambda: 1)
     sig = parse_signature("sig a { app : [0, 0]; }")
     gc.collect()
     tracemalloc.start()
@@ -583,35 +584,7 @@ def test_subst_wrong_on_one_pair_gives_exactly_its_violations():
 
 
 # ------------- the sweep split across processes -------------
-
-
-@pytest.fixture
-def split(monkeypatch):
-    """split(w): later sweeps, however small, run in w parts (w - 1 of
-    them in forked children).  split.widths lists the part counts of the
-    sweeps run and split.children the pids forked; no child may outlive
-    the test."""
-    in_parts, fork = bindcat.terms._in_parts, os.fork
-
-    def counted(run, parts):
-        set_width.widths.append(len(parts))
-        return in_parts(run, parts)
-
-    def recorded_fork():
-        pid = fork()
-        if pid:
-            set_width.children.append(pid)
-        return pid
-
-    def set_width(w):
-        monkeypatch.setattr(bindcat.terms, "_usable_cpus", lambda: w)
-    set_width.widths, set_width.children = [], []
-    monkeypatch.setattr(bindcat.terms, "_SPLIT_BREAK_EVEN", 0)
-    monkeypatch.setattr(bindcat.terms, "_in_parts", counted)
-    monkeypatch.setattr(os, "fork", recorded_fork)
-    yield set_width
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+# (the split fixture is in conftest.py)
 
 
 def ordered_digest(rep):
@@ -707,9 +680,9 @@ def test_small_sweep_starts_no_process(monkeypatch):
     def no_fork():
         raise AssertionError("a sweep below the break-even forked")
 
-    monkeypatch.setattr(bindcat.terms, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(bindcat.report, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
-    assert bindcat.terms._SPLIT_BREAK_EVEN > 21_714
+    assert bindcat.report._SPLIT_BREAK_EVEN > 21_714
     rep = check_monad_laws(LAM, 2, 3)
     assert rep.ok and rep.checks_run == 21_714
 
