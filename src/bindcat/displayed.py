@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fincat import (FinCategory, FinFunctor, TableError, _CatIndex, _doc_category, _doc_fields,
-                     _doc_rows, _functor_index, _grid, _indexing, pair_mor, pair_obj, unique_keys)
-from .monoidal import (MonoidalCategory, WhiskeredBifunctor, _MonoidalIndex, _interchange,
-                       _pentagon)
+                     _doc_rows, _functor_index, _grid, _indexing, _unit_laws, pair_mor, pair_obj,
+                     unique_keys)
+from .monoidal import (MonoidalCategory, WhiskeredBifunctor, _MonoidalIndex, _interchange, _iso,
+                       _pentagon, _whisker_identities)
 from .report import LawReport, _split_families
 
 
@@ -199,25 +200,7 @@ def _check_displayed_category(rep: LawReport, D: DisplayedCategory,
                       f"disp_comp entry ({mors[gg]}, {mors[ff]}) over non-composable pair "
                       f"({cx.mors[base[gg]]}, {cx.mors[base[ff]]})")
 
-    for ff in range(len(mors)):
-        iy = ident[tgt[ff]]
-        got = None if iy is None else comp[iy].get(ff)
-        if got is not None:
-            if got == ff:
-                passed += 1
-            else:
-                rep.check(False, "disp-unit-left",
-                          f"(disp_id({objs[tgt[ff]]}) after {mors[ff]}) = {mors[got]}, "
-                          f"expected {mors[ff]}")
-        ix = ident[src[ff]]
-        got = None if ix is None else comp[ff].get(ix)
-        if got is not None:
-            if got == ff:
-                passed += 1
-            else:
-                rep.check(False, "disp-unit-right",
-                          f"({mors[ff]} after disp_id({objs[src[ff]]})) = {mors[got]}, "
-                          f"expected {mors[ff]}")
+    passed += _unit_laws(rep, "disp-", objs, mors, src, tgt, ident, comp, "disp_id({})")
 
     for gg, ff, gf in dx.comp_items:
         for hh in dx.out[tgt[gg]]:
@@ -367,11 +350,16 @@ class _DispMonoidalIndex:
 
 
 def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
-    """Displayed-category laws, then displayed whiskering/structural laws
-    mirroring the base monoidal laws fiberwise.
+    """Displayed-category laws, then the displayed tensor, whiskers and
+    structural morphisms: totality, lying over the base, the whisker
+    identities and composition, interchange, the structural isos, the
+    triangle and the pentagon.  Unitor and associator naturality are not
+    checked here; ``check_monoidal_laws(total_monoidal(DM))`` is the
+    complete check.
 
     A missing displayed entry, structural inverses included, is a
-    totality violation.  The base and displayed tables are indexed by
+    totality violation.  The unit laws, whisker identities, structural
+    isos, interchange and pentagon run through the base checkers' loops.  The base and displayed tables are indexed by
     integers for this call only, the index shared with the displayed
     category checks; a witness is rendered only for an instance that
     fails.  Large tables are checked in parts across CPUs
@@ -402,9 +390,8 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
             for yy in range(n):
                 oo = ten_x[yy]
                 if oo is None:
-                    rep.fail("disp-tensor-totality",
-                             f"no displayed tensor for ({objs[xx]}, {objs[yy]})")
-                    rep.tally()
+                    rep.check(False, "disp-tensor-totality",
+                              f"no displayed tensor for ({objs[xx]}, {objs[yy]})")
                     continue
                 want = base_ten_x[over[yy]]
                 if over[oo] == want:
@@ -424,9 +411,8 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                 f, yy, zz = base[ff], src[ff], tgt[ff]
                 mm = lw_x[ff]
                 if mm is None:
-                    rep.fail("disp-lwhisker-totality",
-                             f"no displayed left whisker ({objs[xx]}, {mors[ff]})")
-                    rep.tally()
+                    rep.check(False, "disp-lwhisker-totality",
+                              f"no displayed left whisker ({objs[xx]}, {mors[ff]})")
                 else:
                     s, t = ten_x[yy], ten_x[zz]
                     if s is not None and t is not None:
@@ -439,9 +425,8 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                                       f"({cx.mors[base_lw_x[f]]}, {objs[s]}, {objs[t]})")
                 mm = rw[ff][xx]
                 if mm is None:
-                    rep.fail("disp-rwhisker-totality",
-                             f"no displayed right whisker ({mors[ff]}, {objs[xx]})")
-                    rep.tally()
+                    rep.check(False, "disp-rwhisker-totality",
+                              f"no displayed right whisker ({mors[ff]}, {objs[xx]})")
                 else:
                     s, t = ten[yy][xx], ten[zz][xx]
                     if s is not None and t is not None:
@@ -453,34 +438,6 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                                       f"{mors[ff]}⊗̂{objs[xx]} = {mors[mm]} has profile "
                                       f"{D.mor_info(mors[mm])}, expected "
                                       f"({cx.mors[want]}, {objs[s]}, {objs[t]})")
-        return passed
-
-    def whisker_identities(rep: LawReport, xxs: range) -> int:
-        passed = 0
-        for xx in xxs:
-            ix = ident[xx]
-            for yy in range(n):
-                oo = ten[xx][yy]
-                io = None if oo is None else ident[oo]
-                if io is None:
-                    continue
-                iy = ident[yy]
-                mm = None if iy is None else lw[xx][iy]
-                if mm is not None:
-                    if mm == io:
-                        passed += 1
-                    else:
-                        rep.check(False, "disp-lwhisker-identity",
-                                  f"{objs[xx]}⊗̂disp_id({objs[yy]}) = {mors[mm]}, "
-                                  f"expected disp_id({objs[oo]})")
-                mm = None if ix is None else rw[ix][yy]
-                if mm is not None:
-                    if mm == io:
-                        passed += 1
-                    else:
-                        rep.check(False, "disp-rwhisker-identity",
-                                  f"disp_id({objs[xx]})⊗̂{objs[yy]} = {mors[mm]}, "
-                                  f"expected disp_id({objs[oo]})")
         return passed
 
     def whisker_composition(rep: LawReport, items: range) -> int:
@@ -519,25 +476,6 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                 f"{objs[xx]}⊗̂{mors[ff]}) = {mors[lhs]} but ({objs[xx1]}⊗̂{mors[ff]} "
                 f"after {mors[gg]}⊗̂{objs[yy]}) = {mors[rhs]}")
 
-    def disp_iso(rep: LawReport, fwd, bwd, s, t, law: str, where: str, *at: int) -> int:
-        # a side whose identity is missing was reported as disp-id-totality;
-        # where is formatted with the names of the objects at, on failure only
-        if fwd is None or bwd is None or s is None or t is None:
-            return 0
-        ok = 0
-        for first, then, end in ((bwd, fwd, t), (fwd, bwd, s)):
-            if ident[end] is None:
-                continue
-            got = dcomp[then].get(first)
-            if got == ident[end]:
-                ok += 1
-            else:
-                rep.check(False, law + "-iso",
-                          f"{where.format(*(objs[i] for i in at))}: "
-                          f"({mors[then]} after {mors[first]}) = {name(got)}, "
-                          f"expected disp_id({objs[end]})")
-        return ok
-
     uu = dm.unit
 
     def unitors(rep: LawReport, xxs: range) -> int:
@@ -548,8 +486,8 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                     ("lunitor", dm.lu[xx], dm.lu_inv[xx], mx.lu[x], ten[uu][xx]),
                     ("runitor", dm.ru[xx], dm.ru_inv[xx], mx.ru[x], ten[xx][uu])):
                 if fwd is None:
-                    rep.fail(f"disp-{which}-totality", f"no displayed {which} at {objs[xx]}")
-                    rep.tally()
+                    rep.check(False, f"disp-{which}-totality",
+                              f"no displayed {which} at {objs[xx]}")
                 elif base[fwd] == base_fwd and src[fwd] == s and tgt[fwd] == xx:
                     passed += 1
                 else:
@@ -558,10 +496,10 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                               f"disp {which} at {objs[xx]} = {mors[fwd]} has profile "
                               f"{D.mor_info(mors[fwd])}, expected {want}")
                 if bwd is None:
-                    rep.fail(f"disp-{which}-totality",
-                             f"no displayed {which} inverse at {objs[xx]}")
-                    rep.tally()
-                passed += disp_iso(rep, fwd, bwd, s, xx, f"disp-{which}", which + " at {}", xx)
+                    rep.check(False, f"disp-{which}-totality",
+                              f"no displayed {which} inverse at {objs[xx]}")
+                passed += _iso(rep, f"disp-{which}", fwd, bwd, s, xx, objs, mors, ident, dcomp,
+                               "disp_id({})", which + " at {}", (xx,))
         return passed
 
     def associators(rep: LawReport, xxs: range) -> int:
@@ -577,10 +515,9 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                     t = None if yz is None else ten_x[yz]
                     al = A[xx][yy][zz]
                     if al is None:
-                        rep.fail("disp-associator-totality",
-                                 f"no displayed associator at "
-                                 f"({objs[xx]}, {objs[yy]}, {objs[zz]})")
-                        rep.tally()
+                        rep.check(False, "disp-associator-totality",
+                                  f"no displayed associator at "
+                                  f"({objs[xx]}, {objs[yy]}, {objs[zz]})")
                     elif s is not None and t is not None:
                         base_al = mx.a[over[xx]][over[yy]][over[zz]]
                         if base[al] == base_al and src[al] == s and tgt[al] == t:
@@ -593,12 +530,11 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                                       f"({cx.mors[base_al]}, {objs[s]}, {objs[t]})")
                     al_inv = dm.a_inv[xx][yy][zz]
                     if al_inv is None:
-                        rep.fail("disp-associator-totality",
-                                 f"no displayed associator inverse at "
-                                 f"({objs[xx]}, {objs[yy]}, {objs[zz]})")
-                        rep.tally()
-                    passed += disp_iso(rep, al, al_inv, s, t, "disp-associator",
-                                       "associator at ({},{},{})", xx, yy, zz)
+                        rep.check(False, "disp-associator-totality",
+                                  f"no displayed associator inverse at "
+                                  f"({objs[xx]}, {objs[yy]}, {objs[zz]})")
+                    passed += _iso(rep, "disp-associator", al, al_inv, s, t, objs, mors, ident,
+                                   dcomp, "disp_id({})", "associator at ({},{},{})", (xx, yy, zz))
         return passed
 
     def triangle(rep: LawReport, xxs: range) -> int:
@@ -626,7 +562,8 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
     _split_families(rep, [
         (n, n * n, tensor_over),
         (n, 2 * n * n_mor, whiskers_over),
-        (n, 2 * n * n, whisker_identities),
+        (n, 2 * n * n, lambda rep, xxs: _whisker_identities(
+            rep, xxs, "disp-", objs, mors, ident, ten, lw, rw, "⊗̂", "disp_id({})")),
         (n_comp, 2 * n_comp * n, whisker_composition),
         (n_mor, n_mor * n_mor, lambda rep, ffs: _interchange(
             rep, ffs, "disp-interchange", src, tgt, dcomp, lw, rw, interchange)),

@@ -258,22 +258,7 @@ def check_category_laws(C: FinCategory) -> LawReport:
                 rep.check(False, "comp-totality",
                           f"composable pair ({mors[g]} after {mors[f]}) missing from comp table")
 
-    for f in range(len(mors)):
-        x, y = src[f], tgt[f]
-        gf = comp[ix.ident[y]].get(f)
-        if gf is not None:
-            if gf == f:
-                passed += 1
-            else:
-                rep.check(False, "unit-left",
-                          f"(id_{objs[y]} after {mors[f]}) = {mors[gf]}, expected {mors[f]}")
-        fg = comp[f].get(ix.ident[x])
-        if fg is not None:
-            if fg == f:
-                passed += 1
-            else:
-                rep.check(False, "unit-right",
-                          f"({mors[f]} after id_{objs[x]}) = {mors[fg]}, expected {mors[f]}")
+    passed += _unit_laws(rep, "", objs, mors, src, tgt, ix.ident, comp, "id_{}")
 
     for h, after_h in enumerate(comp):
         for g in ix.into[src[h]]:
@@ -297,6 +282,37 @@ def check_category_laws(C: FinCategory) -> LawReport:
                               f"(({mors[h]} after {mors[g]}) after {mors[f]}) = {mors[right]}")
     rep.tally(passed)
     return rep
+
+
+def _unit_laws(rep: LawReport, law: str, objs, mors, src, tgt, ident, comp, idn: str) -> int:
+    """The unit laws over integer tables, at every morphism f: x→y:
+    id_y ∘ f = f and f ∘ id_x = f.  An instance that reads an absent
+    identity (None in a displayed table) or composite is skipped
+    uncounted: the totality checks report it.  A failure is reported
+    under ``law + 'unit-left'`` or ``law + 'unit-right'``, with an
+    identity rendered as ``idn.format(object)``.  Returns the number of
+    passes."""
+    passed = 0
+    for f, after_f in enumerate(comp):
+        i = ident[tgt[f]]
+        got = None if i is None else comp[i].get(f)
+        if got is not None:
+            if got == f:
+                passed += 1
+            else:
+                rep.check(False, law + "unit-left",
+                          f"({idn.format(objs[tgt[f]])} after {mors[f]}) = {mors[got]}, "
+                          f"expected {mors[f]}")
+        i = ident[src[f]]
+        got = None if i is None else after_f.get(i)
+        if got is not None:
+            if got == f:
+                passed += 1
+            else:
+                rep.check(False, law + "unit-right",
+                          f"({mors[f]} after {idn.format(objs[src[f]])}) = {mors[got]}, "
+                          f"expected {mors[f]}")
+    return passed
 
 
 def _map_grid(table: dict, what: str, noun: str, value_no: dict, key_no: dict) -> list:

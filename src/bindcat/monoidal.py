@@ -137,25 +137,6 @@ def _whiskered_families(cx: _CatIndex, tx: _TensorIndex) -> list:
                               f"expected {objs[ten[y][x]]}→{objs[ten[z][x]]}")
         return passed
 
-    def identities(rep: LawReport, xs: range) -> int:
-        passed = 0
-        for x in xs:
-            for y in range(n_obj):
-                xy = ten[x][y]
-                m = lw[x][ident[y]]
-                if m == ident[xy]:
-                    passed += 1
-                else:
-                    rep.check(False, "lwhisker-identity",
-                              f"{objs[x]}⊗id_{objs[y]} = {mors[m]}, expected id_{objs[xy]}")
-                m = rw[ident[x]][y]
-                if m == ident[xy]:
-                    passed += 1
-                else:
-                    rep.check(False, "rwhisker-identity",
-                              f"id_{objs[x]}⊗{objs[y]} = {mors[m]}, expected id_{objs[xy]}")
-        return passed
-
     def composition(rep: LawReport, items: range) -> int:
         passed = 0
         for g, f, h in cx.comp_items[items.start:items.stop]:
@@ -188,10 +169,50 @@ def _whiskered_families(cx: _CatIndex, tx: _TensorIndex) -> list:
 
     n_comp = len(cx.comp_items)
     return [(n_obj, 2 * n_obj * n_mor, endpoints),
-            (n_obj, 2 * n_obj * n_obj, identities),
+            (n_obj, 2 * n_obj * n_obj, lambda rep, xs: _whisker_identities(
+                rep, xs, "", objs, mors, ident, ten, lw, rw, "⊗", "id_{}")),
             (n_comp, 2 * n_comp * n_obj, composition),
             (n_mor, n_mor * n_mor, lambda rep, fs: _interchange(
                 rep, fs, "interchange", src, tgt, comp, lw, rw, interchange))]
+
+
+def _whisker_identities(rep: LawReport, xs: range, law: str, objs, mors, ident, ten, lw, rw,
+                        ot: str, idn: str) -> int:
+    """The whisker identities over integer tables, at every (x, y) with x
+    in xs: x ⊗ id_y = id_(x⊗y) = id_x ⊗ y.  An instance that reads an
+    absent entry (None in a displayed table) is skipped uncounted: the
+    totality checks report it.  A failure is reported under ``law +
+    'lwhisker-identity'`` or ``law + 'rwhisker-identity'``, with the
+    tensor rendered as ``ot`` and an identity as ``idn.format(object)``.
+    Returns the number of passes."""
+    passed = 0
+    span = range(len(objs))
+    for x in xs:
+        ten_x, lw_x, ix = ten[x], lw[x], ident[x]
+        rw_ix = None if ix is None else rw[ix]
+        for y in span:
+            xy = ten_x[y]
+            i_xy = None if xy is None else ident[xy]
+            if i_xy is None:
+                continue
+            iy = ident[y]
+            m = None if iy is None else lw_x[iy]
+            if m is not None:
+                if m == i_xy:
+                    passed += 1
+                else:
+                    rep.check(False, law + "lwhisker-identity",
+                              f"{objs[x]}{ot}{idn.format(objs[y])} = {mors[m]}, "
+                              f"expected {idn.format(objs[xy])}")
+            m = None if rw_ix is None else rw_ix[y]
+            if m is not None:
+                if m == i_xy:
+                    passed += 1
+                else:
+                    rep.check(False, law + "rwhisker-identity",
+                              f"{idn.format(objs[x])}{ot}{objs[y]} = {mors[m]}, "
+                              f"expected {idn.format(objs[xy])}")
+    return passed
 
 
 def _interchange(rep: LawReport, fs: range, law: str, src, tgt, comp, lw, rw, witness) -> int:
@@ -290,6 +311,31 @@ def _pentagon(rep: LawReport, ws: range, law: str, objs, mors, comp, ten, lw, rw
     return passed
 
 
+def _iso(rep: LawReport, law: str, fwd, bwd, s, t, objs, mors, ident, comp, idn: str,
+         where: str, at: tuple[int, ...]) -> int:
+    """The two inverse laws of a structural iso fwd: s → t with designated
+    inverse bwd, over integer tables: fwd ∘ bwd = id_t and bwd ∘ fwd =
+    id_s.  An absent entry (None in a displayed table) skips its instance
+    uncounted, and an absent composite fails it.  A failure is reported
+    under ``law + '-iso'``, placed by ``where`` formatted with the names of
+    the objects ``at``, on failure only, with an identity rendered as
+    ``idn.format(object)``.  Returns the number of passes."""
+    if fwd is None or bwd is None or s is None or t is None:
+        return 0
+    ok = 0
+    for first, then, end in ((bwd, fwd, t), (fwd, bwd, s)):
+        if ident[end] is None:
+            continue
+        got = comp[then].get(first)
+        if got == ident[end]:
+            ok += 1
+        else:
+            rep.check(False, law + "-iso",
+                      f"{where.format(*(objs[i] for i in at))}: ({mors[then]} after {mors[first]}) "
+                      f"= {'None' if got is None else mors[got]}, expected {idn.format(objs[end])}")
+    return ok
+
+
 def whiskered_from_classical(F: FinFunctor) -> WhiskeredBifunctor:
     """Curry a functor C×C → C (with product ids as built by
     product_category) into its whiskered form."""
@@ -385,14 +431,11 @@ def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
     CPUs (``report._split_families``)."""
     mx = _MonoidalIndex(M)
     cx, I = mx.cat, mx.unit
-    objs, mors, name = cx.objects, cx.mors, cx.name
+    objs, mors = cx.objects, cx.mors
     src, tgt, ident, comp = cx.src, cx.tgt, cx.ident, cx.comp
     ten, lw, rw = mx.ten.obj, mx.ten.lw, mx.ten.rw
     lu, ru, A = mx.lu, mx.ru, mx.a
     n_obj, n_mor = len(objs), len(mors)
-
-    def place(where: str, at: tuple[int, ...]) -> str:
-        return where.format(*(objs[i] for i in at))
 
     def iso(rep: LawReport, fwd: int, bwd: int, s: int, t: int, law: str, where: str,
             *at: int) -> int:
@@ -402,23 +445,9 @@ def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
             ok += 1
         else:
             rep.check(False, law + "-endpoints",
-                      f"{place(where, at)}: {mors[fwd]}: {objs[src[fwd]]}→{objs[tgt[fwd]]}, "
-                      f"expected {objs[s]}→{objs[t]}")
-        one = comp[fwd].get(bwd)
-        if one == ident[t]:
-            ok += 1
-        else:
-            rep.check(False, law + "-iso",
-                      f"{place(where, at)}: ({mors[fwd]} after {mors[bwd]}) = {name(one)}, "
-                      f"expected id_{objs[t]}")
-        other = comp[bwd].get(fwd)
-        if other == ident[s]:
-            ok += 1
-        else:
-            rep.check(False, law + "-iso",
-                      f"{place(where, at)}: ({mors[bwd]} after {mors[fwd]}) = {name(other)}, "
-                      f"expected id_{objs[s]}")
-        return ok
+                      f"{where.format(*(objs[i] for i in at))}: {mors[fwd]}: "
+                      f"{objs[src[fwd]]}→{objs[tgt[fwd]]}, expected {objs[s]}→{objs[t]}")
+        return ok + _iso(rep, law, fwd, bwd, s, t, objs, mors, ident, comp, "id_{}", where, at)
 
     def unitor_isos(rep: LawReport, xs: range) -> int:
         passed = 0

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import json
+import re
 
 import pytest
 
@@ -30,6 +31,7 @@ from bindcat import (
     walking_arrow,
 )
 from bindcat.fincat import mapping_tables_equal
+from test_tables_golden import _changed
 
 
 def test_three_object_example_is_lawful(fixtures):
@@ -243,6 +245,38 @@ def test_displayed_pentagon_agrees_with_the_base(fixtures):
             if v.law == "disp-pentagon"]
     assert disp == [_starred(w) for w in base]
     assert disp == ["at (e^,e^,e^,e^): two-step side = id_e^, three-step side = s^"]
+
+
+# The unit laws, the whisker identities and the structural isos run through
+# one kernel each for both checkers; on a trivial displayed structure the
+# displayed report of these laws is the base's, renamed.
+_SHARED_LAWS = ("unit-left", "unit-right", "lwhisker-identity", "rwhisker-identity",
+                "lunitor-iso", "runitor-iso", "associator-iso")
+
+
+def _unstarred(v) -> tuple[str, str]:
+    """A violation of a trivial displayed structure in base notation."""
+    witness = re.sub(r"disp_id\(([^()]*)\)", r"id_\1", v.witness)
+    return v.law.removeprefix("disp-"), witness.replace("⊗̂", "⊗").replace("^", "")
+
+
+@pytest.mark.parametrize("path, table, count", [
+    ("tensor", "lwhisker", 1), ("tensor", "rwhisker", 1),
+    ("", "lunitor", 2), ("", "lunitor_inv", 2), ("", "runitor", 2), ("", "runitor_inv", 2),
+    ("", "associator", 2), ("", "associator_inv", 2), ("base", "identity", 85),
+])
+def test_displayed_shared_laws_agree_with_the_base(path, table, count):
+    M = endofunctor_monoidal(chain_category(3)).monoidal
+    holder = getattr(M, path) if path else M
+    setattr(holder, table, _changed(getattr(holder, table), [m for m, _, _ in M.base.morphisms]))
+    base = [(v.law, v.witness)
+            for v in check_category_laws(M.base).violations + check_monoidal_laws(M).violations
+            if v.law in _SHARED_LAWS]
+    disp = [_unstarred(v)
+            for v in check_displayed_monoidal(trivial_displayed_monoidal(M)).violations
+            if v.law.removeprefix("disp-") in _SHARED_LAWS]
+    assert len(base) == count
+    assert disp == base
 
 
 # --- saboteurs: the smallest broken End(chain 2) input for each law -------------------

@@ -7,6 +7,7 @@ import pytest
 from bindcat import (
     TableError,
     chain_category,
+    check_displayed_monoidal,
     check_monoidal_laws,
     endofunctor_monoidal,
     total_category,
@@ -208,6 +209,30 @@ def test_total_monoidal_names_the_first_missing_entry():
     with pytest.raises(TableError,
                        match=r"disp_rwhisker has no entry for \('s', 'p'\)"):
         total_monoidal(DM)
+
+
+# --- a violation only the total finds -------------------------------------------------
+# check_displayed_monoidal checks no unitor or associator naturality, so a left
+# whisker that breaks lunitor naturality passes it; the total's check finds it.
+
+def z2_with_an_unnatural_lunitor():
+    DM = z2_over_terminal()
+    DM.disp_lwhisker[("p", "s")] = "e"
+    return DM
+
+
+def test_the_total_finds_the_unnatural_lunitor():
+    rep = check_monoidal_laws(total_monoidal(z2_with_an_unnatural_lunitor()))
+    assert rep.checks_run == 39
+    assert [(v.law, v.witness) for v in rep.violations] == [(
+        "lunitor-naturality",
+        "at (id_Id,s): (Id,p)→(Id,p): ((id_Id,e) after (Id,p)⊗(id_Id,s)) = (id_Id,e) "
+        "but ((id_Id,s) after (id_Id,e)) = (id_Id,s)")]
+
+
+@pytest.mark.xfail(strict=True, reason="the displayed checker checks no unitor naturality")
+def test_the_displayed_checker_finds_the_unnatural_lunitor():
+    assert not check_displayed_monoidal(z2_with_an_unnatural_lunitor()).ok
 
 
 def test_chain4_trivial_total_is_lawful():

@@ -22,11 +22,17 @@ _spec.loader.exec_module(mutation_sweep)
 # Sites whose law name is built at run time, by (module, expression at the
 # site), with every name the expression yields.
 BUILT = {
+    ("fincat.py", "law + 'unit-left'"): {"unit-left", "disp-unit-left"},
+    ("fincat.py", "law + 'unit-right'"): {"unit-right", "disp-unit-right"},
     ("monoidal.py", "law"): {"interchange", "disp-interchange", "pentagon", "disp-pentagon"},
+    ("monoidal.py", "law + 'lwhisker-identity'"): {
+        "lwhisker-identity", "disp-lwhisker-identity"},
+    ("monoidal.py", "law + 'rwhisker-identity'"): {
+        "rwhisker-identity", "disp-rwhisker-identity"},
     ("monoidal.py", "law + '-endpoints'"): {
         "lunitor-endpoints", "runitor-endpoints", "associator-endpoints"},
-    ("monoidal.py", "law + '-iso'"): {"lunitor-iso", "runitor-iso", "associator-iso"},
-    ("displayed.py", "law + '-iso'"): {
+    ("monoidal.py", "law + '-iso'"): {
+        "lunitor-iso", "runitor-iso", "associator-iso",
         "disp-lunitor-iso", "disp-runitor-iso", "disp-associator-iso"},
     ("displayed.py", "f'disp-{which}-totality'"): {
         "disp-lunitor-totality", "disp-runitor-totality"},
