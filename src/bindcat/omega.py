@@ -19,6 +19,7 @@ from typing import Callable
 
 from .fincat import FinCategory, FinFunctor, hom_enumerate
 from .hashcons import Frozen, _Entry, _new_term
+from . import report
 from .report import LawReport
 
 
@@ -790,13 +791,20 @@ def run_param_demo(depth: int = 3) -> LawReport:
     leftmost-leaf and powerset algebras, functoriality of μ on parameter
     morphisms, and two concrete folds.
 
-    μ's action on each parameter morphism is built once and shared by both
-    families' naturality squares, μ's functor laws and the relabelling
-    example; each family's components are built once and serve its checks,
-    the level-ordered uniqueness count among them, and, for the
-    leftmost-leaf family, the fold example.  None of these maps outlives
-    the call.  The example trees sit at level 3, so a depth below 3
-    raises ValueError.
+    μ's carriers and its action on each parameter morphism are built
+    once, before the families, and shared by both families' naturality
+    squares, μ's functor laws and the relabelling example; each family's
+    components are built once and serve its checks, the level-ordered
+    uniqueness count among them, and, for the leftmost-leaf family, the
+    fold example.  None of these maps outlives the call.  From
+    ``report._PARAM_SPLIT_BREAK_EVEN`` trees in μ's carriers, summed over
+    the parameters, the two families run at once where two CPUs may be
+    used: this process checks the leftmost-leaf family and μ's functor
+    laws, and a forked child (see ``report._in_parts``) the powerset
+    family, reading the carriers and actions as they stood at the fork.
+    The report is what one process gives, every witness in the same
+    order.  The example trees sit at level 3, so a depth below 3 raises
+    ValueError.
     """
     if depth < 3:
         raise ValueError(f"the param demo needs depth at least 3, where its "
@@ -807,26 +815,38 @@ def run_param_demo(depth: int = 3) -> LawReport:
     rep = LawReport()
     sample = const_enum_set([leaf(v) for v in carriers["za"]], "sample")
     rep.merge(check_param_bifunctor(PB, sample, lambda e: e, min(depth, 2)))
-    # maps are built in check_param_initiality's order, components before
-    # actions, and each family is dropped after its report: both keep peak
-    # memory down
+    trees = sum(len(mu[z].carrier.level(depth)) for z in cat.objects)
+    actions = _mu_actions(PB, mu, depth)
     example = node(node(leaf(2), leaf(5)), leaf(9))
     pair = node(leaf(1), leaf(2))
-    fam = leftmost_leaf_family(cat, carriers, mor_maps)
-    hs = parametrized_initiality(PB, mu, fam, depth)
-    folded = hs["zc"].get(example)
-    actions = _mu_actions(PB, mu, depth)
+
+    def check(families: tuple) -> tuple[list, tuple | None]:
+        # families indexes (leftmost-leaf, powerset); gives each family's
+        # report and, with the leftmost-leaf family, its fold of the
+        # example and μ's functor laws.  A family's components are dropped
+        # after its report, to keep peak memory down
+        reps, rest = [], None
+        for i in families:
+            fam = (leftmost_leaf_family, powerset_family)[i](cat, carriers, mor_maps)
+            hs = parametrized_initiality(PB, mu, fam, depth)
+            reps.append(_param_initiality_report(PB, mu, fam, hs, actions, depth))
+            if i == 0:
+                rest = hs["zc"].get(example), _set_functor_laws(
+                    cat, lambda z: mu[z].carrier.level(depth),
+                    lambda f: actions[f].__getitem__, "mu", "μ", "the composite")
+            del hs
+        return reps, rest
+
+    # split, the child's powerset family takes about as long as this
+    # process's leftmost-leaf family and μ's functor laws
+    width = report._width(trees, report._PARAM_SPLIT_BREAK_EVEN)
+    results = report._in_parts(check, [(0, 1)] if width == 1 else [(0,), (1,)])
+    for reps, _ in results:
+        for part in reps:
+            rep.merge(part)
+    folded, functor_laws = results[0][1]
+    rep.merge(functor_laws)
     relabelled = actions["f"].get(pair)
-    rep.merge(_param_initiality_report(PB, mu, fam, hs, actions, depth))
-    del hs
-    fam = powerset_family(cat, carriers, mor_maps)
-    hs = parametrized_initiality(PB, mu, fam, depth)
-    rep.merge(_param_initiality_report(PB, mu, fam, hs, actions, depth))
-    del hs
-    # the identity and composition laws of Z ↦ μ_Z on parameter morphisms
-    rep.merge(_set_functor_laws(cat, lambda z: mu[z].carrier.level(depth),
-                                lambda f: actions[f].__getitem__, "mu", "μ",
-                                "the composite"))
     rep.check(folded == 2, "leftmost-leaf-example",
               f"fold of {example!r} gave {folded!r}, expected 2")
     rep.check(relabelled == node(leaf(7), leaf(7)), "mu-action-example",

@@ -202,9 +202,18 @@ class LawReport:
 #   it, medians of 11 runs, ran 1.1-3x slower split up to 143,000
 #   instances (17 ms one part), and in 0.86-1.09 of the time from
 #   211,000 to 979,000; check_whiskered_bifunctor on End(chain 4),
-#   564,970 instances, in 0.4-0.8 of the time.
+#   564,970 instances, in 0.4-0.8 of the time;
+# - the param demo's two algebra families, counted not in law instances
+#   but in the trees of μ's carriers at the demo's depth, summed over the
+#   parameters: run_param_demo on the demo corpus with more labels at za
+#   and zc, at depth 3, medians of 10 runs, ran 1.06-1.21x slower split
+#   from 447 to 1,314 trees, and in 0.91-0.98 of the time at 1,815 and
+#   3,545.  The demo itself ran in 11-18 ms one part and 13-19 ms split
+#   at depth 3 (190 trees), and in 0.71 of the time split at depth 4
+#   (23,084 trees).
 _SPLIT_BREAK_EVEN = 50_000
 _TABLE_SPLIT_BREAK_EVEN = 200_000
+_PARAM_SPLIT_BREAK_EVEN = 2_000
 
 
 def _usable_cpus() -> int:

@@ -18,6 +18,7 @@ checked against the direct implementation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -692,12 +693,15 @@ def subst_via_mendler(sig: BindingSignature, depth: int, max_scope: int,
 
     # a pair is admitted only if the lifts its binder spine will demand
     # stay inside the pool's closure; this set of pairs is closed under
-    # the recursion's child steps
+    # the recursion's child steps.  Each term's nesting is worked out once
+    # for this call, not once for each of its pairs at every stage.
+    nesting = functools.cache(binder_nesting)
+
     def l_apply(A: EnumSetObj) -> EnumSetObj:
         def level(d: int) -> list:
             return [(t, s) for t in A.level(min(d, depth))
                     for (s, gen) in by_source.get(t.scope, ())
-                    if gen + binder_nesting(t) <= rounds]
+                    if gen + nesting(t) <= rounds]
         return EnumSetObj(level, name=f"Subst({A.name})")
 
     L = EnumEndofunctor("Subst", l_apply,

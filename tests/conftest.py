@@ -23,10 +23,10 @@ def fixtures() -> Path:
 
 @pytest.fixture
 def split(monkeypatch):
-    """split(w): later sweeps, however small, run in w parts (w - 1 of
-    them in forked children).  split.widths lists the part counts of the
-    sweeps run and split.children the pids forked; no child may outlive
-    the test."""
+    """split(w): later sweeps and param demos, however small, run in w
+    parts (w - 1 of them in forked children; the param demo has at most
+    two).  split.widths lists the part counts of the sweeps and demos run
+    and split.children the pids forked; no child may outlive the test."""
     in_parts, fork = bindcat.report._in_parts, os.fork
 
     def counted(run, parts):
@@ -44,6 +44,7 @@ def split(monkeypatch):
     set_width.widths, set_width.children = [], []
     monkeypatch.setattr(bindcat.report, "_SPLIT_BREAK_EVEN", 0)
     monkeypatch.setattr(bindcat.report, "_TABLE_SPLIT_BREAK_EVEN", 0)
+    monkeypatch.setattr(bindcat.report, "_PARAM_SPLIT_BREAK_EVEN", 0)
     monkeypatch.setattr(bindcat.report, "_in_parts", counted)
     monkeypatch.setattr(os, "fork", recorded_fork)
     yield set_width

@@ -6,12 +6,14 @@ import dataclasses
 import gc
 import hashlib
 import itertools
+import os
 import pickle
 import weakref
 
 import pytest
 
 import bindcat.omega
+import bindcat.report
 import bindcat.terms
 from bindcat import (
     ChainError,
@@ -803,38 +805,86 @@ def test_run_param_demo_builds_each_mendler_map_once(monkeypatch):
                                     "P(za)", "P(zb)", "P(zc)"])
 
 
-def test_run_param_demo_with_a_broken_mu_action(monkeypatch):
-    # every μ action goes through the public mu_on_morphism; breaking the
-    # action of g must surface in the naturality squares and in μ's
-    # composition law, with the same witnesses in the same order
+# Saboteurs of the param demo: each breaks one of its pieces through
+# monkeypatch.  Every μ action goes through the public mu_on_morphism.
+
+def _sabotage_mu(monkeypatch, change):
+    """Hand every μ action h at parameter morphism f on as change(f, h)."""
     real = bindcat.omega.mu_on_morphism
+    monkeypatch.setattr(bindcat.omega, "mu_on_morphism",
+                        lambda PB, mu, f, depth: change(f, real(PB, mu, f, depth)))
 
-    def broken(PB, mu, f, depth, *args, **kwargs):
-        h = real(PB, mu, f, depth, *args, **kwargs)
-        return {t: leaf(2) for t in h} if f == "g" else h
 
-    monkeypatch.setattr(bindcat.omega, "mu_on_morphism", broken)
+def broken_mu_action(monkeypatch):
+    # μ(g) sends every tree to leaf(2)
+    _sabotage_mu(monkeypatch, lambda f, h: {t: leaf(2) for t in h} if f == "g" else h)
+
+
+def mu_identity_that_moves_trees(monkeypatch):
+    # μ(id_zb) sends every tree to leaf(7)
+    _sabotage_mu(monkeypatch, lambda f, h: {t: leaf(7) for t in h} if f == "id_zb" else h)
+
+
+def rightmost_leaf_fold(monkeypatch):
+    # the rightmost-leaf family in place of the leftmost-leaf one
+    real = bindcat.omega.leftmost_leaf_family
+
+    def rightmost(param_cat, carriers, mor_maps):
+        fam = real(param_cat, carriers, mor_maps)
+        return ParamAlgebraFamily(fam.g_obj, fam.g_mor,
+                                  lambda z: (lambda e: e[1] if e[0] == "leaf" else e[2]))
+
+    monkeypatch.setattr(bindcat.omega, "leftmost_leaf_family", rightmost)
+
+
+PAIR = node(leaf(1), leaf(2))
+
+
+def wrong_relabelling(monkeypatch):
+    # μ(f) sends the example pair to leaf(7)
+    _sabotage_mu(monkeypatch, lambda f, h: {**h, PAIR: leaf(7)} if f == "f" else h)
+
+
+def non_natural_powerset_phi(monkeypatch):
+    # the powerset family's φ at zc sends every leaf to the empty set
+    real = bindcat.omega.powerset_family
+
+    def broken(param_cat, carriers, mor_maps):
+        fam = real(param_cat, carriers, mor_maps)
+        good_phi = fam.phi
+
+        def phi(z):
+            inner = good_phi(z)
+            return (lambda e: frozenset() if e[0] == "leaf" else inner(e)) if z == "zc" else inner
+
+        return ParamAlgebraFamily(fam.g_obj, fam.g_mor, phi)
+
+    monkeypatch.setattr(bindcat.omega, "powerset_family", broken)
+
+
+BROKEN_MU_ACTION_DIGEST = "06024537a3f382479ae294911e5376eacb63047d472d7679ed26feb97edd4274"
+
+
+def digest(pairs) -> str:
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
+def test_run_param_demo_with_a_broken_mu_action(monkeypatch):
+    # breaking the action of g must surface in the naturality squares and
+    # in μ's composition law, with the same witnesses in the same order
+    broken_mu_action(monkeypatch)
     rep = run_param_demo(depth=3)
     assert rep.checks_run == 1621
     totals = {}
     for v in rep.violations:
         totals[v.law] = totals.get(v.law, 0) + 1
     assert totals == {"param-naturality": 10, "mu-composition": 38}
-    pairs = repr([(v.law, v.witness) for v in rep.violations])
-    assert hashlib.sha256(pairs.encode()).hexdigest() == \
-        "06024537a3f382479ae294911e5376eacb63047d472d7679ed26feb97edd4274"
+    assert digest([(v.law, v.witness) for v in rep.violations]) == BROKEN_MU_ACTION_DIGEST
 
 
 def test_run_param_demo_with_a_mu_identity_that_moves_trees(monkeypatch):
-    # μ(id_zb) sends every tree to leaf(7), which moves zb's four nodes
-    # at level 3
-    real = bindcat.omega.mu_on_morphism
-
-    def broken(PB, mu, f, depth):
-        h = real(PB, mu, f, depth)
-        return {t: leaf(7) for t in h} if f == "id_zb" else h
-
-    monkeypatch.setattr(bindcat.omega, "mu_on_morphism", broken)
+    # this moves zb's four nodes at level 3
+    mu_identity_that_moves_trees(monkeypatch)
     rep = run_param_demo(depth=3)
     assert rep.checks_run == 1621
     assert tally(rep) == {"mu-identity": 4, "mu-composition": 40}
@@ -844,14 +894,7 @@ def test_run_param_demo_with_a_mu_identity_that_moves_trees(monkeypatch):
 
 def test_run_param_demo_with_a_rightmost_leaf_fold(monkeypatch):
     # the rightmost-leaf family is just as lawful, but folds the example to 9
-    real = bindcat.omega.leftmost_leaf_family
-
-    def rightmost(param_cat, carriers, mor_maps):
-        fam = real(param_cat, carriers, mor_maps)
-        return ParamAlgebraFamily(fam.g_obj, fam.g_mor,
-                                  lambda z: (lambda e: e[1] if e[0] == "leaf" else e[2]))
-
-    monkeypatch.setattr(bindcat.omega, "leftmost_leaf_family", rightmost)
+    rightmost_leaf_fold(monkeypatch)
     rep = run_param_demo(depth=3)
     assert rep.checks_run == 1621
     example = node(node(leaf(2), leaf(5)), leaf(9))
@@ -860,23 +903,108 @@ def test_run_param_demo_with_a_rightmost_leaf_fold(monkeypatch):
 
 
 def test_run_param_demo_with_a_wrong_relabelling(monkeypatch):
-    # μ(f) sends the example pair to leaf(7), which μ(g) sends to leaf(9)
-    # where μ(gf) gives node(leaf(9), leaf(9))
-    real = bindcat.omega.mu_on_morphism
-    pair = node(leaf(1), leaf(2))
-
-    def broken(PB, mu, f, depth):
-        h = real(PB, mu, f, depth)
-        return {**h, pair: leaf(7)} if f == "f" else h
-
-    monkeypatch.setattr(bindcat.omega, "mu_on_morphism", broken)
+    # μ(g) sends leaf(7) to leaf(9) where μ(gf) gives node(leaf(9), leaf(9))
+    wrong_relabelling(monkeypatch)
     rep = run_param_demo(depth=3)
     assert rep.checks_run == 1621
     nines = node(leaf(9), leaf(9))
     assert [(v.law, v.witness) for v in rep.violations] == [
         ("mu-composition",
-         f"μ(g after f)({pair!r}) = {nines!r} but the composite gives {leaf(9)!r}"),
-        ("mu-action-example", f"relabelling {pair!r} gave {leaf(7)!r}")]
+         f"μ(g after f)({PAIR!r}) = {nines!r} but the composite gives {leaf(9)!r}"),
+        ("mu-action-example", f"relabelling {PAIR!r} gave {leaf(7)!r}")]
+
+
+# ------------- the param demo split across processes -------------
+# (the split fixture is in conftest.py)
+
+
+def demo_outcome(depth: int):
+    """run_param_demo's checks_run and its (law, witness) pairs in order,
+    or the type and message of the exception it raised."""
+    try:
+        rep = run_param_demo(depth)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return rep.checks_run, [(v.law, v.witness) for v in rep.violations]
+
+
+@pytest.mark.parametrize("saboteur", [
+    None, broken_mu_action, mu_identity_that_moves_trees, rightmost_leaf_fold,
+    wrong_relabelling, non_natural_powerset_phi], ids=lambda s: s.__name__ if s else "clean")
+def test_split_param_demo_reports_as_one_part(monkeypatch, split, saboteur):
+    if saboteur:
+        saboteur(monkeypatch)
+    outcomes = []
+    for workers in (1, 2, 3):
+        split(workers)
+        outcomes.append(demo_outcome(3))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    assert split.widths == [1, 2, 2]  # the demo has two parts at most
+    if saboteur is non_natural_powerset_phi:
+        assert outcomes[0][0] is NaturalityError
+    else:
+        assert outcomes[0][0] == 1621
+    if saboteur is broken_mu_action:
+        assert [digest(pairs) for _, pairs in outcomes] == [BROKEN_MU_ACTION_DIGEST] * 3
+
+
+def test_split_param_demo_raises_the_childs_exception_as_one_part(monkeypatch, split):
+    non_natural_powerset_phi(monkeypatch)
+    raised = []
+    for workers in (1, 2):
+        split(workers)
+        with pytest.raises(NaturalityError) as exc:
+            run_param_demo(3)
+        raised.append(str(exc.value))
+    assert split.widths == [1, 2] and len(split.children) == 1
+    assert raised == [
+        "φ is not natural at g: φ(('leaf', 7)) transports to frozenset() "
+        "one way and frozenset({9}) the other"] * 2
+
+
+def test_split_param_demo_with_a_broken_parameter_action_raises_in_this_process(
+        monkeypatch, split):
+    # g sends leaf(7) to node(leaf(9), leaf(9)): the leftmost-leaf family
+    # cannot relabel that node and μ's action at g leaves its target.
+    # μ's actions are built before the families, by this process before
+    # it forks, so the demo raises μ's IterationError and starts no part
+    real = bindcat.omega.tree_bifunctor
+
+    def broken(cat, carriers, mor_maps):
+        PB = real(cat, carriers, mor_maps)
+        nines = node(leaf(9), leaf(9))
+
+        def act(f):
+            good = PB.param_action(f)
+            return (lambda e: nines if e == leaf(7) else good(e)) if f == "g" else good
+
+        return ParamBifunctor(PB.param_cat, PB.functor_at, act)
+
+    monkeypatch.setattr(bindcat.omega, "tree_bifunctor", broken)
+    cat, carriers, mor_maps = demo_param_corpus()
+    PB = broken(cat, carriers, mor_maps)
+    mu = param_initial_algebras(PB)
+    with pytest.raises(KeyError):
+        parametrized_initiality(PB, mu, leftmost_leaf_family(cat, carriers, mor_maps), 3)
+    seven, nine = node(leaf(7), leaf(7)), node(leaf(9), leaf(9))
+    for workers in (1, 2):
+        split(workers)
+        with pytest.raises(IterationError) as exc:
+            run_param_demo(3)
+        assert str(exc.value) == (
+            f"stage 3 sends {node(leaf(7), seven)!r} to {node(nine, node(nine, nine))!r}, "
+            "outside the target truncation")
+    assert split.widths == [] and split.children == []
+
+
+def test_small_param_demo_starts_no_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("a param demo below the break-even forked")
+
+    monkeypatch.setattr(bindcat.report, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert bindcat.report._PARAM_SPLIT_BREAK_EVEN > 190  # μ's trees at depth 3
+    assert run_param_demo(3).checks_run == 1621
 
 
 # ------------- poset-shaped instances -------------
