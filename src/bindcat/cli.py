@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     try:
         rep, lines = args.handler(args)
     except (ParseError, TableError, ChainError, IterationError, NaturalityError,
-            OSError, ValueError) as exc:
+            OSError, ValueError, RecursionError) as exc:
         elapsed = int((time.perf_counter() - t0) * 1000)
         print(f"error: {exc}", file=sys.stderr)
         _emit(RunReport(args.command, "error", 0, [], elapsed), args.json)

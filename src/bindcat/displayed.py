@@ -359,11 +359,11 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
 
     A missing displayed entry, structural inverses included, is a
     totality violation.  The unit laws, whisker identities, structural
-    isos, interchange and pentagon run through the base checkers' loops.  The base and displayed tables are indexed by
-    integers for this call only, the index shared with the displayed
-    category checks; a witness is rendered only for an instance that
-    fails.  Large tables are checked in parts across CPUs
-    (``report._split_families``)."""
+    isos, interchange and pentagon run through the base checkers' loops.
+    The base and displayed tables are indexed by integers for this call
+    only, the index shared with the displayed category checks; a witness
+    is rendered only for an instance that fails.  Large tables are
+    checked in parts across CPUs (``report._split_families``)."""
     D = DM.disp_cat
     M = DM.base_monoidal
     if D.base is not M.base and D.base != M.base:

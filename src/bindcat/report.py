@@ -2,49 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 
 
+@dataclass(frozen=True, slots=True)
 class Violation:
-    """One failed law instance, with a rendered witness.
+    """One failed law instance, with a rendered witness."""
 
-    The witness is stored as given: a string, or a tuple of string pieces
-    that many violations share and that are joined only when ``witness``
-    is read.  Either form compares, hashes and prints as the joined text.
-    """
-
-    __slots__ = ("law", "_witness")
-
-    def __init__(self, law: str, witness: str | tuple[str, ...]):
-        object.__setattr__(self, "law", law)
-        object.__setattr__(self, "_witness", witness)
-
-    @property
-    def witness(self) -> str:
-        w = self._witness
-        return w if isinstance(w, str) else "".join(w)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Violation, (self.law, self._witness)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.law == other.law and self.witness == other.witness
-
-    def __hash__(self):
-        return hash((self.law, self.witness))
-
-    def __repr__(self):
-        return f"Violation(law={self.law!r}, witness={self.witness!r})"
+    law: str
+    witness: str
 
 
 def _run(law: str, rows):
@@ -54,7 +23,7 @@ def _run(law: str, rows):
         for k, mask in enumerate(masks):
             while mask:
                 low = mask & -mask
-                yield Violation(law, (first[low.bit_length() - 1], mid, last[k]))
+                yield Violation(law, first[low.bit_length() - 1] + mid + last[k])
                 mask ^= low
 
 
@@ -87,8 +56,9 @@ class Violations:
 
     def add_bits(self, law: str, rows) -> None:
         """Add a run: each row is ``(first, mid, last, masks)``, and bit j
-        of ``masks[k]`` is one failure of ``law``, with the witness pieces
-        ``(first[j], mid, last[k])``.  Rows are kept as given, unchanged."""
+        of ``masks[k]`` is one failure of ``law``, whose witness is
+        ``first[j] + mid + last[k]``, joined when the violation is read.
+        Rows are kept as given, unchanged."""
         rows = [row for row in rows if any(row[3])]
         n = sum(mask.bit_count() for row in rows for mask in row[3])
         if n:
@@ -110,19 +80,7 @@ class Violations:
             return list(self)[i]
         if not -self._len <= i < self._len:
             raise IndexError("violation index out of range")
-        i %= self._len
-        for e in self._entries:
-            if isinstance(e, Violation):
-                if not i:
-                    return e
-                i -= 1
-            elif i < e[2]:
-                for v in _run(e[0], e[1]):
-                    if not i:
-                        return v
-                    i -= 1
-            else:
-                i -= e[2]
+        return next(itertools.islice(self, i % self._len, None))
 
     def __eq__(self, other):
         if not isinstance(other, (Violations, list, tuple)):
@@ -162,13 +120,11 @@ class LawReport:
         return ok
 
     def fail(self, law: str, witness) -> None:
-        """Record one failure; ``witness`` may be a string, a thunk, or a
-        tuple of string pieces kept unjoined until the witness is read."""
+        """Record one failure; ``witness`` may be a string or a thunk, and
+        is stored as its text."""
         if callable(witness):
             witness = witness()
-        if not isinstance(witness, tuple):
-            witness = str(witness)
-        self.violations.append(Violation(law, witness))
+        self.violations.append(Violation(law, str(witness)))
 
     def fail_bits(self, law: str, rows) -> None:
         """Record failures held as bit masks: see ``Violations.add_bits``."""

@@ -234,6 +234,8 @@ class Substitution:
     images: tuple[Term, ...]
 
     def __post_init__(self):
+        if self.target < 0:
+            raise ScopeError(f"target scope must not be negative, got {self.target}")
         if len(self.images) != self.source:
             raise ScopeError(
                 f"substitution from scope {self.source} needs {self.source} images, "
@@ -410,7 +412,7 @@ def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,
                           f"gives {render_term(got)}")
     # associativity: the sweep's memos are gone before any witness is rendered
     masks = _assoc_failures(terms_at, subs_from, sub, aux)
-    # each witness is a tuple of these shared pieces, joined when it is read
+    # each witness joins three of these shared pieces when it is read
     shown_t = {n: ["t = " + render_term(t) for t in ts] for n, ts in terms_at.items()}
     shown_s = {n: [render_substitution(s) for s in subs] for n, subs in subs_from.items()}
     shown_sigma = {n: ["; sigma = " + r for r in rs] for n, rs in shown_s.items()}

@@ -184,16 +184,37 @@ def test_subst_parse_error(fixtures, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["laws", "--scope", "-1"], ["laws", "--depth", "-1"], ["laws", "--image-depth", "-1"],
-    ["gen-terms", "--depth", "-1"], ["gen-terms", "--scope", "-1"],
-], ids=["laws-scope", "laws-depth", "laws-image-depth", "gen-terms-depth", "gen-terms-scope"])
-def test_negative_bounds_exit_2(fixtures, capsys, argv):
-    # a negative bound is no sweep at all, not a vacuous pass
-    code = main(argv[:1] + ["--sig", str(fixtures / "lam.sig"), "--json"] + argv[1:])
+@pytest.mark.parametrize("sig, argv", [
+    ("lam", ["laws", "--scope", "-1"]), ("lam", ["laws", "--depth", "-1"]),
+    ("lam", ["laws", "--image-depth", "-1"]),
+    ("lam", ["gen-terms", "--depth", "-1"]), ("lam", ["gen-terms", "--scope", "-1"]),
+    ("lam", ["subst", "--scope", "0", "--target", "-1", "abs(var 0)"]),
+    ("nat", ["subst", "--scope", "0", "--target", "-1", "succ(zero())"]),
+], ids=["laws-scope", "laws-depth", "laws-image-depth", "gen-terms-depth", "gen-terms-scope",
+        "subst-target-lam", "subst-target-nat"])
+def test_negative_bounds_exit_2(fixtures, capsys, sig, argv):
+    # a negative bound is no sweep at all, not a vacuous pass, and a
+    # negative target scope holds no term
+    code = main(argv[:1] + ["--sig", str(fixtures / f"{sig}.sig"), "--json"] + argv[1:])
     out, err = capsys.readouterr()
     assert (code, json.loads(out)["status"]) == (2, "error")
     assert "must not be negative, got -1" in err
+
+
+@pytest.mark.parametrize("input_", ["gen-terms", "mendler-demo", "check-cat"])
+def test_deeply_nested_input_exits_2(fixtures, tmp_path, capsys, input_):
+    # input nested deeper than Python's recursion limit is an input error,
+    # not a law violation
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    argv = {"gen-terms": ["gen-terms", "--sig", str(fixtures / "nat.sig"), "--scope", "0",
+                          "--depth", "400"],
+            "mendler-demo": ["mendler-demo", "--depth", "1000"],
+            "check-cat": ["check-cat", str(nested)]}[input_]
+    code = main(argv + ["--json"])
+    out, err = capsys.readouterr()
+    assert (code, json.loads(out)["status"]) == (2, "error")
+    assert "recursion" in err
 
 
 @pytest.mark.parametrize("depth", ["1", "2"])
