@@ -19,7 +19,7 @@ from .monoidal import check_monoidal_laws, from_monoidal_doc
 from .omega import ChainError, IterationError, NaturalityError, run_param_demo
 from .report import LawReport
 from .signature import ParseError, load_signature
-from .terms import (Substitution, check_monad_laws, enumerate_terms, parse_term,
+from .terms import (Substitution, _nonnegative, check_monad_laws, enumerate_terms, parse_term,
                     render_term, run_evenness_demo, substitute)
 
 
@@ -82,6 +82,7 @@ def _cmd_gen_terms(args) -> tuple[LawReport, tuple[str, ...]]:
 
 
 def _cmd_subst(args) -> tuple[LawReport, tuple[str, ...]]:
+    _nonnegative(scope=args.scope)
     sig = load_signature(args.sig)
     t = parse_term(sig, args.scope, args.term)
     target = args.scope if args.target is None else args.target

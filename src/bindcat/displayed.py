@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .fincat import (FinCategory, FinFunctor, TableError, _CatIndex, _doc_category, _doc_fields,
@@ -28,7 +28,9 @@ class DisplayedCategory:
     morphisms over base morphisms, with identity/composition tables.
 
     ``disp_hom[(f, xx, yy)]`` lists the displayed morphisms over f that
-    run xx → yy; absent keys mean empty buckets.
+    run xx → yy; absent keys mean empty buckets.  The tables are the only
+    state, so they may be edited between checks: each checker call
+    numbers and validates the ids anew (``_DispIndex``).
     """
 
     base: FinCategory
@@ -36,24 +38,6 @@ class DisplayedCategory:
     disp_hom: dict[tuple[str, str, str], list[str]]
     disp_id: dict[str, str]
     disp_comp: dict[tuple[str, str], str]
-    _obj_over: dict[str, str] = field(init=False, repr=False)
-    _mor_info: dict[str, tuple[str, str, str]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        over: dict[str, str] = {}
-        for x, fiber in self.fiber_obj.items():
-            for xx in fiber:
-                if xx in over:
-                    raise TableError(f"displayed object id {xx!r} used twice")
-                over[xx] = x
-        self._obj_over = over
-        info: dict[str, tuple[str, str, str]] = {}
-        for key, bucket in self.disp_hom.items():
-            for ff in bucket:
-                if ff in info:
-                    raise TableError(f"displayed morphism id {ff!r} used twice")
-                info[ff] = key
-        self._mor_info = info
 
     def fiber(self, x: str) -> list[str]:
         return self.fiber_obj.get(x, [])
@@ -61,25 +45,14 @@ class DisplayedCategory:
     def bucket(self, f: str, xx: str, yy: str) -> list[str]:
         return self.disp_hom.get((f, xx, yy), [])
 
-    def obj_over(self, xx: str) -> str:
-        try:
-            return self._obj_over[xx]
-        except KeyError:
-            raise TableError(f"unknown displayed object {xx!r}") from None
-
-    def mor_info(self, ff: str) -> tuple[str, str, str]:
-        """(base morphism, displayed source, displayed target) of ff."""
-        try:
-            return self._mor_info[ff]
-        except KeyError:
-            raise TableError(f"unknown displayed morphism {ff!r}") from None
-
 
 class _DispIndex:
     """Integer view of a displayed category over a ``_CatIndex``, built by
-    one checker call and dropped when it returns.  Building it is the
-    displayed category's validation: a dangling id, or a bucket whose
-    ends do not lie over its base morphism's, is a TableError.
+    one checker call and dropped when it returns, so the tables may change
+    between calls.  It is the one place that numbers displayed ids, and
+    building it is the displayed category's validation: an id used twice,
+    a dangling id, or a bucket whose ends do not lie over its base
+    morphism's, is a TableError.
 
     Displayed objects are numbered fiber by fiber in base object order,
     displayed morphisms in bucket order.  ``base``, ``src`` and ``tgt``
@@ -89,23 +62,27 @@ class _DispIndex:
     ``out[xx]`` lists the displayed morphisms with source xx.
     """
 
-    __slots__ = ("objs", "obj_no", "over", "fibers", "mors", "mor_no", "base", "src",
+    __slots__ = ("cx", "objs", "obj_no", "over", "fibers", "mors", "mor_no", "base", "src",
                  "tgt", "buckets", "ident", "comp", "comp_items", "out")
 
     def __init__(self, D: DisplayedCategory, cx: _CatIndex):
         for x in D.fiber_obj:
             if x not in cx.obj_no:
                 raise TableError(f"fiber over unknown base object {x!r}")
+        self.cx = cx
         self.fibers = [[] for _ in cx.objects]
         self.objs, self.over = [], []
+        self.obj_no = on = {}
         for x, base_x in enumerate(cx.objects):
             for xx in D.fiber(base_x):
-                self.fibers[x].append(len(self.objs))
+                if xx in on:
+                    raise TableError(f"displayed object id {xx!r} used twice")
+                on[xx] = len(self.objs)
+                self.fibers[x].append(on[xx])
                 self.objs.append(xx)
                 self.over.append(x)
-        self.obj_no = on = {xx: i for i, xx in enumerate(self.objs)}
-        self.mors = list(D._mor_info)
-        self.mor_no = mn = {ff: i for i, ff in enumerate(self.mors)}
+        self.mors, self.base, self.src, self.tgt = [], [], [], []
+        self.mor_no = mn = {}
         self.buckets = {}
         with _indexing("disp_hom"):
             for (f, xx, yy), bucket in D.disp_hom.items():
@@ -114,10 +91,15 @@ class _DispIndex:
                     raise TableError(f"bucket {(f, xx, yy)}: {xx!r} is not over the source")
                 if self.over[t] != cx.tgt[g]:
                     raise TableError(f"bucket {(f, xx, yy)}: {yy!r} is not over the target")
-                self.buckets[key] = [mn[ff] for ff in bucket]
-        self.base = [cx.mor_no[D._mor_info[ff][0]] for ff in self.mors]
-        self.src = [on[D._mor_info[ff][1]] for ff in self.mors]
-        self.tgt = [on[D._mor_info[ff][2]] for ff in self.mors]
+                self.buckets[key] = list(range(len(self.mors), len(self.mors) + len(bucket)))
+                for ff in bucket:
+                    if ff in mn:
+                        raise TableError(f"displayed morphism id {ff!r} used twice")
+                    mn[ff] = len(self.mors)
+                    self.mors.append(ff)
+                    self.base.append(g)
+                    self.src.append(s)
+                    self.tgt.append(t)
         self.ident = _grid(D.disp_id, "disp_id", mn, on)
         self.comp = [{} for _ in self.mors]
         self.comp_items = []
@@ -134,6 +116,10 @@ class _DispIndex:
         """Render a displayed morphism number; absent renders as None."""
         return "None" if m is None else self.mors[m]
 
+    def profile(self, m: int) -> tuple[str, str, str]:
+        """(base morphism, displayed source, displayed target) of m."""
+        return self.cx.mors[self.base[m]], self.objs[self.src[m]], self.objs[self.tgt[m]]
+
 
 def check_displayed_category(D: DisplayedCategory) -> LawReport:
     """Exhaustive displayed-category laws; assumes a lawful base (missing
@@ -143,15 +129,13 @@ def check_displayed_category(D: DisplayedCategory) -> LawReport:
     and a witness is rendered only for an instance that fails."""
     cx = _CatIndex(D.base)
     rep = LawReport()
-    _check_displayed_category(rep, D, cx, _DispIndex(D, cx))
+    _check_displayed_category(rep, cx, _DispIndex(D, cx))
     return rep
 
 
-def _check_displayed_category(rep: LawReport, D: DisplayedCategory,
-                              cx: _CatIndex, dx: _DispIndex) -> None:
+def _check_displayed_category(rep: LawReport, cx: _CatIndex, dx: _DispIndex) -> None:
     objs, mors, over = dx.objs, dx.mors, dx.over
     base, src, tgt, ident, comp = dx.base, dx.src, dx.tgt, dx.ident, dx.comp
-    C = D.base
     passed = 0
 
     for xx, ff in enumerate(ident):
@@ -164,8 +148,8 @@ def _check_displayed_category(rep: LawReport, D: DisplayedCategory,
             passed += 1
         else:
             rep.check(False, "disp-id-over",
-                      f"disp_id({objs[xx]}) = {mors[ff]} has profile {D.mor_info(mors[ff])}, "
-                      f"expected ({C.id_of(x)}, {objs[xx]}, {objs[xx]})")
+                      f"disp_id({objs[xx]}) = {mors[ff]} has profile {dx.profile(ff)}, "
+                      f"expected ({cx.mors[cx.ident[over[xx]]]}, {objs[xx]}, {objs[xx]})")
 
     for g, f, h in cx.comp_items:
         x, y, z = cx.src[f], cx.tgt[f], cx.tgt[g]
@@ -189,7 +173,7 @@ def _check_displayed_category(rep: LawReport, D: DisplayedCategory,
                             else:
                                 rep.check(False, "disp-comp-over",
                                           f"({mors[gg]} after {mors[ff]}) = {mors[hh]} has "
-                                          f"profile {D.mor_info(mors[hh])}, expected "
+                                          f"profile {dx.profile(hh)}, expected "
                                           f"({cx.mors[h]}, {objs[xx]}, {objs[zz]})")
 
     for gg, ff, _ in dx.comp_items:
@@ -224,54 +208,43 @@ def _check_displayed_category(rep: LawReport, D: DisplayedCategory,
 def total_category(D: DisplayedCategory) -> tuple[FinCategory, FinFunctor]:
     """Pair base data with displayed data: objects (x, xx), morphisms
     (f, ff); second component of the result is the projection functor."""
-    _DispIndex(D, _CatIndex(D.base))  # building the index is the validation
-    total, proj, _, _ = _total_category(D)
-    return total, proj
+    cx = _CatIndex(D.base)
+    return _total_category(D.base, cx, _DispIndex(D, cx))[:2]
 
 
-def _total_category(D: DisplayedCategory):
-    """``total_category`` of an indexed D, with the maps naming each
-    displayed object and morphism by its pair id, each named once."""
-    C = D.base
-    pobj = {xx: pair_obj(x, xx) for x in C.objects for xx in D.fiber(x)}
-    pmor = {ff: pair_mor(f, ff) for ff, (f, _, _) in D._mor_info.items()}
+def _total_category(C: FinCategory, cx: _CatIndex, dx: _DispIndex):
+    """``total_category`` read off the index of a displayed category over C, with
+    the maps naming each displayed object and morphism by its pair id, each named once."""
+    base, src, tgt, over = dx.base, dx.src, dx.tgt, dx.over
+    pobj = {xx: pair_obj(cx.objects[x], xx) for xx, x in zip(dx.objs, over)}
+    pmor = {ff: pair_mor(cx.mors[f], ff) for ff, f in zip(dx.mors, base)}
+    pobjs, pmors = list(pobj.values()), list(pmor.values())
 
-    def pair_over(f: str, ff: str) -> str:
+    def pair_over(f: int, ff: int) -> str:
         # an unlawful displayed table may put ff over another base morphism
-        return pmor[ff] if D._mor_info[ff][0] == f else pair_mor(f, ff)
+        return pmors[ff] if base[ff] == f else pair_mor(cx.mors[f], dx.mors[ff])
 
     morphisms = []
     proj_mor = {}
-    for f, x, y in C.morphisms:
-        for xx in D.fiber(x):
-            for yy in D.fiber(y):
-                for ff in D.bucket(f, xx, yy):
-                    mid = pmor[ff]
-                    morphisms.append((mid, pobj[xx], pobj[yy]))
-                    proj_mor[mid] = f
-    identity = {}
-    for x in C.objects:
-        for xx in D.fiber(x):
-            ff = D.disp_id.get(xx)
-            if ff is not None:
-                identity[pobj[xx]] = pair_over(C.id_of(x), ff)
-    by_base: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
-    for (gg, ff), hh in D.disp_comp.items():
-        g, gg_src, _ = D._mor_info[gg]
-        f, _, ff_tgt = D._mor_info[ff]
-        if ff_tgt == gg_src:
-            by_base.setdefault((g, f), []).append((gg, ff, hh))
+    for f, (x, y) in enumerate(zip(cx.src, cx.tgt)):
+        for xx in dx.fibers[x]:
+            for yy in dx.fibers[y]:
+                for ff in dx.buckets.get((f, xx, yy), ()):
+                    morphisms.append((pmors[ff], pobjs[xx], pobjs[yy]))
+                    proj_mor[pmors[ff]] = cx.mors[f]
+    identity = {pobjs[xx]: pair_over(cx.ident[over[xx]], ff)
+                for xx, ff in enumerate(dx.ident) if ff is not None}
+    by_base: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for gg, ff, hh in dx.comp_items:
+        if tgt[ff] == src[gg]:
+            by_base.setdefault((base[gg], base[ff]), []).append((gg, ff, hh))
     comp = {}
-    for gf, h in C.comp.items():
-        for gg, ff, hh in by_base.get(gf, ()):
-            comp[(pmor[gg], pmor[ff])] = pair_over(h, hh)
-    total = FinCategory(tuple(pobj.values()), tuple(morphisms), identity, comp)
-    proj = FinFunctor(
-        total, C,
-        {pobj[xx]: x for x in C.objects for xx in D.fiber(x)},
-        proj_mor,
-        name="projection",
-    )
+    for g, f, h in cx.comp_items:
+        for gg, ff, hh in by_base.get((g, f), ()):
+            comp[(pmors[gg], pmors[ff])] = pair_over(h, hh)
+    total = FinCategory(tuple(pobjs), tuple(morphisms), identity, comp)
+    proj = FinFunctor(total, C, {p: cx.objects[x] for p, x in zip(pobjs, over)}, proj_mor,
+                      name="projection")
     return total, proj, pobj, pmor
 
 
@@ -373,7 +346,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
     dx = _DispIndex(D, cx)
     dm = _DispMonoidalIndex(DM, dx)
     rep = LawReport()
-    _check_displayed_category(rep, D, cx, dx)
+    _check_displayed_category(rep, cx, dx)
     objs, mors, over, name = dx.objs, dx.mors, dx.over, dx.name
     base, src, tgt, ident, dcomp = dx.base, dx.src, dx.tgt, dx.ident, dx.comp
     ten, lw, rw, A = dm.ten, dm.lw, dm.rw, dm.a
@@ -381,7 +354,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
 
     rep.check(over[dm.unit] == mx.unit, "disp-unit-over",
               lambda: f"displayed unit {DM.disp_unit} lies over "
-                      f"{D.obj_over(DM.disp_unit)}, expected {M.unit}")
+                      f"{cx.objects[over[dm.unit]]}, expected {M.unit}")
 
     def tensor_over(rep: LawReport, xxs: range) -> int:
         passed = 0
@@ -399,7 +372,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                 else:
                     rep.check(False, "disp-tensor-over",
                               f"{objs[xx]}⊗̂{objs[yy]} = {objs[oo]} lies over "
-                              f"{D.obj_over(objs[oo])}, expected {cx.objects[want]}")
+                              f"{cx.objects[over[oo]]}, expected {cx.objects[want]}")
         return passed
 
     def whiskers_over(rep: LawReport, xxs: range) -> int:
@@ -421,7 +394,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                         else:
                             rep.check(False, "disp-lwhisker-over",
                                       f"{objs[xx]}⊗̂{mors[ff]} = {mors[mm]} has profile "
-                                      f"{D.mor_info(mors[mm])}, expected "
+                                      f"{dx.profile(mm)}, expected "
                                       f"({cx.mors[base_lw_x[f]]}, {objs[s]}, {objs[t]})")
                 mm = rw[ff][xx]
                 if mm is None:
@@ -436,7 +409,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                         else:
                             rep.check(False, "disp-rwhisker-over",
                                       f"{mors[ff]}⊗̂{objs[xx]} = {mors[mm]} has profile "
-                                      f"{D.mor_info(mors[mm])}, expected "
+                                      f"{dx.profile(mm)}, expected "
                                       f"({cx.mors[want]}, {objs[s]}, {objs[t]})")
         return passed
 
@@ -494,7 +467,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                     want = (cx.mors[base_fwd], None if s is None else objs[s], objs[xx])
                     rep.check(False, f"disp-{which}-over",
                               f"disp {which} at {objs[xx]} = {mors[fwd]} has profile "
-                              f"{D.mor_info(mors[fwd])}, expected {want}")
+                              f"{dx.profile(fwd)}, expected {want}")
                 if bwd is None:
                     rep.check(False, f"disp-{which}-totality",
                               f"no displayed {which} inverse at {objs[xx]}")
@@ -525,8 +498,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                         else:
                             rep.check(False, "disp-associator-over",
                                       f"disp associator at ({objs[xx]},{objs[yy]},{objs[zz]}) = "
-                                      f"{mors[al]} has profile "
-                                      f"{D.mor_info(mors[al])}, expected "
+                                      f"{mors[al]} has profile {dx.profile(al)}, expected "
                                       f"({cx.mors[base_al]}, {objs[s]}, {objs[t]})")
                     al_inv = dm.a_inv[xx][yy][zz]
                     if al_inv is None:
@@ -579,10 +551,10 @@ def total_monoidal(DM: DisplayedMonoidal) -> MonoidalCategory:
     """Monoidal structure on the total category; the projection from
     total_category is strict monoidal for it by construction.  A missing
     displayed entry is a TableError naming its table and key."""
-    D = DM.disp_cat
-    # building the indexes is the validation
-    _DispMonoidalIndex(DM, _DispIndex(D, _CatIndex(D.base)))
-    total, _, pobj, pmor = _total_category(D)
+    cx = _CatIndex(DM.disp_cat.base)
+    dx = _DispIndex(DM.disp_cat, cx)
+    _DispMonoidalIndex(DM, dx)  # building the indexes is the validation
+    total, _, pobj, pmor = _total_category(DM.disp_cat.base, cx, dx)
 
     def paired(table: str, keys, pair_keys, names=pmor) -> dict:
         """The displayed table renamed to pair ids: the entry at each of

@@ -46,13 +46,9 @@ class Violations:
         self._entries.append(v)
         self._len += 1
 
-    def extend(self, items) -> None:
-        if isinstance(items, Violations):
-            self._entries += items._entries
-            self._len += items._len
-        else:
-            for v in items:
-                self.append(v)
+    def extend(self, other: Violations) -> None:
+        self._entries += other._entries
+        self._len += other._len
 
     def add_bits(self, law: str, rows) -> None:
         """Add a run: each row is ``(first, mid, last, masks)``, and bit j

@@ -154,9 +154,23 @@ def term_depth(t: Term) -> int:
 
 
 def render_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return f"var {t.index}"
-    return f"{t.name}({', '.join(render_term(a) for a in t.args)})"
+    """The text of t, as ``parse_term`` reads it.  The pieces are taken
+    from a stack, not by recursion, so a term of any depth renders."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Var):
+            out.append(f"var {t.index}")
+        else:
+            out.append(f"{t.name}(")
+            todo.append(")")
+            for i in range(len(t.args) - 1, -1, -1):
+                todo.append(t.args[i])
+                if i:
+                    todo.append(", ")
+    return "".join(out)
 
 
 def _parse_term(p: _Parser, sig: BindingSignature, scope: int) -> Term:

@@ -190,8 +190,9 @@ def test_subst_parse_error(fixtures, capsys):
     ("lam", ["gen-terms", "--depth", "-1"]), ("lam", ["gen-terms", "--scope", "-1"]),
     ("lam", ["subst", "--scope", "0", "--target", "-1", "abs(var 0)"]),
     ("nat", ["subst", "--scope", "0", "--target", "-1", "succ(zero())"]),
+    ("nat", ["subst", "--scope", "-1", "zero()"]),
 ], ids=["laws-scope", "laws-depth", "laws-image-depth", "gen-terms-depth", "gen-terms-scope",
-        "subst-target-lam", "subst-target-nat"])
+        "subst-target-lam", "subst-target-nat", "subst-scope-nat"])
 def test_negative_bounds_exit_2(fixtures, capsys, sig, argv):
     # a negative bound is no sweep at all, not a vacuous pass, and a
     # negative target scope holds no term
@@ -208,7 +209,7 @@ def test_deeply_nested_input_exits_2(fixtures, tmp_path, capsys, input_):
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100_000)
     argv = {"gen-terms": ["gen-terms", "--sig", str(fixtures / "nat.sig"), "--scope", "0",
-                          "--depth", "400"],
+                          "--depth", "2000"],
             "mendler-demo": ["mendler-demo", "--depth", "1000"],
             "check-cat": ["check-cat", str(nested)]}[input_]
     code = main(argv + ["--json"])

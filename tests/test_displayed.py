@@ -30,6 +30,7 @@ from bindcat import (
     trivial_displayed_monoidal,
     walking_arrow,
 )
+from bindcat.displayed import DisplayedCategory
 from bindcat.fincat import mapping_tables_equal
 from test_tables_golden import _changed
 
@@ -109,6 +110,37 @@ def test_load_displayed_rejects_repeated_json_keys(fixtures, tmp_path):
         base.replace('"identity": {', '"identity": {"a": "id_a", '))
     with pytest.raises(TableError, match="repeated key 'a'"):
         load_displayed(tmp_path / "base.json")
+
+
+# --- the tables are the only state ------------------------------------------------
+
+def test_a_morphism_added_in_place_is_checked_like_a_fresh_table():
+    # each call numbers the displayed ids anew, so an edited table needs no rebuild
+    D = trivial_displayed(walking_arrow())
+    D.disp_hom[("f", "a^", "b^")].append("f2^")
+    D.disp_comp[("f2^", "id_a^")] = D.disp_comp[("id_b^", "f2^")] = "f2^"
+    fresh = DisplayedCategory(D.base, dict(D.fiber_obj), dict(D.disp_hom), dict(D.disp_id),
+                              dict(D.disp_comp))
+    rep, want = check_displayed_category(D), check_displayed_category(fresh)
+    assert (rep.ok, rep.checks_run, list(rep.violations)) \
+        == (want.ok, want.checks_run, list(want.violations)) == (True, 38, [])
+    assert len(total_category(D)[0].morphisms) == 4
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda D: D.fiber_obj["b"].append("a^"), "displayed object id 'a^' used twice"),
+    (lambda D: D.disp_hom[("id_b", "b^", "b^")].append("f^"),
+     "displayed morphism id 'f^' used twice"),
+], ids=["object", "morphism"])
+def test_an_id_used_twice_is_rejected_by_each_call(edit, message):
+    W = walking_arrow()
+    tables = trivial_displayed(W)
+    edit(tables)
+    D = DisplayedCategory(W, tables.fiber_obj, tables.disp_hom, tables.disp_id,
+                          tables.disp_comp)  # the tables are checked when a call indexes them
+    for call in (check_displayed_category, total_category):
+        with pytest.raises(TableError, match=re.escape(message)):
+            call(D)
 
 
 # --- the trivial displayed construction --------------------------------------------

@@ -54,9 +54,16 @@ def reference_trivial_displayed_monoidal(M):
          for x in objs for y in objs for z in objs})
 
 
+def profiles(D):
+    """Each displayed morphism's (base morphism, source, target), read
+    from the raw buckets."""
+    return {ff: key for key, bucket in D.disp_hom.items() for ff in bucket}
+
+
 def reference_total_category(D):
     """Every displayed composite tried against every base composite."""
     C = D.base
+    profile = profiles(D)
     objects = tuple(pair_obj(x, xx) for x in C.objects for xx in D.fiber(x))
     morphisms, proj_mor = [], {}
     for f, x, y in C.morphisms:
@@ -70,8 +77,8 @@ def reference_total_category(D):
     comp = {}
     for (g, f), h in C.comp.items():
         for (gg, ff), hh in D.disp_comp.items():
-            if D.mor_info(gg)[0] == g and D.mor_info(ff)[0] == f \
-                    and D.mor_info(ff)[2] == D.mor_info(gg)[1]:
+            if profile[gg][0] == g and profile[ff][0] == f \
+                    and profile[ff][2] == profile[gg][1]:
                 comp[(pair_mor(g, gg), pair_mor(f, ff))] = pair_mor(h, hh)
     proj_obj = {pair_obj(x, xx): x for x in C.objects for xx in D.fiber(x)}
     return objects, tuple(morphisms), identity, comp, proj_obj, proj_mor
@@ -79,17 +86,19 @@ def reference_total_category(D):
 
 def reference_total_monoidal_tables(DM):
     D = DM.disp_cat
-    pobj = lambda xx: pair_obj(D.obj_over(xx), xx)
-    pmor = lambda mm: pair_mor(D.mor_info(mm)[0], mm)
+    over = {xx: x for x, fiber in D.fiber_obj.items() for xx in fiber}
+    profile = profiles(D)
+    pobj = lambda xx: pair_obj(over[xx], xx)
+    pmor = lambda mm: pair_mor(profile[mm][0], mm)
     dobjs = [xx for x in D.base.objects for xx in D.fiber(x)]
     return {
         "unit": pobj(DM.disp_unit),
         "obj_table": {(pobj(x), pobj(y)): pobj(DM.disp_tensor[(x, y)])
                       for x in dobjs for y in dobjs},
         "lwhisker": {(pobj(x), pmor(f)): pmor(DM.disp_lwhisker[(x, f)])
-                     for x in dobjs for f in D._mor_info},
+                     for x in dobjs for f in profile},
         "rwhisker": {(pmor(f), pobj(z)): pmor(DM.disp_rwhisker[(f, z)])
-                     for z in dobjs for f in D._mor_info},
+                     for z in dobjs for f in profile},
         "lunitor": {pobj(x): pmor(DM.disp_lunitor[x]) for x in dobjs},
         "lunitor_inv": {pobj(x): pmor(DM.disp_lunitor_inv[x]) for x in dobjs},
         "runitor": {pobj(x): pmor(DM.disp_runitor[x]) for x in dobjs},

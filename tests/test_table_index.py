@@ -50,7 +50,8 @@ def test_a_changed_displayed_structure_is_seen_by_the_next_check(chain3):
     DM = trivial_displayed_monoidal(chain3)
     assert check_displayed_monoidal(DM).ok
     key = next(iter(DM.disp_associator))
-    DM.disp_associator[key] = _other(list(DM.disp_cat._mor_info), DM.disp_associator[key])
+    mors = [ff for bucket in DM.disp_cat.disp_hom.values() for ff in bucket]
+    DM.disp_associator[key] = _other(mors, DM.disp_associator[key])
     rep = check_displayed_monoidal(DM)
     assert {v.law for v in rep.violations} >= {"disp-associator-over"}
 

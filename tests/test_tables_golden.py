@@ -135,7 +135,8 @@ def battery():
 
     DM = trivial_displayed_monoidal(M)
     D = DM.disp_cat
-    rings = {"mor": list(D._mor_info), "obj": [xx for x in M.base.objects for xx in D.fiber(x)]}
+    rings = {"mor": [ff for bucket in D.disp_hom.values() for ff in bucket],
+             "obj": [xx for x in M.base.objects for xx in D.fiber(x)]}
     mutants = [(f"changed/{name}", path, attr,
                 lambda table, ring=ring: _changed(table, rings[ring]))
                for name, path, attr, ring in DISPLAYED_TABLES]
