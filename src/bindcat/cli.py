@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .displayed import check_displayed_category, load_displayed
-from .fincat import TableError, check_category_laws, from_doc, unique_keys
+from .fincat import TableError, _read_doc, check_category_laws, from_doc
 from .monoidal import check_monoidal_laws, from_monoidal_doc
 from .omega import ChainError, IterationError, NaturalityError, run_param_demo
 from .report import LawReport
@@ -56,17 +56,12 @@ def _finish(args, rep: LawReport, t0: float, lines: tuple[str, ...] = ()) -> int
     return 0 if rep.ok else 1
 
 
-def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=unique_keys)
-
-
 def _cmd_check_cat(args) -> tuple[LawReport, tuple[str, ...]]:
-    return check_category_laws(from_doc(_load_json(args.file))), ()
+    return check_category_laws(from_doc(_read_doc(args.file))), ()
 
 
 def _cmd_check_monoidal(args) -> tuple[LawReport, tuple[str, ...]]:
-    return check_monoidal_laws(from_monoidal_doc(_load_json(args.file))), ()
+    return check_monoidal_laws(from_monoidal_doc(_read_doc(args.file))), ()
 
 
 def _cmd_check_displayed(args) -> tuple[LawReport, tuple[str, ...]]:

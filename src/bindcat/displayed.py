@@ -10,13 +10,12 @@ can key on them directly.  Fibers may be empty.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .fincat import (FinCategory, FinFunctor, TableError, _CatIndex, _doc_category, _doc_fields,
-                     _doc_rows, _functor_index, _grid, _indexing, _unit_laws, pair_mor, pair_obj,
-                     unique_keys)
+                     _doc_map, _doc_rows, _functor_index, _grid, _indexing, _read_doc, _unit_laws,
+                     pair_mor, pair_obj)
 from .monoidal import (MonoidalCategory, WhiskeredBifunctor, _MonoidalIndex, _interchange, _iso,
                        _pentagon, _whisker_identities)
 from .report import LawReport, _split_families
@@ -675,12 +674,9 @@ def from_displayed_doc(doc, base: FinCategory) -> DisplayedCategory:
         if key in disp_hom:
             raise TableError(f"duplicate disp_hom bucket {key}")
         disp_hom[key] = list(row["mors"])
-    ids = doc["disp_id"]
-    if not isinstance(ids, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in ids.items()):
-        raise TableError("'disp_id' must map displayed objects to displayed morphisms")
+    ids = _doc_map(doc, "disp_id", "displayed objects", "displayed morphisms")
     disp_comp = _doc_rows(doc["disp_comp"], ("after", "first", "result"), "disp_comp")
-    D = DisplayedCategory(base, dict(fibers), disp_hom, dict(ids), disp_comp)
+    D = DisplayedCategory(base, dict(fibers), disp_hom, ids, disp_comp)
     _DispIndex(D, _CatIndex(base))  # building the index is the validation
     return D
 
@@ -688,12 +684,10 @@ def from_displayed_doc(doc, base: FinCategory) -> DisplayedCategory:
 def load_displayed(path) -> DisplayedCategory:
     """Read a displayed-category document; its 'base' field is a path to a
     category document, resolved relative to the displayed file."""
-    p = Path(path)
-    doc = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+    doc = _read_doc(path)
     if not isinstance(doc, dict) or "base" not in doc:
         raise TableError("displayed document must reference a 'base' file")
     if not isinstance(doc["base"], str):
         raise TableError("'base' must be a file path string")
-    base_doc = json.loads((p.parent / doc["base"]).read_text(encoding="utf-8"),
-                          object_pairs_hook=unique_keys)
+    base_doc = _read_doc(Path(path).parent / doc["base"])
     return from_displayed_doc(doc, _doc_category(base_doc))

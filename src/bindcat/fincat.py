@@ -12,6 +12,7 @@ Composition is stored in classical order throughout the package:
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -553,6 +554,21 @@ def _doc_fields(doc, fields: set, what: str) -> None:
         raise TableError(f"{what} document missing fields: {sorted(missing)}")
 
 
+def _doc_map(doc: dict, field: str, keys: str, values: str) -> dict:
+    """A document's ``field``: an object from ``keys`` to ``values``, all strings."""
+    table = doc[field]
+    if not isinstance(table, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in table.items()):
+        raise TableError(f"'{field}' must map {keys} to {values}")
+    return dict(table)
+
+
+def _read_doc(path) -> object:
+    """The JSON document in the file at ``path``; a repeated key is a TableError."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, object_pairs_hook=unique_keys)
+
+
 def _doc_rows(entries, keys: tuple[str, ...], what: str) -> dict:
     """A document's array of ``what`` rows, each with exactly the string
     fields ``keys``, as a table keyed on all but the last of them."""
@@ -585,12 +601,9 @@ def _doc_category(doc) -> FinCategory:
                 or not all(isinstance(row[k], str) for k in ("id", "src", "tgt"))):
             raise TableError(f"bad morphism row: {row!r}")
         morphisms.append((row["id"], row["src"], row["tgt"]))
-    ident = doc["identity"]
-    if not isinstance(ident, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in ident.items()):
-        raise TableError("'identity' must map object ids to morphism ids")
+    ident = _doc_map(doc, "identity", "object ids", "morphism ids")
     comp = _doc_rows(doc["comp"], ("after", "first", "result"), "comp")
-    return FinCategory(tuple(objects), tuple(morphisms), dict(ident), comp)
+    return FinCategory(tuple(objects), tuple(morphisms), ident, comp)
 
 
 def to_doc(C: FinCategory) -> dict:

@@ -29,6 +29,7 @@ from .fincat import (
     _check_nat_trans,
     _doc_category,
     _doc_fields,
+    _doc_map,
     _doc_rows,
     _full_grid,
     _functor_index,
@@ -62,10 +63,6 @@ class WhiskeredBifunctor:
             return self.obj_table[(x, y)]
         except KeyError:
             raise TableError(f"tensor object table missing entry ({x!r}, {y!r})") from None
-
-    def on_obj(self, x: str):
-        """Curried object action: the map y ↦ x⊗y."""
-        return lambda y: self.obj(x, y)
 
     def lw(self, x: str, f: str) -> str:
         try:
@@ -861,17 +858,10 @@ def from_monoidal_doc(doc) -> MonoidalCategory:
         _doc_rows(tdoc["rwhisker"], ("mor", "obj", "result"), "tensor rwhisker"),
     )
 
-    def unitor(field_name):
-        table = doc[field_name]
-        if not isinstance(table, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in table.items()):
-            raise TableError(f"'{field_name}' must map object ids to morphism ids")
-        return dict(table)
-
     assoc = ("x", "y", "z", "result")
     M = MonoidalCategory(base, unit, tensor,
-                         unitor("lunitor"), unitor("lunitor_inv"),
-                         unitor("runitor"), unitor("runitor_inv"),
+                         *(_doc_map(doc, f, "object ids", "morphism ids")
+                           for f in ("lunitor", "lunitor_inv", "runitor", "runitor_inv")),
                          _doc_rows(doc["associator"], assoc, "associator"),
                          _doc_rows(doc["associator_inv"], assoc, "associator_inv"))
     _MonoidalIndex(M)  # building the index is the validation

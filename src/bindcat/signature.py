@@ -9,14 +9,13 @@ lives in an extended scope.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 # "var" would collide with the variable form of the term syntax; "sort" is
 # reserved so that multi-sorted input fails loudly instead of misparsing.
 RESERVED_NAMES = ("var", "sort")
-
-_PUNCT = "{}[]:;,()"
 
 
 class ParseError(Exception):
@@ -91,44 +90,30 @@ def signature_functor(sig: BindingSignature) -> EndofunctorDescription:
 
 # --- tokenizer -------------------------------------------------------------
 
+# Each match is blanks and then at most one token: none only at the end of
+# the text.  The classes are ASCII: a digit is 0-9, not whatever str.isdigit
+# accepts (an Arabic-Indic one, a superscript two), and any other character
+# is a one-character "bad" token.
+_TOKEN = re.compile(r"[ \t\r]*(?:(?P<newline>\n)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+                    r"|(?P<nat>[0-9]+)|(?P<punct>[{}\[\]:;,()])|(?P<bad>.))?")
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    """(kind, text, line, column) per token, ending with "eof"; a
+    punctuation token's kind is its own text."""
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isascii() and ch.isalpha():
-            j = i
-            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("nat", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(line, col, f"unexpected character {ch!r}")
-    tokens.append(("eof", "", line, col))
+        tok, col = m[kind], m.start(kind) - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(line, col, f"unexpected character {tok!r}")
+        else:
+            tokens.append((tok if kind == "punct" else kind, tok, line, col))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -152,8 +137,7 @@ class _Parser:
     def expect(self, kind: str, what: str) -> str:
         tok = self.peek()
         if tok[0] != kind:
-            shown = tok[1] if tok[0] != "eof" else "end of input"
-            self.error(f"expected {what}, found {shown!r}" if tok[0] != "eof"
+            self.error(f"expected {what}, found {tok[1]!r}" if tok[0] != "eof"
                        else f"expected {what}, found end of input")
         return self.next()[1]
 
@@ -177,10 +161,9 @@ class _Parser:
         ctors: list[Constructor] = []
         names = set()
         while self.peek()[0] != "}":
-            tok = self.peek()
-            if tok[0] == "eof":
-                self.error("expected a constructor or '}'")
             cname_tok = self.peek()
+            if cname_tok[0] == "eof":
+                self.error("expected a constructor or '}'")
             cname = self.ident("a constructor name")
             if cname in names:
                 raise ParseError(cname_tok[2], cname_tok[3],

@@ -128,29 +128,44 @@ def construct(sig: BindingSignature, scope: int, name: str, *args: Term) -> Ctor
 
 
 def check_term(sig: BindingSignature, t: Term) -> None:
-    """Raise ScopeError unless t is well-scoped over sig."""
-    if isinstance(t, Var):
-        if not 0 <= t.index < t.scope:
-            raise ScopeError(
-                f"variable index {t.index} out of range for scope {t.scope}")
-        return
-    c = sig.constructor(t.name)
-    if len(t.args) != len(c.arity):
-        raise ScopeError(f"{t.name} takes {len(c.arity)} arguments, got {len(t.args)}")
-    for a, k in zip(t.args, c.arity):
-        if not isinstance(a, Term):
-            raise ScopeError(f"argument of {t.name} is not a term: {a!r}")
-        if a.scope != t.scope + k:
-            raise ScopeError(
-                f"argument of {t.name} at scope {t.scope} binding {k} "
-                f"has scope {a.scope}")
-        check_term(sig, a)
+    """Raise ScopeError unless t is well-scoped over sig, at the first
+    fault in pre-order, left to right.  The subterms are taken from a
+    stack, not by recursion, so a term of any depth is checked."""
+    todo = [(t, None, 0)]
+    while todo:
+        t, parent, k = todo.pop()
+        if parent is not None:
+            if not isinstance(t, Term):
+                raise ScopeError(f"argument of {parent.name} is not a term: {t!r}")
+            if t.scope != parent.scope + k:
+                raise ScopeError(
+                    f"argument of {parent.name} at scope {parent.scope} binding {k} "
+                    f"has scope {t.scope}")
+        if isinstance(t, Var):
+            if not 0 <= t.index < t.scope:
+                raise ScopeError(
+                    f"variable index {t.index} out of range for scope {t.scope}")
+            continue
+        try:
+            c = sig.constructor(t.name)
+        except KeyError:
+            raise ScopeError(f"unknown constructor {t.name!r}") from None
+        if len(t.args) != len(c.arity):
+            raise ScopeError(f"{t.name} takes {len(c.arity)} arguments, got {len(t.args)}")
+        todo.extend((a, t, k) for a, k in zip(reversed(t.args), reversed(c.arity)))
 
 
 def term_depth(t: Term) -> int:
-    if isinstance(t, Var) or not t.args:
-        return 0
-    return 1 + max(term_depth(a) for a in t.args)
+    """Constructor nesting above the leaves (variables and nullary
+    constructors), taken from a stack, not by recursion."""
+    depth, todo = 0, [(t, 0)]
+    while todo:
+        t, d = todo.pop()
+        if isinstance(t, Var) or not t.args:
+            depth = max(depth, d)
+        else:
+            todo.extend((a, d + 1) for a in t.args)
+    return depth
 
 
 def render_term(t: Term) -> str:

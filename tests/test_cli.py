@@ -110,6 +110,14 @@ def test_check_cat_repeated_json_key_exit_2(fixtures, tmp_path, capsys):
     assert "repeated key 'a'" in capsys.readouterr().err
 
 
+def test_gen_terms_non_ascii_arity_exit_2(tmp_path, capsys):
+    # an Arabic-Indic one is no arity: arities are ASCII digits
+    sig = tmp_path / "a.sig"
+    sig.write_text("sig a { c : [\u0661]; }", encoding="utf-8")
+    code, report = run_json(capsys, ["gen-terms", "--sig", str(sig)])
+    assert (code, report["status"]) == (2, "error")
+
+
 # ------------- report shape -------------
 
 

@@ -94,6 +94,32 @@ def test_check_term_rejects_foreign_child():
         check_term(LAM, bad)
 
 
+def test_check_term_names_an_unknown_constructor():
+    with pytest.raises(ScopeError, match="unknown constructor 'zero'"):
+        check_term(LAM, Ctor(0, "zero", ()))
+
+
+@pytest.mark.parametrize("t, first", [
+    (Ctor(0, "app", (Var(2, 0), 42)), "argument of app at scope 0 binding 0 has scope 2"),
+    (Ctor(0, "app", (Ctor(0, "abs", (Var(3, 0),)), 42)),
+     "argument of abs at scope 0 binding 1 has scope 3"),
+    (Ctor(0, "app", (Ctor(0, "zero", ()), Ctor(0, "abs", (42,)))), "unknown constructor 'zero'"),
+    (Ctor(0, "app", (Ctor(0, "abs", (Var(1, 0),)), Ctor(0, "abs", (42,)))),
+     "argument of abs is not a term: 42"),
+], ids=["sibling", "nested-before-sibling", "unknown-before-sibling", "second-argument"])
+def test_check_term_reports_the_first_error_in_preorder(t, first):
+    with pytest.raises(ScopeError) as exc:
+        check_term(LAM, t)
+    assert str(exc.value) == first
+
+
+def test_deep_term_is_checked_and_measured():
+    # 5000 nested constructors, far past the recursion limit
+    t = nat_term(5000)
+    check_term(nat_signature(), t)
+    assert term_depth(t) == 5000
+
+
 def test_foreign_child_can_still_be_built():
     # the term functor's action on maps into other sets puts non-terms
     # in argument position
@@ -205,6 +231,14 @@ def test_parse_rejections(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_term(LAM, 1, text)
     assert fragment in str(exc.value)
+
+
+def test_parse_rejects_a_non_ascii_variable_index():
+    # str.isdigit holds for an Arabic-Indic one; a variable index is ASCII digits
+    with pytest.raises(ParseError) as exc:
+        parse_term(LAM, 2, "var \u0661")
+    assert (exc.value.line, exc.value.column, exc.value.message) == \
+        (1, 5, "unexpected character '\u0661'")
 
 
 @settings(max_examples=60)
