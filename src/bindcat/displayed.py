@@ -13,11 +13,11 @@ import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fincat import (FinCategory, FinFunctor, TableError, _CatIndex, _doc_category, _doc_fields,
-                     _doc_map, _doc_rows, _functor_index, _grid, _indexing, _read_doc, _unit_laws,
-                     pair_mor, pair_obj)
+from .fincat import (FinCategory, FinFunctor, TableError, _assoc_law, _CatIndex, _doc_category,
+                     _doc_fields, _doc_map, _doc_rows, _functor_index, _grid, _indexing, _read_doc,
+                     _unit_laws, pair_mor, pair_obj)
 from .monoidal import (MonoidalCategory, WhiskeredBifunctor, _MonoidalIndex, _interchange, _iso,
-                       _pentagon, _whisker_identities)
+                       _pentagon, _triangle, _whisker_composition, _whisker_identities)
 from .report import LawReport, _split_families
 
 
@@ -57,12 +57,14 @@ class _DispIndex:
     displayed morphisms in bucket order.  ``base``, ``src`` and ``tgt``
     give a displayed morphism's profile; ``ident`` holds None where a
     displayed identity is absent; ``comp[gg]`` maps ff to gg after ff,
-    ``comp_items`` lists (gg, ff, gg after ff) in table order, and
-    ``out[xx]`` lists the displayed morphisms with source xx.
+    and ``comp_items`` lists (gg, ff, gg after ff) in table order.  These
+    are the integer tables that the base checkers' shared loops read:
+    ``fincat._unit_laws`` and ``fincat._assoc_law`` for the category laws,
+    and the ``monoidal`` loops for the monoidal ones.
     """
 
     __slots__ = ("cx", "objs", "obj_no", "over", "fibers", "mors", "mor_no", "base", "src",
-                 "tgt", "buckets", "ident", "comp", "comp_items", "out")
+                 "tgt", "buckets", "ident", "comp", "comp_items")
 
     def __init__(self, D: DisplayedCategory, cx: _CatIndex):
         for x in D.fiber_obj:
@@ -107,13 +109,6 @@ class _DispIndex:
                 gg, ff, hh = mn[gg], mn[ff], mn[hh]
                 self.comp[gg][ff] = hh
                 self.comp_items.append((gg, ff, hh))
-        self.out = [[] for _ in self.objs]
-        for ff, xx in enumerate(self.src):
-            self.out[xx].append(ff)
-
-    def name(self, m) -> str:
-        """Render a displayed morphism number; absent renders as None."""
-        return "None" if m is None else self.mors[m]
 
     def profile(self, m: int) -> tuple[str, str, str]:
         """(base morphism, displayed source, displayed target) of m."""
@@ -184,23 +179,7 @@ def _check_displayed_category(rep: LawReport, cx: _CatIndex, dx: _DispIndex) -> 
                       f"({cx.mors[base[gg]]}, {cx.mors[base[ff]]})")
 
     passed += _unit_laws(rep, "disp-", objs, mors, src, tgt, ident, comp, "disp_id({})")
-
-    for gg, ff, gf in dx.comp_items:
-        for hh in dx.out[tgt[gg]]:
-            after_h = comp[hh]
-            hg = after_h.get(gg)
-            if hg is None:
-                continue
-            left = after_h.get(gf)
-            right = comp[hg].get(ff)
-            if left is None or right is None:
-                continue
-            if left == right:
-                passed += 1
-            else:
-                rep.check(False, "disp-assoc",
-                          f"({mors[hh]} after ({mors[gg]} after {mors[ff]})) = {mors[left]} but "
-                          f"(({mors[hh]} after {mors[gg]}) after {mors[ff]}) = {mors[right]}")
+    passed += _assoc_law(rep, "disp-", len(objs), mors, src, tgt, comp, dx.comp_items)
     rep.tally(passed)
 
 
@@ -330,12 +309,17 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
     complete check.
 
     A missing displayed entry, structural inverses included, is a
-    totality violation.  The unit laws, whisker identities, structural
-    isos, interchange and pentagon run through the base checkers' loops.
-    The base and displayed tables are indexed by integers for this call
-    only, the index shared with the displayed category checks; a witness
-    is rendered only for an instance that fails.  Large tables are
-    checked in parts across CPUs (``report._split_families``)."""
+    totality violation.  Every law that the base checkers also state runs
+    through their one loop for it: the unit laws and associativity
+    (``fincat._unit_laws``, ``fincat._assoc_law``), the whisker identities
+    and composition, interchange, the structural isos, the triangle and
+    the pentagon (``monoidal._whisker_identities``,
+    ``_whisker_composition``, ``_interchange``, ``_iso``, ``_triangle``,
+    ``_pentagon``).  The base and displayed tables are indexed by
+    integers for this call only, the index shared with the displayed
+    category checks; a witness is rendered only for an instance that
+    fails.  Large tables are checked in parts across CPUs
+    (``report._split_families``)."""
     D = DM.disp_cat
     M = DM.base_monoidal
     if D.base is not M.base and D.base != M.base:
@@ -346,7 +330,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
     dm = _DispMonoidalIndex(DM, dx)
     rep = LawReport()
     _check_displayed_category(rep, cx, dx)
-    objs, mors, over, name = dx.objs, dx.mors, dx.over, dx.name
+    objs, mors, over = dx.objs, dx.mors, dx.over
     base, src, tgt, ident, dcomp = dx.base, dx.src, dx.tgt, dx.ident, dx.comp
     ten, lw, rw, A = dm.ten, dm.lw, dm.rw, dm.a
     n, n_mor = len(objs), len(mors)
@@ -410,36 +394,6 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                                       f"{mors[ff]}⊗̂{objs[xx]} = {mors[mm]} has profile "
                                       f"{dx.profile(mm)}, expected "
                                       f"({cx.mors[want]}, {objs[s]}, {objs[t]})")
-        return passed
-
-    def whisker_composition(rep: LawReport, items: range) -> int:
-        passed = 0
-        for gg, ff, hh in dx.comp_items[items.start:items.stop]:
-            if not (base[ff] in cx.comp[base[gg]] and tgt[ff] == src[gg]):
-                continue  # reported as disp-comp-composable
-            rw_g, rw_f, rw_h = rw[gg], rw[ff], rw[hh]
-            for xx in range(n):
-                lw_x = lw[xx]
-                l_g, l_f, l_h = lw_x[gg], lw_x[ff], lw_x[hh]
-                if l_g is not None and l_f is not None and l_h is not None:
-                    got = dcomp[l_g].get(l_f)
-                    if got == l_h:
-                        passed += 1
-                    else:
-                        rep.check(False, "disp-lwhisker-composition",
-                                  f"{objs[xx]}⊗̂({mors[gg]} after {mors[ff]}) = {mors[l_h]} but "
-                                  f"({objs[xx]}⊗̂{mors[gg]} after {objs[xx]}⊗̂{mors[ff]}) = "
-                                  f"{name(got)}")
-                r_g, r_f, r_h = rw_g[xx], rw_f[xx], rw_h[xx]
-                if r_g is not None and r_f is not None and r_h is not None:
-                    got = dcomp[r_g].get(r_f)
-                    if got == r_h:
-                        passed += 1
-                    else:
-                        rep.check(False, "disp-rwhisker-composition",
-                                  f"({mors[gg]} after {mors[ff]})⊗̂{objs[xx]} = {mors[r_h]} but "
-                                  f"({mors[gg]}⊗̂{objs[xx]} after {mors[ff]}⊗̂{objs[xx]}) = "
-                                  f"{name(got)}")
         return passed
 
     def interchange(ff: int, gg: int, lhs: int, rhs: int) -> str:
@@ -508,26 +462,9 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                                    dcomp, "disp_id({})", "associator at ({},{},{})", (xx, yy, zz))
         return passed
 
-    def triangle(rep: LawReport, xxs: range) -> int:
-        passed = 0
-        for xx in xxs:
-            ru_x = dm.ru[xx]
-            for zz in range(n):
-                lu_z = dm.lu[zz]
-                al = A[xx][uu][zz]
-                if lu_z is None or al is None or ru_x is None:
-                    continue
-                w, r = lw[xx][lu_z], rw[ru_x][zz]
-                if w is None or r is None:
-                    continue
-                lhs = dcomp[w].get(al)
-                if lhs == r:
-                    passed += 1
-                else:
-                    rep.check(False, "disp-triangle",
-                              f"at ({objs[xx]},{objs[zz]}): ({objs[xx]}⊗̂lunitor after "
-                              f"associator) = {name(lhs)} but runitor⊗̂{objs[zz]} = {mors[r]}")
-        return passed
+    def triangle(xx: int, zz: int, lhs: int, r: int) -> str:
+        return (f"at ({objs[xx]},{objs[zz]}): ({objs[xx]}⊗̂lunitor after associator) = "
+                f"{'None' if lhs is None else mors[lhs]} but runitor⊗̂{objs[zz]} = {mors[r]}")
 
     n_comp = len(dx.comp_items)
     _split_families(rep, [
@@ -535,12 +472,14 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
         (n, 2 * n * n_mor, whiskers_over),
         (n, 2 * n * n, lambda rep, xxs: _whisker_identities(
             rep, xxs, "disp-", objs, mors, ident, ten, lw, rw, "⊗̂", "disp_id({})")),
-        (n_comp, 2 * n_comp * n, whisker_composition),
+        (n_comp, 2 * n_comp * n, lambda rep, items: _whisker_composition(
+            rep, items, "disp-", objs, mors, src, tgt, dcomp, dx.comp_items, lw, rw, "⊗̂")),
         (n_mor, n_mor * n_mor, lambda rep, ffs: _interchange(
             rep, ffs, "disp-interchange", src, tgt, dcomp, lw, rw, interchange)),
         (n, 6 * n, unitors),
         (n, 3 * n ** 3, associators),
-        (n, n * n, triangle),
+        (n, n * n, lambda rep, xxs: _triangle(
+            rep, xxs, "disp-triangle", uu, dcomp, lw, rw, dm.lu, dm.ru, A, triangle)),
         (n, n ** 4, lambda rep, ws: _pentagon(
             rep, ws, "disp-pentagon", objs, mors, dcomp, ten, lw, rw, A))])
     return rep

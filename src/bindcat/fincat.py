@@ -260,27 +260,7 @@ def check_category_laws(C: FinCategory) -> LawReport:
                           f"composable pair ({mors[g]} after {mors[f]}) missing from comp table")
 
     passed += _unit_laws(rep, "", objs, mors, src, tgt, ix.ident, comp, "id_{}")
-
-    for h, after_h in enumerate(comp):
-        for g in ix.into[src[h]]:
-            hg = after_h.get(g)
-            if hg is None:
-                continue  # already reported by comp-totality
-            after_g, after_hg = comp[g], comp[hg]
-            for f in ix.into[src[g]]:
-                gf = after_g.get(f)
-                if gf is None:
-                    continue
-                left = after_h.get(gf)
-                right = after_hg.get(f)
-                if left is None or right is None:
-                    continue
-                if left == right:
-                    passed += 1
-                else:
-                    rep.check(False, "assoc",
-                              f"({mors[h]} after ({mors[g]} after {mors[f]})) = {mors[left]} but "
-                              f"(({mors[h]} after {mors[g]}) after {mors[f]}) = {mors[right]}")
+    passed += _assoc_law(rep, "", len(objs), mors, src, tgt, comp, ix.comp_items)
     rep.tally(passed)
     return rep
 
@@ -313,6 +293,38 @@ def _unit_laws(rep: LawReport, law: str, objs, mors, src, tgt, ident, comp, idn:
                 rep.check(False, law + "unit-right",
                           f"({mors[f]} after {idn.format(objs[src[f]])}) = {mors[got]}, "
                           f"expected {mors[f]}")
+    return passed
+
+
+def _assoc_law(rep: LawReport, law: str, n_obj: int, mors, src, tgt, comp, comp_items) -> int:
+    """Associativity over integer tables, at every comp entry (g, f, g ∘ f)
+    on a composable pair, in table order, and every h out of g's target:
+    h ∘ (g ∘ f) = (h ∘ g) ∘ f.  An entry on a non-composable pair is
+    skipped: the composability check reports it.  An instance that reads
+    an absent composite is skipped uncounted: the totality checks report
+    it.  A failure is reported under ``law + 'assoc'``.  Returns the
+    number of passes."""
+    out = [[] for _ in range(n_obj)]
+    for h, y in enumerate(src):
+        out[y].append(h)
+    passed = 0
+    for g, f, gf in comp_items:
+        if tgt[f] != src[g]:
+            continue
+        for h in out[tgt[g]]:
+            after_h = comp[h]
+            hg = after_h.get(g)
+            if hg is None:
+                continue
+            left, right = after_h.get(gf), comp[hg].get(f)
+            if left is None or right is None:
+                continue
+            if left == right:
+                passed += 1
+            else:
+                rep.check(False, law + "assoc",
+                          f"({mors[h]} after ({mors[g]} after {mors[f]})) = {mors[left]} but "
+                          f"(({mors[h]} after {mors[g]}) after {mors[f]}) = {mors[right]}")
     return passed
 
 

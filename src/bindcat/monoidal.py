@@ -134,30 +134,6 @@ def _whiskered_families(cx: _CatIndex, tx: _TensorIndex) -> list:
                               f"expected {objs[ten[y][x]]}→{objs[ten[z][x]]}")
         return passed
 
-    def composition(rep: LawReport, items: range) -> int:
-        passed = 0
-        for g, f, h in cx.comp_items[items.start:items.stop]:
-            rw_g, rw_f, rw_h = rw[g], rw[f], rw[h]
-            for x in range(n_obj):
-                lwx = lw[x]
-                lhs, rhs = lwx[h], comp[lwx[g]].get(lwx[f])
-                if rhs is not None:
-                    if lhs == rhs:
-                        passed += 1
-                    else:
-                        rep.check(False, "lwhisker-composition",
-                                  f"{objs[x]}⊗({mors[g]} after {mors[f]}) = {mors[lhs]} but "
-                                  f"({objs[x]}⊗{mors[g]} after {objs[x]}⊗{mors[f]}) = {mors[rhs]}")
-                lhs, rhs = rw_h[x], comp[rw_g[x]].get(rw_f[x])
-                if rhs is not None:
-                    if lhs == rhs:
-                        passed += 1
-                    else:
-                        rep.check(False, "rwhisker-composition",
-                                  f"({mors[g]} after {mors[f]})⊗{objs[x]} = {mors[lhs]} but "
-                                  f"({mors[g]}⊗{objs[x]} after {mors[f]}⊗{objs[x]}) = {mors[rhs]}")
-        return passed
-
     def interchange(f: int, g: int, lhs: int, rhs: int) -> str:
         y, y1, x, x1 = src[f], tgt[f], src[g], tgt[g]
         return (f"at f={mors[f]}: {objs[y]}→{objs[y1]}, g={mors[g]}: {objs[x]}→{objs[x1]}: "
@@ -168,7 +144,8 @@ def _whiskered_families(cx: _CatIndex, tx: _TensorIndex) -> list:
     return [(n_obj, 2 * n_obj * n_mor, endpoints),
             (n_obj, 2 * n_obj * n_obj, lambda rep, xs: _whisker_identities(
                 rep, xs, "", objs, mors, ident, ten, lw, rw, "⊗", "id_{}")),
-            (n_comp, 2 * n_comp * n_obj, composition),
+            (n_comp, 2 * n_comp * n_obj, lambda rep, items: _whisker_composition(
+                rep, items, "", objs, mors, src, tgt, comp, cx.comp_items, lw, rw, "⊗")),
             (n_mor, n_mor * n_mor, lambda rep, fs: _interchange(
                 rep, fs, "interchange", src, tgt, comp, lw, rw, interchange))]
 
@@ -209,6 +186,46 @@ def _whisker_identities(rep: LawReport, xs: range, law: str, objs, mors, ident, 
                     rep.check(False, law + "rwhisker-identity",
                               f"{idn.format(objs[x])}{ot}{objs[y]} = {mors[m]}, "
                               f"expected {idn.format(objs[xy])}")
+    return passed
+
+
+def _whisker_composition(rep: LawReport, items: range, law: str, objs, mors, src, tgt, comp,
+                         comp_items, lw, rw, ot: str) -> int:
+    """The whisker composition laws over integer tables, at every comp
+    entry (g, f, g ∘ f) in ``comp_items[items]`` and every object x:
+    x ⊗ (g ∘ f) = (x ⊗ g) ∘ (x ⊗ f) and (g ∘ f) ⊗ x = (g ⊗ x) ∘ (f ⊗ x).
+    An entry on a non-composable pair is skipped: the composability check
+    reports it.  An instance that reads an absent whisker (None in a
+    displayed table) is skipped uncounted, and an absent composite fails
+    it.  A failure is reported under ``law + 'lwhisker-composition'`` or
+    ``law + 'rwhisker-composition'``, with the tensor rendered as ``ot``.
+    Returns the number of passes."""
+    passed = 0
+    for g, f, h in comp_items[items.start:items.stop]:
+        if tgt[f] != src[g]:
+            continue
+        rw_g, rw_f, rw_h = rw[g], rw[f], rw[h]
+        for x, lw_x in enumerate(lw):
+            l_g, l_f, l_h = lw_x[g], lw_x[f], lw_x[h]
+            if l_g is not None and l_f is not None and l_h is not None:
+                got = comp[l_g].get(l_f)
+                if got == l_h:
+                    passed += 1
+                else:
+                    rep.check(False, law + "lwhisker-composition",
+                              f"{objs[x]}{ot}({mors[g]} after {mors[f]}) = {mors[l_h]} but "
+                              f"({objs[x]}{ot}{mors[g]} after {objs[x]}{ot}{mors[f]}) = "
+                              f"{'None' if got is None else mors[got]}")
+            r_g, r_f, r_h = rw_g[x], rw_f[x], rw_h[x]
+            if r_g is not None and r_f is not None and r_h is not None:
+                got = comp[r_g].get(r_f)
+                if got == r_h:
+                    passed += 1
+                else:
+                    rep.check(False, law + "rwhisker-composition",
+                              f"({mors[g]} after {mors[f]}){ot}{objs[x]} = {mors[r_h]} but "
+                              f"({mors[g]}{ot}{objs[x]} after {mors[f]}{ot}{objs[x]}) = "
+                              f"{'None' if got is None else mors[got]}")
     return passed
 
 
@@ -305,6 +322,31 @@ def _pentagon(rep: LawReport, ws: range, law: str, objs, mors, comp, ten, lw, rw
                         rep.check(False, law,
                                   f"at ({objs[w]},{objs[x]},{objs[y]},{objs[z]}): "
                                   f"two-step side = {mors[l]}, three-step side = {mors[r]}")
+    return passed
+
+
+def _triangle(rep: LawReport, xs: range, law: str, unit: int, comp, lw, rw, lu, ru, A,
+              witness) -> int:
+    """The triangle over integer tables, at every (x, z) with x in xs:
+    (x ⊗ λ_z) ∘ α_(x,I,z) = ρ_x ⊗ z.  An instance that reads an absent
+    entry (None in a displayed table) is skipped uncounted, and an absent
+    composite fails it.  A failure is reported under ``law`` with
+    ``witness(x, z, lhs, rhs)``.  Returns the number of passes."""
+    passed = 0
+    for x in xs:
+        ru_x, lw_x, A_xI = ru[x], lw[x], A[x][unit]
+        for z, lu_z in enumerate(lu):
+            a = A_xI[z]
+            if lu_z is None or a is None or ru_x is None:
+                continue
+            w, rhs = lw_x[lu_z], rw[ru_x][z]
+            if w is None or rhs is None:
+                continue
+            lhs = comp[w].get(a)
+            if lhs == rhs:
+                passed += 1
+            else:
+                rep.check(False, law, witness(x, z, lhs, rhs))
     return passed
 
 
@@ -538,21 +580,10 @@ def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
                             naturality(rep, "third", f, y, z, lhs, rhs)
         return passed
 
-    def triangle(rep: LawReport, xs: range) -> int:
-        passed = 0
-        for x in xs:
-            for z in range(n_obj):
-                lhs = comp[lw[x][lu[z]]].get(A[x][I][z])
-                rhs = rw[ru[x]][z]
-                if lhs is not None:
-                    if lhs == rhs:
-                        passed += 1
-                    else:
-                        rep.check(False, "triangle",
-                                  f"at ({objs[x]},{objs[z]}): ({objs[x]}⊗lunitor_{objs[z]} after "
-                                  f"α_({objs[x]},{objs[I]},{objs[z]})) = {mors[lhs]} "
-                                  f"but runitor_{objs[x]}⊗{objs[z]} = {mors[rhs]}")
-        return passed
+    def triangle(x: int, z: int, lhs: int, rhs: int) -> str:
+        return (f"at ({objs[x]},{objs[z]}): ({objs[x]}⊗lunitor_{objs[z]} after "
+                f"α_({objs[x]},{objs[I]},{objs[z]})) = {cx.name(lhs)} "
+                f"but runitor_{objs[x]}⊗{objs[z]} = {mors[rhs]}")
 
     rep = LawReport()
     _split_families(rep, _whiskered_families(cx, mx.ten) + [
@@ -560,7 +591,8 @@ def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
         (n_obj, 3 * n_obj ** 3, associator_isos),
         (n_mor, 2 * n_mor, unitor_naturality),
         (n_mor, 3 * n_mor * n_obj ** 2, associator_naturality),
-        (n_obj, n_obj ** 2, triangle),
+        (n_obj, n_obj ** 2, lambda rep, xs: _triangle(
+            rep, xs, "triangle", I, comp, lw, rw, lu, ru, A, triangle)),
         (n_obj, n_obj ** 4, lambda rep, ws: _pentagon(
             rep, ws, "pentagon", objs, mors, comp, ten, lw, rw, A))])
     return rep

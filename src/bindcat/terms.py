@@ -188,38 +188,51 @@ def render_term(t: Term) -> str:
     return "".join(out)
 
 
-def _parse_term(p: _Parser, sig: BindingSignature, scope: int) -> Term:
-    tok = p.peek()
-    if tok[0] == "ident" and tok[1] == "var":
-        p.next()
-        num = p.peek()
-        i = int(p.expect("nat", "a variable index"))
-        if not 0 <= i < scope:
-            raise ParseError(num[2], num[3],
-                             f"variable index {i} out of range for scope {scope}")
-        return Var(scope, i)
-    if tok[0] != "ident":
-        p.error("expected a term")
-    name = p.next()[1]
-    try:
-        c = sig.constructor(name)
-    except KeyError:
-        raise ParseError(tok[2], tok[3], f"unknown constructor {name!r}") from None
-    p.expect("(", "'('")
-    args = []
-    for j, k in enumerate(c.arity):
-        if j:
-            p.expect(",", "','")
-        args.append(_parse_term(p, sig, scope + k))
-    p.expect(")", "')'")
-    return Ctor(scope, name, tuple(args))
-
-
 def parse_term(sig: BindingSignature, scope: int, text: str) -> Term:
     """Parse the surface syntax ``var i`` / ``name(t1, …, tk)``; raises
-    ParseError with 1-based position info."""
+    ParseError with 1-based position info.  The constructors whose
+    arguments are still being read wait on a stack, not in recursive
+    calls, so a term of any depth parses."""
     p = _Parser(text)
-    t = _parse_term(p, sig, scope)
+    waiting: list[tuple[str, int, tuple[int, ...], list]] = []  # (name, scope, arity, args)
+    while True:
+        tok = p.peek()
+        if tok[0] == "ident" and tok[1] == "var":
+            p.next()
+            num = p.peek()
+            i = int(p.expect("nat", "a variable index"))
+            if not 0 <= i < scope:
+                raise ParseError(num[2], num[3],
+                                 f"variable index {i} out of range for scope {scope}")
+            t = Var(scope, i)
+        else:
+            if tok[0] != "ident":
+                p.error("expected a term")
+            name = p.next()[1]
+            try:
+                c = sig.constructor(name)
+            except KeyError:
+                raise ParseError(tok[2], tok[3], f"unknown constructor {name!r}") from None
+            p.expect("(", "'('")
+            if c.arity:
+                waiting.append((name, scope, c.arity, []))
+                scope += c.arity[0]
+                continue
+            p.expect(")", "')'")
+            t = Ctor(scope, name, ())
+        # t is complete: it is the next argument of the innermost waiting constructor
+        while waiting:
+            name, scope, arity, args = waiting[-1]
+            args.append(t)
+            if len(args) < len(arity):
+                p.expect(",", "','")
+                scope += arity[len(args)]
+                break
+            p.expect(")", "')'")
+            waiting.pop()
+            t = Ctor(scope, name, tuple(args))
+        else:
+            break
     if p.peek()[0] != "eof":
         p.error("trailing input after term")
     return t
@@ -655,13 +668,14 @@ def scoped_signature_functor(sig: BindingSignature, max_scope: int,
 
 def binder_nesting(t: Term) -> int:
     """Deepest chain of binder crossings on any path into the term: the
-    number of times a substitution gets lifted while traversing it."""
-    if isinstance(t, Var):
-        return 0
-    best = 0
-    for a in t.args:
-        crossed = 1 if a.scope > t.scope else 0
-        best = max(best, crossed + binder_nesting(a))
+    number of times a substitution gets lifted while traversing it.  The
+    subterms are taken from a stack, not by recursion."""
+    best, todo = 0, [(t, 0)]
+    while todo:
+        t, d = todo.pop()
+        best = max(best, d)
+        if not isinstance(t, Var):
+            todo.extend((a, d + 1 if a.scope > t.scope else d) for a in t.args)
     return best
 
 

@@ -146,3 +146,32 @@ def test_split_cocycle_corpus_reports_as_one_part(split):
         split(workers)
         assert reports() == one, workers
     assert set(split.widths) == {1, 2, 3}
+
+
+def _without(M, key):
+    """Check M with the composite at key deleted from its base's table."""
+    comp = M.base.comp
+    M.base.comp = {k: v for k, v in comp.items() if k != key}
+    try:
+        return check_monoidal_laws(M)
+    finally:
+        M.base.comp = comp
+
+
+def test_every_deleted_composite_fails_the_monoidal_laws():
+    # the whisker-composition and triangle laws fail an instance whose
+    # composite is absent, so no single deletion from a lawful table passes
+    corpus = [categorical_group(n, n, cocycle(n, k)) for n, k in COCYCLES if n <= 4]
+    corpus.append(categorical_group(2, 3, twisted_coboundary, negation))
+    deletions = [(M, key) for M in corpus for key in list(M.base.comp)]
+    assert (len(corpus), len(deletions)) == (10, 371)
+    assert [key for M, key in deletions if _without(M, key).ok] == []
+
+
+def test_a_deleted_composite_fails_whisker_composition():
+    rep = _without(categorical_group(3, 3, cocycle(3, 1)), ("a0@g0", "a1@g0"))
+    assert rep.checks_run == 724
+    assert Counter(v.law for v in rep.violations) == {
+        "lwhisker-composition": 2, "rwhisker-composition": 2}
+    assert rep.violations[0].witness == \
+        "g2⊗(a0@g1 after a1@g1) = a1@g0 but (g2⊗a0@g1 after g2⊗a1@g1) = None"

@@ -24,11 +24,17 @@ _spec.loader.exec_module(mutation_sweep)
 BUILT = {
     ("fincat.py", "law + 'unit-left'"): {"unit-left", "disp-unit-left"},
     ("fincat.py", "law + 'unit-right'"): {"unit-right", "disp-unit-right"},
-    ("monoidal.py", "law"): {"interchange", "disp-interchange", "pentagon", "disp-pentagon"},
+    ("fincat.py", "law + 'assoc'"): {"assoc", "disp-assoc"},
+    ("monoidal.py", "law"): {"interchange", "disp-interchange", "triangle", "disp-triangle",
+                             "pentagon", "disp-pentagon"},
     ("monoidal.py", "law + 'lwhisker-identity'"): {
         "lwhisker-identity", "disp-lwhisker-identity"},
     ("monoidal.py", "law + 'rwhisker-identity'"): {
         "rwhisker-identity", "disp-rwhisker-identity"},
+    ("monoidal.py", "law + 'lwhisker-composition'"): {
+        "lwhisker-composition", "disp-lwhisker-composition"},
+    ("monoidal.py", "law + 'rwhisker-composition'"): {
+        "rwhisker-composition", "disp-rwhisker-composition"},
     ("monoidal.py", "law + '-endpoints'"): {
         "lunitor-endpoints", "runitor-endpoints", "associator-endpoints"},
     ("monoidal.py", "law + '-iso'"): {

@@ -120,6 +120,11 @@ def test_deep_term_is_checked_and_measured():
     assert term_depth(t) == 5000
 
 
+def test_deep_term_parses():
+    t = nat_term(5000)
+    assert parse_term(nat_signature(), 0, render_term(t)) is t
+
+
 def test_foreign_child_can_still_be_built():
     # the term functor's action on maps into other sets puts non-terms
     # in argument position
@@ -729,6 +734,14 @@ def test_binder_nesting():
     assert binder_nesting(lam_term(0, "abs(var 0)")) == 1
     assert binder_nesting(lam_term(0, "abs(abs(app(var 0, var 1)))")) == 2
     assert binder_nesting(lam_term(0, "app(abs(var 0), abs(abs(var 0)))")) == 2
+
+
+def test_binder_nesting_of_a_deep_chain():
+    # 5000 nested binders, far past the recursion limit
+    t = Var(5000, 0)
+    for scope in reversed(range(5000)):
+        t = Ctor(scope, "abs", (t,))
+    assert binder_nesting(t) == 5000
 
 
 def test_substitution_pool_generations():
