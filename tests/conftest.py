@@ -1,8 +1,12 @@
-"""Shared test setup: strict scope checking on, fixture-path helper, and
-sweeps forced to split across processes."""
+"""Shared test setup: strict scope checking on, fixture-path helper,
+sweeps forced to split across processes, and the table check counts of
+End(chain k) derived by brute force."""
 
+import itertools
 import os
+from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -50,3 +54,29 @@ def split(monkeypatch):
     yield set_width
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class EndChainCounts(NamedTuple):
+    n: int  # endofunctors of chain k: its monotone maps
+    m: int  # pairs F ≤ G
+    c: int  # chains F ≤ G ≤ H
+    whiskered: int  # check_whiskered_bifunctor's declared count
+    monoidal: int  # check_monoidal_laws's declared count
+
+
+@pytest.fixture(scope="session")
+def end_chain_counts():
+    """end_chain_counts(k): n, m and c for End(chain k) by brute force over
+    monotone maps, without the library, and the check counts the table
+    checkers declare from them."""
+    def counts(k: int) -> EndChainCounts:
+        maps = [f for f in itertools.product(range(k), repeat=k)
+                if all(a <= b for a, b in zip(f, f[1:]))]
+        pairs = [(f, g) for f in maps for g in maps
+                 if all(a <= b for a, b in zip(f, g))]
+        above = Counter(f for f, _ in pairs)
+        n, m, c = len(maps), len(pairs), sum(above[g] for _, g in pairs)
+        whiskered = 2 * n * m + 2 * n ** 2 + 2 * c * n + m ** 2
+        monoidal = whiskered + 6 * n + 3 * n ** 3 + 2 * m + 3 * m * n ** 2 + n ** 2 + n ** 4
+        return EndChainCounts(n, m, c, whiskered, monoidal)
+    return counts

@@ -210,7 +210,7 @@ def test_negative_bounds_exit_2(fixtures, capsys, sig, argv):
     assert "must not be negative, got -1" in err
 
 
-@pytest.mark.parametrize("input_", ["gen-terms", "mendler-demo", "check-cat"])
+@pytest.mark.parametrize("input_", ["gen-terms", "check-cat"])
 def test_deeply_nested_input_exits_2(fixtures, tmp_path, capsys, input_):
     # input nested deeper than Python's recursion limit is an input error,
     # not a law violation
@@ -218,12 +218,20 @@ def test_deeply_nested_input_exits_2(fixtures, tmp_path, capsys, input_):
     nested.write_text("[" * 100_000)
     argv = {"gen-terms": ["gen-terms", "--sig", str(fixtures / "nat.sig"), "--scope", "0",
                           "--depth", "2000"],
-            "mendler-demo": ["mendler-demo", "--depth", "1000"],
             "check-cat": ["check-cat", str(nested)]}[input_]
     code = main(argv + ["--json"])
     out, err = capsys.readouterr()
     assert (code, json.loads(out)["status"]) == (2, "error")
     assert "recursion" in err
+
+
+def test_deep_mendler_demo_hits_the_stage_bound(capsys):
+    # levels fill upward without recursion, so a deep level reaches the
+    # chain's own bound: evenness needs a stage per level
+    code = main(["mendler-demo", "--depth", "1000", "--json"])
+    out, err = capsys.readouterr()
+    assert (code, json.loads(out)["status"]) == (2, "error")
+    assert "no stabilization within 32 stages at level 1000" in err
 
 
 @pytest.mark.parametrize("depth", ["1", "2"])

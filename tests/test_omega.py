@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import os
 import pickle
+import tracemalloc
 import weakref
 
 import pytest
@@ -117,6 +118,10 @@ def test_negative_level():
         const_enum_set([1]).level(-1)
 
 
+def test_a_deep_level_answers_without_recursion():
+    assert EnumSetObj(lambda d: [0]).level(5000) == [0]
+
+
 def test_truncate_freezes():
     X = EnumSetObj(lambda d: list(range(d + 1)))
     assert truncate(X, 2).level(10) == [0, 1, 2]
@@ -223,6 +228,15 @@ def test_stability_answers_do_not_depend_on_the_order_asked():
     answers = [forward.stable_at(n, d) for n, d in asked]
     assert answers == [True, False, True, True, True, True]
     assert [backward.stable_at(n, d) for n, d in reversed(asked)] == answers[::-1]
+
+
+def test_stages_that_list_one_set_in_other_orders_are_stable():
+    def apply(X: EnumSetObj):
+        return EnumSetObj(lambda d: X.level(d)[::-1] or [1, 2])
+    chain = OmegaChain(EnumEndofunctor("flip", apply, lambda h: h, lambda d: d))
+    assert chain.stage(1).level(0) == [1, 2] and chain.stage(2).level(0) == [2, 1]
+    assert not chain.stable_at(0, 0)
+    assert chain.stable_at(1, 2)
 
 
 def test_adamek_numerals():
@@ -598,6 +612,22 @@ def test_interning_keeps_no_tree_alive():
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
     assert not [k for k in _trees if k[0] == "leaf" and k[1] in (-1, -2, -3)]
+
+
+def test_building_a_carrier_checks_levels_without_sets():
+    # levels are checked through dict key views: building μ at zc to level
+    # 4 peaks 0.89 MB above what it holds afterwards, 4.56 MB through sets
+    cat, carriers, mor_maps = demo_param_corpus()
+    F = tree_bifunctor(cat, carriers, mor_maps).functor_at("zc")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mu = adamek_initial_algebra(F)
+        assert len(mu.carrier.level(4)) == 21_612
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 2_000_000
 
 
 @pytest.fixture(scope="module")

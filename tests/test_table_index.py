@@ -56,13 +56,26 @@ def test_a_changed_displayed_structure_is_seen_by_the_next_check(chain3):
     assert {v.law for v in rep.violations} >= {"disp-associator-over"}
 
 
-def test_chain3_counts_are_pinned(chain3):
+def test_chain3_counts_are_pinned(chain3, end_chain_counts):
+    declared = end_chain_counts(3)
     assert check_category_laws(chain3.base).checks_run == 1_125
     assert check_whiskered_bifunctor(chain3.tensor).checks_run == 7_200
+    assert declared.whiskered == 7_200
     assert check_monoidal_laws(chain3).checks_run == 35_460
+    assert declared.monoidal == 35_460
     DM = trivial_displayed_monoidal(chain3)
     assert check_displayed_monoidal(DM).checks_run == 21_596
     assert check_monoidal_laws(total_monoidal(DM)).checks_run == 35_460
+
+
+@pytest.mark.parametrize("k, counts", [
+    (2, (3, 6, 10, 150, 513)),
+    (3, (10, 50, 175, 7_200, 35_460)),
+    (4, (35, 490, 4_116, 564_970, 3_997_385)),
+])
+def test_declared_counts_derive_from_monotone_maps(end_chain_counts, k, counts):
+    # n, m and c are the objects, morphisms and comp entries of End(chain k)
+    assert end_chain_counts(k) == counts
 
 
 # --- shared grid rows and the pentagon kernel ----------------------------------------

@@ -1,8 +1,8 @@
 """Mutation sweep over the law check sites of one source file.
 
-Each site is mutated on its own, in a copy of ``src/`` and ``tests/``:
-the condition of a ``rep.check(`` call becomes ``True`` and a
-``rep.fail(`` or ``rep.fail_bits(`` call becomes ``None``, so the law
+Each site is mutated on its own, in a copy of ``src/``, ``tests/`` and
+``tools/``: the condition of a ``rep.check(`` call becomes ``True`` and
+a ``rep.fail(`` or ``rep.fail_bits(`` call becomes ``None``, so the law
 at that site can no longer fail.  The given test files then run with
 ``pytest -x``.  A site whose mutant still passes every test is a
 survivor: no test shows that its law can fail.
@@ -90,7 +90,8 @@ def main(argv=None) -> int:
     survivors = []
     with tempfile.TemporaryDirectory(prefix="mutation-sweep-") as tmp:
         root = Path(tmp)
-        for part in ("src", "tests"):
+        # the census test loads this tool from the copy's root
+        for part in ("src", "tests", "tools"):
             shutil.copytree(repo / part, root / part,
                             ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
         target = root / args.source
