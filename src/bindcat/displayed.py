@@ -13,11 +13,12 @@ import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fincat import (FinCategory, FinFunctor, TableError, _assoc_law, _CatIndex, _doc_category,
-                     _doc_fields, _doc_map, _doc_rows, _functor_index, _grid, _indexing, _read_doc,
-                     _unit_laws, pair_mor, pair_obj)
-from .monoidal import (MonoidalCategory, WhiskeredBifunctor, _MonoidalIndex, _interchange, _iso,
-                       _pentagon, _triangle, _whisker_composition, _whisker_identities)
+from .fincat import (FinCategory, FinFunctor, TableError, _assoc_law, _CatIndex, _comp_index,
+                     _doc_category, _doc_fields, _doc_map, _doc_rows, _functor_index, _grid,
+                     _indexing, _read_doc, _unit_laws, pair_mor, pair_obj)
+from .monoidal import (_ISO_TABLES, MonoidalCategory, WhiskeredBifunctor, _associator_isos,
+                       _index_monoidal, _interchange, _MonoidalIndex, _pentagon, _place,
+                       _triangle, _unitor_isos, _whisker_composition, _whisker_identities)
 from .report import LawReport, _split_families
 
 
@@ -58,12 +59,12 @@ class _DispIndex:
     give a displayed morphism's profile; ``ident`` holds None where a
     displayed identity is absent; ``comp[gg]`` maps ff to gg after ff,
     and ``comp_items`` lists (gg, ff, gg after ff) in table order.  These
-    are the integer tables that the base checkers' shared loops read:
+    are ``_CatIndex``'s fields, read by the base checkers' shared loops:
     ``fincat._unit_laws`` and ``fincat._assoc_law`` for the category laws,
     and the ``monoidal`` loops for the monoidal ones.
     """
 
-    __slots__ = ("cx", "objs", "obj_no", "over", "fibers", "mors", "mor_no", "base", "src",
+    __slots__ = ("cx", "objects", "obj_no", "over", "fibers", "mors", "mor_no", "base", "src",
                  "tgt", "buckets", "ident", "comp", "comp_items")
 
     def __init__(self, D: DisplayedCategory, cx: _CatIndex):
@@ -72,15 +73,15 @@ class _DispIndex:
                 raise TableError(f"fiber over unknown base object {x!r}")
         self.cx = cx
         self.fibers = [[] for _ in cx.objects]
-        self.objs, self.over = [], []
+        self.objects, self.over = [], []
         self.obj_no = on = {}
         for x, base_x in enumerate(cx.objects):
             for xx in D.fiber(base_x):
                 if xx in on:
                     raise TableError(f"displayed object id {xx!r} used twice")
-                on[xx] = len(self.objs)
+                on[xx] = len(self.objects)
                 self.fibers[x].append(on[xx])
-                self.objs.append(xx)
+                self.objects.append(xx)
                 self.over.append(x)
         self.mors, self.base, self.src, self.tgt = [], [], [], []
         self.mor_no = mn = {}
@@ -102,17 +103,11 @@ class _DispIndex:
                     self.src.append(s)
                     self.tgt.append(t)
         self.ident = _grid(D.disp_id, "disp_id", mn, on)
-        self.comp = [{} for _ in self.mors]
-        self.comp_items = []
-        with _indexing("disp_comp"):
-            for (gg, ff), hh in D.disp_comp.items():
-                gg, ff, hh = mn[gg], mn[ff], mn[hh]
-                self.comp[gg][ff] = hh
-                self.comp_items.append((gg, ff, hh))
+        self.comp, self.comp_items = _comp_index(D.disp_comp, "disp_comp", mn)
 
     def profile(self, m: int) -> tuple[str, str, str]:
         """(base morphism, displayed source, displayed target) of m."""
-        return self.cx.mors[self.base[m]], self.objs[self.src[m]], self.objs[self.tgt[m]]
+        return self.cx.mors[self.base[m]], self.objects[self.src[m]], self.objects[self.tgt[m]]
 
 
 def check_displayed_category(D: DisplayedCategory) -> LawReport:
@@ -128,7 +123,7 @@ def check_displayed_category(D: DisplayedCategory) -> LawReport:
 
 
 def _check_displayed_category(rep: LawReport, cx: _CatIndex, dx: _DispIndex) -> None:
-    objs, mors, over = dx.objs, dx.mors, dx.over
+    objs, mors, over = dx.objects, dx.mors, dx.over
     base, src, tgt, ident, comp = dx.base, dx.src, dx.tgt, dx.ident, dx.comp
     passed = 0
 
@@ -178,8 +173,8 @@ def _check_displayed_category(rep: LawReport, cx: _CatIndex, dx: _DispIndex) -> 
                       f"disp_comp entry ({mors[gg]}, {mors[ff]}) over non-composable pair "
                       f"({cx.mors[base[gg]]}, {cx.mors[base[ff]]})")
 
-    passed += _unit_laws(rep, "disp-", objs, mors, src, tgt, ident, comp, "disp_id({})")
-    passed += _assoc_law(rep, "disp-", len(objs), mors, src, tgt, comp, dx.comp_items)
+    passed += _unit_laws(rep, "disp-", dx, "disp_id({})")
+    passed += _assoc_law(rep, "disp-", dx)
     rep.tally(passed)
 
 
@@ -194,7 +189,7 @@ def _total_category(C: FinCategory, cx: _CatIndex, dx: _DispIndex):
     """``total_category`` read off the index of a displayed category over C, with
     the maps naming each displayed object and morphism by its pair id, each named once."""
     base, src, tgt, over = dx.base, dx.src, dx.tgt, dx.over
-    pobj = {xx: pair_obj(cx.objects[x], xx) for xx, x in zip(dx.objs, over)}
+    pobj = {xx: pair_obj(cx.objects[x], xx) for xx, x in zip(dx.objects, over)}
     pmor = {ff: pair_mor(cx.mors[f], ff) for ff, f in zip(dx.mors, base)}
     pobjs, pmors = list(pobj.values()), list(pmor.values())
 
@@ -274,30 +269,12 @@ class DisplayedMonoidal:
     disp_associator_inv: dict[tuple[str, str, str], str]
 
 
-class _DispMonoidalIndex:
-    """Integer view of displayed monoidal tables over a ``_DispIndex``,
-    with None where an entry is absent: ``ten[xx][yy]``, ``lw[xx][ff]``,
-    ``rw[ff][zz]``, the unitors per displayed object and the associators
-    as ``a[xx][yy][zz]``.  Built by one checker call and dropped when it
-    returns; building it is the tables' validation, so an entry naming an
-    unknown id is a TableError."""
-
-    __slots__ = ("unit", "ten", "lw", "rw", "lu", "lu_inv", "ru", "ru_inv", "a", "a_inv")
-
-    def __init__(self, DM: DisplayedMonoidal, dx: _DispIndex):
-        on, mn = dx.obj_no, dx.mor_no
-        if DM.disp_unit not in on:
-            raise TableError(f"unknown displayed object {DM.disp_unit!r}")
-        self.unit = on[DM.disp_unit]
-        self.ten = _grid(DM.disp_tensor, "disp_tensor", on, on, on)
-        self.lw = _grid(DM.disp_lwhisker, "disp_lwhisker", mn, on, mn)
-        self.rw = _grid(DM.disp_rwhisker, "disp_rwhisker", mn, mn, on)
-        self.lu, self.lu_inv, self.ru, self.ru_inv = (
-            _grid(getattr(DM, table), table, mn, on)
-            for table in ("disp_lunitor", "disp_lunitor_inv", "disp_runitor", "disp_runitor_inv"))
-        self.a, self.a_inv = (
-            _grid(getattr(DM, table), table, mn, on, on, on)
-            for table in ("disp_associator", "disp_associator_inv"))
+def _disp_monoidal_index(DM: DisplayedMonoidal, dx: _DispIndex) -> _MonoidalIndex:
+    """``DM``'s tables as a ``_MonoidalIndex`` over ``dx``; building it is their validation."""
+    if DM.disp_unit not in dx.obj_no:
+        raise TableError(f"unknown displayed object {DM.disp_unit!r}")
+    names = ("disp_tensor", "disp_lwhisker", "disp_rwhisker", *("disp_" + t for t in _ISO_TABLES))
+    return _MonoidalIndex(dx, dx.obj_no[DM.disp_unit], [(getattr(DM, t), t) for t in names], _grid)
 
 
 def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
@@ -312,37 +289,36 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
     totality violation.  Every law that the base checkers also state runs
     through their one loop for it: the unit laws and associativity
     (``fincat._unit_laws``, ``fincat._assoc_law``), the whisker identities
-    and composition, interchange, the structural isos, the triangle and
-    the pentagon (``monoidal._whisker_identities``,
-    ``_whisker_composition``, ``_interchange``, ``_iso``, ``_triangle``,
-    ``_pentagon``).  The base and displayed tables are indexed by
-    integers for this call only, the index shared with the displayed
-    category checks; a witness is rendered only for an instance that
-    fails.  Large tables are checked in parts across CPUs
-    (``report._split_families``)."""
+    and composition, interchange, the unitor and associator isos, the
+    triangle and the pentagon (``monoidal._whisker_identities``,
+    ``_whisker_composition``, ``_interchange``, ``_unitor_isos``,
+    ``_associator_isos``, ``_triangle``, ``_pentagon``).  The base and
+    displayed tables are indexed by integers for this call only, in the
+    one index shape the base checkers read; a witness is rendered only
+    for an instance that fails.  Large tables are checked in parts across
+    CPUs (``report._split_families``)."""
     D = DM.disp_cat
     M = DM.base_monoidal
     if D.base is not M.base and D.base != M.base:
         raise TableError("displayed category is over a different base than its monoidal structure")
-    mx = _MonoidalIndex(M)
-    cx = mx.cat
+    cx, bm = _index_monoidal(M)
     dx = _DispIndex(D, cx)
-    dm = _DispMonoidalIndex(DM, dx)
+    dm = _disp_monoidal_index(DM, dx)
     rep = LawReport()
     _check_displayed_category(rep, cx, dx)
-    objs, mors, over = dx.objs, dx.mors, dx.over
-    base, src, tgt, ident, dcomp = dx.base, dx.src, dx.tgt, dx.ident, dx.comp
-    ten, lw, rw, A = dm.ten, dm.lw, dm.rw, dm.a
+    objs, mors, over = dx.objects, dx.mors, dx.over
+    base, src, tgt = dx.base, dx.src, dx.tgt
+    ten, lw, rw = dm.ten.obj, dm.ten.lw, dm.ten.rw
     n, n_mor = len(objs), len(mors)
 
-    rep.check(over[dm.unit] == mx.unit, "disp-unit-over",
+    rep.check(over[dm.unit] == bm.unit, "disp-unit-over",
               lambda: f"displayed unit {DM.disp_unit} lies over "
                       f"{cx.objects[over[dm.unit]]}, expected {M.unit}")
 
     def tensor_over(rep: LawReport, xxs: range) -> int:
         passed = 0
         for xx in xxs:
-            ten_x, base_ten_x = ten[xx], mx.ten.obj[over[xx]]
+            ten_x, base_ten_x = ten[xx], bm.ten.obj[over[xx]]
             for yy in range(n):
                 oo = ten_x[yy]
                 if oo is None:
@@ -362,7 +338,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
         passed = 0
         for xx in xxs:
             x = over[xx]
-            lw_x, ten_x, base_lw_x = lw[xx], ten[xx], mx.ten.lw[x]
+            lw_x, ten_x, base_lw_x = lw[xx], ten[xx], bm.ten.lw[x]
             for ff in range(n_mor):
                 f, yy, zz = base[ff], src[ff], tgt[ff]
                 mm = lw_x[ff]
@@ -386,7 +362,7 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                 else:
                     s, t = ten[yy][xx], ten[zz][xx]
                     if s is not None and t is not None:
-                        want = mx.ten.rw[f][x]
+                        want = bm.ten.rw[f][x]
                         if base[mm] == want and src[mm] == s and tgt[mm] == t:
                             passed += 1
                         else:
@@ -402,64 +378,43 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
                 f"{objs[xx]}⊗̂{mors[ff]}) = {mors[lhs]} but ({objs[xx1]}⊗̂{mors[ff]} "
                 f"after {mors[gg]}⊗̂{objs[yy]}) = {mors[rhs]}")
 
-    uu = dm.unit
+    base_unitor = {"lunitor": bm.lu, "runitor": bm.ru}
 
-    def unitors(rep: LawReport, xxs: range) -> int:
+    def unitor_over(rep: LawReport, which: str, fwd, bwd, s, xx: int, at: tuple) -> int:
         passed = 0
-        for xx in xxs:
-            x = over[xx]
-            for which, fwd, bwd, base_fwd, s in (
-                    ("lunitor", dm.lu[xx], dm.lu_inv[xx], mx.lu[x], ten[uu][xx]),
-                    ("runitor", dm.ru[xx], dm.ru_inv[xx], mx.ru[x], ten[xx][uu])):
-                if fwd is None:
-                    rep.check(False, f"disp-{which}-totality",
-                              f"no displayed {which} at {objs[xx]}")
-                elif base[fwd] == base_fwd and src[fwd] == s and tgt[fwd] == xx:
-                    passed += 1
-                else:
-                    want = (cx.mors[base_fwd], None if s is None else objs[s], objs[xx])
-                    rep.check(False, f"disp-{which}-over",
-                              f"disp {which} at {objs[xx]} = {mors[fwd]} has profile "
-                              f"{dx.profile(fwd)}, expected {want}")
-                if bwd is None:
-                    rep.check(False, f"disp-{which}-totality",
-                              f"no displayed {which} inverse at {objs[xx]}")
-                passed += _iso(rep, f"disp-{which}", fwd, bwd, s, xx, objs, mors, ident, dcomp,
-                               "disp_id({})", which + " at {}", (xx,))
+        if fwd is None:
+            rep.check(False, f"disp-{which}-totality", f"no displayed {which} at {objs[xx]}")
+        else:
+            base_fwd = base_unitor[which][over[xx]]
+            if base[fwd] == base_fwd and src[fwd] == s and tgt[fwd] == xx:
+                passed += 1
+            else:
+                want = (cx.mors[base_fwd], None if s is None else objs[s], objs[xx])
+                rep.check(False, f"disp-{which}-over",
+                          f"disp {_place(which, objs, at)} = {mors[fwd]} has profile "
+                          f"{dx.profile(fwd)}, expected {want}")
+        if bwd is None:
+            rep.check(False, f"disp-{which}-totality",
+                      f"no displayed {which} inverse at {objs[xx]}")
         return passed
 
-    def associators(rep: LawReport, xxs: range) -> int:
+    def associator_over(rep: LawReport, which: str, al, al_inv, s, t, at: tuple) -> int:
         passed = 0
-        for xx in xxs:
-            ten_x = ten[xx]
-            for yy in range(n):
-                xy = ten_x[yy]
-                ten_xy = None if xy is None else ten[xy]
-                for zz in range(n):
-                    s = None if ten_xy is None else ten_xy[zz]
-                    yz = ten[yy][zz]
-                    t = None if yz is None else ten_x[yz]
-                    al = A[xx][yy][zz]
-                    if al is None:
-                        rep.check(False, "disp-associator-totality",
-                                  f"no displayed associator at "
-                                  f"({objs[xx]}, {objs[yy]}, {objs[zz]})")
-                    elif s is not None and t is not None:
-                        base_al = mx.a[over[xx]][over[yy]][over[zz]]
-                        if base[al] == base_al and src[al] == s and tgt[al] == t:
-                            passed += 1
-                        else:
-                            rep.check(False, "disp-associator-over",
-                                      f"disp associator at ({objs[xx]},{objs[yy]},{objs[zz]}) = "
-                                      f"{mors[al]} has profile {dx.profile(al)}, expected "
-                                      f"({cx.mors[base_al]}, {objs[s]}, {objs[t]})")
-                    al_inv = dm.a_inv[xx][yy][zz]
-                    if al_inv is None:
-                        rep.check(False, "disp-associator-totality",
-                                  f"no displayed associator inverse at "
-                                  f"({objs[xx]}, {objs[yy]}, {objs[zz]})")
-                    passed += _iso(rep, "disp-associator", al, al_inv, s, t, objs, mors, ident,
-                                   dcomp, "disp_id({})", "associator at ({},{},{})", (xx, yy, zz))
+        if al is None:
+            rep.check(False, "disp-associator-totality",
+                      "no displayed associator at ({}, {}, {})".format(*(objs[i] for i in at)))
+        elif s is not None and t is not None:
+            xx, yy, zz = at
+            base_al = bm.a[over[xx]][over[yy]][over[zz]]
+            if base[al] == base_al and src[al] == s and tgt[al] == t:
+                passed += 1
+            else:
+                rep.check(False, "disp-associator-over",
+                          f"disp {_place(which, objs, at)} = {mors[al]} has profile "
+                          f"{dx.profile(al)}, expected ({cx.mors[base_al]}, {objs[s]}, {objs[t]})")
+        if al_inv is None:
+            rep.check(False, "disp-associator-totality", "no displayed associator inverse "
+                      "at ({}, {}, {})".format(*(objs[i] for i in at)))
         return passed
 
     def triangle(xx: int, zz: int, lhs: int, r: int) -> str:
@@ -471,17 +426,17 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
         (n, n * n, tensor_over),
         (n, 2 * n * n_mor, whiskers_over),
         (n, 2 * n * n, lambda rep, xxs: _whisker_identities(
-            rep, xxs, "disp-", objs, mors, ident, ten, lw, rw, "⊗̂", "disp_id({})")),
+            rep, xxs, "disp-", dx, dm.ten, "⊗̂", "disp_id({})")),
         (n_comp, 2 * n_comp * n, lambda rep, items: _whisker_composition(
-            rep, items, "disp-", objs, mors, src, tgt, dcomp, dx.comp_items, lw, rw, "⊗̂")),
+            rep, items, "disp-", dx, dm.ten, "⊗̂")),
         (n_mor, n_mor * n_mor, lambda rep, ffs: _interchange(
-            rep, ffs, "disp-interchange", src, tgt, dcomp, lw, rw, interchange)),
-        (n, 6 * n, unitors),
-        (n, 3 * n ** 3, associators),
-        (n, n * n, lambda rep, xxs: _triangle(
-            rep, xxs, "disp-triangle", uu, dcomp, lw, rw, dm.lu, dm.ru, A, triangle)),
-        (n, n ** 4, lambda rep, ws: _pentagon(
-            rep, ws, "disp-pentagon", objs, mors, dcomp, ten, lw, rw, A))])
+            rep, ffs, "disp-interchange", dx, dm.ten, interchange)),
+        (n, 6 * n, lambda rep, xxs: _unitor_isos(
+            rep, xxs, "disp-", dx, dm, unitor_over, "disp_id({})")),
+        (n, 3 * n ** 3, lambda rep, xxs: _associator_isos(
+            rep, xxs, "disp-", dx, dm, associator_over, "disp_id({})")),
+        (n, n * n, lambda rep, xxs: _triangle(rep, xxs, "disp-triangle", dx, dm, triangle)),
+        (n, n ** 4, lambda rep, ws: _pentagon(rep, ws, "disp-pentagon", dx, dm))])
     return rep
 
 
@@ -491,7 +446,7 @@ def total_monoidal(DM: DisplayedMonoidal) -> MonoidalCategory:
     displayed entry is a TableError naming its table and key."""
     cx = _CatIndex(DM.disp_cat.base)
     dx = _DispIndex(DM.disp_cat, cx)
-    _DispMonoidalIndex(DM, dx)  # building the indexes is the validation
+    _disp_monoidal_index(DM, dx)  # building the indexes is the validation
     total, _, pobj, pmor = _total_category(DM.disp_cat.base, cx, dx)
 
     def paired(table: str, keys, pair_keys, names=pmor) -> dict:

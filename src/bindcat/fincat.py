@@ -144,7 +144,9 @@ def _grid(table: dict, what: str, value_no: dict, *key_nos: dict) -> list:
     Equal innermost rows of one grid are one list: each is replaced by the
     first equal row, so a checker may recognise a repeated row by ``id``
     (``monoidal._pentagon`` does).  A grid is therefore read-only once
-    built; writing an entry would change every row that shares it."""
+    built; writing an entry would change every row that shares it.
+    ``monoidal._MonoidalIndex`` builds displayed tables' grids with it,
+    and a MonoidalCategory's with ``_full_grid``."""
     def empty(nos):
         return [None] * len(nos[0]) if len(nos) == 1 else [empty(nos[1:]) for _ in nos[0]]
 
@@ -205,13 +207,7 @@ class _CatIndex:
             self.src = [obj_no[s] for _, s, _ in C.morphisms]
             self.tgt = [obj_no[t] for _, _, t in C.morphisms]
         self.ident = _full_grid(C.identity, "identity table", mor_no, obj_no)
-        self.comp = [{} for _ in self.mors]
-        self.comp_items = []
-        with _indexing("comp table"):
-            for (g, f), h in C.comp.items():
-                g, f, h = mor_no[g], mor_no[f], mor_no[h]
-                self.comp[g][f] = h
-                self.comp_items.append((g, f, h))
+        self.comp, self.comp_items = _comp_index(C.comp, "comp table", mor_no)
         self.into = [[] for _ in C.objects]
         for f, y in enumerate(self.tgt):
             self.into[y].append(f)
@@ -219,6 +215,18 @@ class _CatIndex:
     def name(self, m) -> str:
         """Render a morphism number; an absent composite renders as None."""
         return "None" if m is None else self.mors[m]
+
+
+def _comp_index(table: dict, what: str, mor_no: dict) -> tuple[list, list]:
+    """``comp[g]`` mapping f to g after f, and ``comp_items`` listing (g, f,
+    g after f) in table order; an unknown id is a TableError naming ``what``."""
+    comp, items = [{} for _ in mor_no], []
+    with _indexing(what):
+        for (g, f), h in table.items():
+            g, f, h = mor_no[g], mor_no[f], mor_no[h]
+            comp[g][f] = h
+            items.append((g, f, h))
+    return comp, items
 
 
 def check_category_laws(C: FinCategory) -> LawReport:
@@ -259,20 +267,21 @@ def check_category_laws(C: FinCategory) -> LawReport:
                 rep.check(False, "comp-totality",
                           f"composable pair ({mors[g]} after {mors[f]}) missing from comp table")
 
-    passed += _unit_laws(rep, "", objs, mors, src, tgt, ix.ident, comp, "id_{}")
-    passed += _assoc_law(rep, "", len(objs), mors, src, tgt, comp, ix.comp_items)
+    passed += _unit_laws(rep, "", ix, "id_{}")
+    passed += _assoc_law(rep, "", ix)
     rep.tally(passed)
     return rep
 
 
-def _unit_laws(rep: LawReport, law: str, objs, mors, src, tgt, ident, comp, idn: str) -> int:
-    """The unit laws over integer tables, at every morphism f: x→y:
+def _unit_laws(rep: LawReport, law: str, cx, idn: str) -> int:
+    """The unit laws over a category index, at every morphism f: x→y:
     id_y ∘ f = f and f ∘ id_x = f.  An instance that reads an absent
     identity (None in a displayed table) or composite is skipped
     uncounted: the totality checks report it.  A failure is reported
     under ``law + 'unit-left'`` or ``law + 'unit-right'``, with an
     identity rendered as ``idn.format(object)``.  Returns the number of
     passes."""
+    objs, mors, src, tgt, ident, comp = cx.objects, cx.mors, cx.src, cx.tgt, cx.ident, cx.comp
     passed = 0
     for f, after_f in enumerate(comp):
         i = ident[tgt[f]]
@@ -296,19 +305,20 @@ def _unit_laws(rep: LawReport, law: str, objs, mors, src, tgt, ident, comp, idn:
     return passed
 
 
-def _assoc_law(rep: LawReport, law: str, n_obj: int, mors, src, tgt, comp, comp_items) -> int:
-    """Associativity over integer tables, at every comp entry (g, f, g ∘ f)
+def _assoc_law(rep: LawReport, law: str, cx) -> int:
+    """Associativity over a category index, at every comp entry (g, f, g ∘ f)
     on a composable pair, in table order, and every h out of g's target:
     h ∘ (g ∘ f) = (h ∘ g) ∘ f.  An entry on a non-composable pair is
     skipped: the composability check reports it.  An instance that reads
     an absent composite is skipped uncounted: the totality checks report
     it.  A failure is reported under ``law + 'assoc'``.  Returns the
     number of passes."""
-    out = [[] for _ in range(n_obj)]
+    mors, src, tgt, comp = cx.mors, cx.src, cx.tgt, cx.comp
+    out = [[] for _ in cx.objects]
     for h, y in enumerate(src):
         out[y].append(h)
     passed = 0
-    for g, f, gf in comp_items:
+    for g, f, gf in cx.comp_items:
         if tgt[f] != src[g]:
             continue
         for h in out[tgt[g]]:
@@ -460,19 +470,18 @@ def hom_enumerate(C: FinCategory, x: str, y: str) -> list[str]:
     return [m for m, s, t in C.morphisms if s == x and t == y]
 
 
-def identity_functor(C: FinCategory, name: str = "Id") -> FinFunctor:
+def identity_functor(C: FinCategory) -> FinFunctor:
     return FinFunctor(C, C, {x: x for x in C.objects},
-                      {m: m for m, _, _ in C.morphisms}, name=name)
+                      {m: m for m, _, _ in C.morphisms}, name="Id")
 
 
-def constant_functor(C: FinCategory, D: FinCategory, obj: str, name: str = "") -> FinFunctor:
+def constant_functor(C: FinCategory, D: FinCategory, obj: str) -> FinFunctor:
     i = D.id_of(obj)
     return FinFunctor(C, D, {x: obj for x in C.objects},
-                      {m: i for m, _, _ in C.morphisms},
-                      name=name or f"const_{obj}")
+                      {m: i for m, _, _ in C.morphisms}, name=f"const_{obj}")
 
 
-def compose_functors(G: FinFunctor, F: FinFunctor, name: str = "") -> FinFunctor:
+def compose_functors(G: FinFunctor, F: FinFunctor) -> FinFunctor:
     """G after F."""
     if F.target != G.source:
         raise TableError("functors not composable")
@@ -480,13 +489,12 @@ def compose_functors(G: FinFunctor, F: FinFunctor, name: str = "") -> FinFunctor
         F.source, G.target,
         {x: G.obj(F.obj(x)) for x in F.source.objects},
         {m: G.mor(F.mor(m)) for m, _, _ in F.source.morphisms},
-        name=name or (f"{G.name}∘{F.name}" if G.name and F.name else ""),
+        name=f"{G.name}∘{F.name}" if G.name and F.name else "",
     )
 
 
-def identity_nat_trans(F: FinFunctor, name: str = "") -> FinNatTrans:
-    return FinNatTrans(F, F, {x: F.target.id_of(F.obj(x)) for x in F.source.objects},
-                       name=name)
+def identity_nat_trans(F: FinFunctor) -> FinNatTrans:
+    return FinNatTrans(F, F, {x: F.target.id_of(F.obj(x)) for x in F.source.objects})
 
 
 # --- ready-made small categories -------------------------------------------
@@ -576,9 +584,12 @@ def _doc_map(doc: dict, field: str, keys: str, values: str) -> dict:
 
 
 def _read_doc(path) -> object:
-    """The JSON document in the file at ``path``; a repeated key is a TableError."""
+    """The JSON document in the file at ``path``; a repeated key or deep nesting is a TableError."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=unique_keys)
+        try:
+            return json.load(fh, object_pairs_hook=unique_keys)
+        except RecursionError:
+            raise TableError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def _doc_rows(entries, keys: tuple[str, ...], what: str) -> dict:

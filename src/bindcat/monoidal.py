@@ -78,18 +78,24 @@ class WhiskeredBifunctor:
 
 
 class _TensorIndex:
-    """Integer view of a tensor over a ``_CatIndex``: ``obj[x][y]``,
-    ``lw[x][f]`` and ``rw[f][z]``.  Built by one checker call and dropped
-    when it returns; building it is the tensor's validation, so a missing
-    entry or an unknown id is a TableError."""
+    """Integer view of a tensor over a category index, from its (table, name) pairs:
+    ``obj[x][y]``, ``lw[x][f]`` and ``rw[f][z]``, by ``_full_grid``, or by ``_grid``
+    for displayed tables.  Built by one checker call and dropped when it returns;
+    building it is the tables' validation."""
 
     __slots__ = ("obj", "lw", "rw")
 
-    def __init__(self, T: WhiskeredBifunctor, cx: _CatIndex):
+    def __init__(self, cx, tables, grid=_full_grid):
         on, mn = cx.obj_no, cx.mor_no
-        self.obj = _full_grid(T.obj_table, "tensor obj table", on, on, on)
-        self.lw = _full_grid(T.lwhisker, "left whisker table", mn, on, mn)
-        self.rw = _full_grid(T.rwhisker, "right whisker table", mn, mn, on)
+        obj, lw, rw = tables
+        self.obj = grid(*obj, on, on, on)
+        self.lw = grid(*lw, mn, on, mn)
+        self.rw = grid(*rw, mn, mn, on)
+
+
+def _tensor_tables(T: WhiskeredBifunctor) -> list:
+    return [(T.obj_table, "tensor obj table"), (T.lwhisker, "left whisker table"),
+            (T.rwhisker, "right whisker table")]
 
 
 def check_whiskered_bifunctor(T: WhiskeredBifunctor) -> LawReport:
@@ -100,15 +106,14 @@ def check_whiskered_bifunctor(T: WhiskeredBifunctor) -> LawReport:
     table is checked in parts across CPUs (``report._split_families``)."""
     cx = _CatIndex(T.base)
     rep = LawReport()
-    _split_families(rep, _whiskered_families(cx, _TensorIndex(T, cx)))
+    _split_families(rep, _whiskered_families(cx, _TensorIndex(cx, _tensor_tables(T))))
     return rep
 
 
 def _whiskered_families(cx: _CatIndex, tx: _TensorIndex) -> list:
     """The whiskered-bifunctor law families, in report order, as
     ``_split_families`` takes them."""
-    objs, mors = cx.objects, cx.mors
-    src, tgt, ident, comp = cx.src, cx.tgt, cx.ident, cx.comp
+    objs, mors, src, tgt = cx.objects, cx.mors, cx.src, cx.tgt
     ten, lw, rw = tx.obj, tx.lw, tx.rw
     n_obj, n_mor = len(objs), len(mors)
 
@@ -143,14 +148,14 @@ def _whiskered_families(cx: _CatIndex, tx: _TensorIndex) -> list:
     n_comp = len(cx.comp_items)
     return [(n_obj, 2 * n_obj * n_mor, endpoints),
             (n_obj, 2 * n_obj * n_obj, lambda rep, xs: _whisker_identities(
-                rep, xs, "", objs, mors, ident, ten, lw, rw, "⊗", "id_{}")),
+                rep, xs, "", cx, tx, "⊗", "id_{}")),
             (n_comp, 2 * n_comp * n_obj, lambda rep, items: _whisker_composition(
-                rep, items, "", objs, mors, src, tgt, comp, cx.comp_items, lw, rw, "⊗")),
+                rep, items, "", cx, tx, "⊗")),
             (n_mor, n_mor * n_mor, lambda rep, fs: _interchange(
-                rep, fs, "interchange", src, tgt, comp, lw, rw, interchange))]
+                rep, fs, "interchange", cx, tx, interchange))]
 
 
-def _whisker_identities(rep: LawReport, xs: range, law: str, objs, mors, ident, ten, lw, rw,
+def _whisker_identities(rep: LawReport, xs: range, law: str, cx, tx: _TensorIndex,
                         ot: str, idn: str) -> int:
     """The whisker identities over integer tables, at every (x, y) with x
     in xs: x ⊗ id_y = id_(x⊗y) = id_x ⊗ y.  An instance that reads an
@@ -159,6 +164,7 @@ def _whisker_identities(rep: LawReport, xs: range, law: str, objs, mors, ident, 
     'lwhisker-identity'`` or ``law + 'rwhisker-identity'``, with the
     tensor rendered as ``ot`` and an identity as ``idn.format(object)``.
     Returns the number of passes."""
+    objs, mors, ident, ten, lw, rw = cx.objects, cx.mors, cx.ident, tx.obj, tx.lw, tx.rw
     passed = 0
     span = range(len(objs))
     for x in xs:
@@ -189,8 +195,8 @@ def _whisker_identities(rep: LawReport, xs: range, law: str, objs, mors, ident, 
     return passed
 
 
-def _whisker_composition(rep: LawReport, items: range, law: str, objs, mors, src, tgt, comp,
-                         comp_items, lw, rw, ot: str) -> int:
+def _whisker_composition(rep: LawReport, items: range, law: str, cx, tx: _TensorIndex,
+                         ot: str) -> int:
     """The whisker composition laws over integer tables, at every comp
     entry (g, f, g ∘ f) in ``comp_items[items]`` and every object x:
     x ⊗ (g ∘ f) = (x ⊗ g) ∘ (x ⊗ f) and (g ∘ f) ⊗ x = (g ⊗ x) ∘ (f ⊗ x).
@@ -200,8 +206,9 @@ def _whisker_composition(rep: LawReport, items: range, law: str, objs, mors, src
     it.  A failure is reported under ``law + 'lwhisker-composition'`` or
     ``law + 'rwhisker-composition'``, with the tensor rendered as ``ot``.
     Returns the number of passes."""
+    objs, mors, src, tgt, comp, lw, rw = cx.objects, cx.mors, cx.src, cx.tgt, cx.comp, tx.lw, tx.rw
     passed = 0
-    for g, f, h in comp_items[items.start:items.stop]:
+    for g, f, h in cx.comp_items[items.start:items.stop]:
         if tgt[f] != src[g]:
             continue
         rw_g, rw_f, rw_h = rw[g], rw[f], rw[h]
@@ -229,13 +236,14 @@ def _whisker_composition(rep: LawReport, items: range, law: str, objs, mors, src
     return passed
 
 
-def _interchange(rep: LawReport, fs: range, law: str, src, tgt, comp, lw, rw, witness) -> int:
+def _interchange(rep: LawReport, fs: range, law: str, cx, tx: _TensorIndex, witness) -> int:
     """Interchange over integer tables, for f in fs, f: y→y' and every
     g: x→x': (g ⊗ y') ∘ (x ⊗ f) = (x' ⊗ f) ∘ (g ⊗ y).  An instance that
     reads an absent entry (None in a displayed table, a TypeError) or
     composite (a KeyError) is skipped uncounted: the totality and
     endpoint checks report it.  A failure is reported under ``law`` with
     ``witness(f, g, lhs, rhs)``.  Returns the number of passes."""
+    src, tgt, comp, lw, rw = cx.src, cx.tgt, cx.comp, tx.lw, tx.rw
     passed = 0
     mors = range(len(src))
     for f in fs:
@@ -255,7 +263,7 @@ def _interchange(rep: LawReport, fs: range, law: str, src, tgt, comp, lw, rw, wi
     return passed
 
 
-def _pentagon(rep: LawReport, ws: range, law: str, objs, mors, comp, ten, lw, rw, A) -> int:
+def _pentagon(rep: LawReport, ws: range, law: str, cx, mx) -> int:
     """The pentagon over integer tables, at every (w, x, y, z) with w in ws:
     α_(w,x,y⊗z) ∘ α_(w⊗x,y,z) = (w ⊗ α_(x,y,z)) ∘ α_(w,x⊗y,z) ∘ (α_(w,x,y) ⊗ z).
     Instances that read an absent entry or composite are skipped uncounted,
@@ -271,6 +279,8 @@ def _pentagon(rep: LawReport, ws: range, law: str, objs, mors, comp, ten, lw, rw
     associator grid.  A pair of equal rows with no None passes at every
     z; any other pair is walked z by z, so failures come in (w, x, y, z)
     order."""
+    objs, mors, comp = cx.objects, cx.mors, cx.comp
+    ten, lw, rw, A = mx.ten.obj, mx.ten.lw, mx.ten.rw, mx.a
     passed = 0
     n = len(objs)
     span = range(n)
@@ -325,16 +335,16 @@ def _pentagon(rep: LawReport, ws: range, law: str, objs, mors, comp, ten, lw, rw
     return passed
 
 
-def _triangle(rep: LawReport, xs: range, law: str, unit: int, comp, lw, rw, lu, ru, A,
-              witness) -> int:
+def _triangle(rep: LawReport, xs: range, law: str, cx, mx, witness) -> int:
     """The triangle over integer tables, at every (x, z) with x in xs:
     (x ⊗ λ_z) ∘ α_(x,I,z) = ρ_x ⊗ z.  An instance that reads an absent
     entry (None in a displayed table) is skipped uncounted, and an absent
     composite fails it.  A failure is reported under ``law`` with
     ``witness(x, z, lhs, rhs)``.  Returns the number of passes."""
+    comp, lw, rw, lu, ru, A = cx.comp, mx.ten.lw, mx.ten.rw, mx.lu, mx.ru, mx.a
     passed = 0
     for x in xs:
-        ru_x, lw_x, A_xI = ru[x], lw[x], A[x][unit]
+        ru_x, lw_x, A_xI = ru[x], lw[x], A[x][mx.unit]
         for z, lu_z in enumerate(lu):
             a = A_xI[z]
             if lu_z is None or a is None or ru_x is None:
@@ -350,17 +360,22 @@ def _triangle(rep: LawReport, xs: range, law: str, unit: int, comp, lw, rw, lu, 
     return passed
 
 
-def _iso(rep: LawReport, law: str, fwd, bwd, s, t, objs, mors, ident, comp, idn: str,
-         where: str, at: tuple[int, ...]) -> int:
-    """The two inverse laws of a structural iso fwd: s → t with designated
-    inverse bwd, over integer tables: fwd ∘ bwd = id_t and bwd ∘ fwd =
-    id_s.  An absent entry (None in a displayed table) skips its instance
-    uncounted, and an absent composite fails it.  A failure is reported
-    under ``law + '-iso'``, placed by ``where`` formatted with the names of
-    the objects ``at``, on failure only, with an identity rendered as
-    ``idn.format(object)``.  Returns the number of passes."""
+def _place(which: str, objs, at: tuple[int, ...]) -> str:
+    """The structural iso ``which`` at the objects numbered ``at``, for a witness."""
+    names = [objs[i] for i in at]
+    return f"{which} at {names[0]}" if len(names) == 1 else f"{which} at ({','.join(names)})"
+
+
+def _iso(rep: LawReport, law: str, cx, which: str, at: tuple[int, ...], fwd, bwd, s, t,
+         idn: str) -> int:
+    """The inverse laws fwd ∘ bwd = id_t and bwd ∘ fwd = id_s of the iso ``which``
+    at the objects ``at``, fwd: s → t with designated inverse bwd.  An absent entry
+    (None in a displayed table) skips its instance uncounted, and an absent composite
+    fails it.  A failure is reported under ``law + which + '-iso'``, with an identity
+    rendered as ``idn.format(object)``.  Returns the number of passes."""
     if fwd is None or bwd is None or s is None or t is None:
         return 0
+    objs, mors, ident, comp = cx.objects, cx.mors, cx.ident, cx.comp
     ok = 0
     for first, then, end in ((bwd, fwd, t), (fwd, bwd, s)):
         if ident[end] is None:
@@ -369,10 +384,44 @@ def _iso(rep: LawReport, law: str, fwd, bwd, s, t, objs, mors, ident, comp, idn:
         if got == ident[end]:
             ok += 1
         else:
-            rep.check(False, law + "-iso",
-                      f"{where.format(*(objs[i] for i in at))}: ({mors[then]} after {mors[first]}) "
+            rep.check(False, law + which + "-iso",
+                      f"{_place(which, objs, at)}: ({mors[then]} after {mors[first]}) "
                       f"= {'None' if got is None else mors[got]}, expected {idn.format(objs[end])}")
     return ok
+
+
+def _unitor_isos(rep: LawReport, xs: range, law: str, cx, mx, entry, idn: str) -> int:
+    """λ_x : I⊗x → x, then ρ_x : x⊗I → x, at every x in xs: ``entry(rep,
+    which, fwd, bwd, s, t, at)`` checks the entry and returns its passes,
+    then ``_iso`` its inverse laws.  Returns the number of passes."""
+    ten, I = mx.ten.obj, mx.unit
+    passed = 0
+    for x in xs:
+        for which, fwd, bwd, s in (("lunitor", mx.lu[x], mx.lu_inv[x], ten[I][x]),
+                                   ("runitor", mx.ru[x], mx.ru_inv[x], ten[x][I])):
+            passed += entry(rep, which, fwd, bwd, s, x, (x,))
+            passed += _iso(rep, law, cx, which, (x,), fwd, bwd, s, x, idn)
+    return passed
+
+
+def _associator_isos(rep: LawReport, xs: range, law: str, cx, mx, entry, idn: str) -> int:
+    """α_(x,y,z) : (x⊗y)⊗z → x⊗(y⊗z) at every (x, y, z) with x in xs, as
+    ``_unitor_isos`` runs the unitors; an absent tensor makes s or t None."""
+    ten, A, A_inv = mx.ten.obj, mx.a, mx.a_inv
+    span = range(len(ten))
+    passed = 0
+    for x in xs:
+        ten_x = ten[x]
+        for y in span:
+            xy = ten_x[y]
+            for z in span:
+                yz = ten[y][z]
+                s = None if xy is None else ten[xy][z]
+                t = None if yz is None else ten_x[yz]
+                fwd, bwd, at = A[x][y][z], A_inv[x][y][z], (x, y, z)
+                passed += entry(rep, "associator", fwd, bwd, s, t, at)
+                passed += _iso(rep, law, cx, "associator", at, fwd, bwd, s, t, idn)
+    return passed
 
 
 def whiskered_from_classical(F: FinFunctor) -> WhiskeredBifunctor:
@@ -435,29 +484,34 @@ class MonoidalCategory:
     name: str = ""
 
 
+_ISO_TABLES = ("lunitor", "lunitor_inv", "runitor", "runitor_inv", "associator", "associator_inv")
+
+
 class _MonoidalIndex:
-    """Integer view of a monoidal category: its ``_CatIndex`` and
-    ``_TensorIndex``, the unit, the unitors per object and the associators
-    as ``a[x][y][z]``.  Built by one checker call and dropped when it
-    returns; building it is the monoidal category's validation."""
+    """Integer view of monoidal tables over a category index: ``ten``, the
+    unitors per object, the associators as ``a[x][y][z]`` and the unit's
+    number, from (table, name) pairs in ``_TensorIndex`` then ``_ISO_TABLES``
+    order, gridded as ``_TensorIndex`` grids them."""
 
-    __slots__ = ("cat", "ten", "unit", "lu", "lu_inv", "ru", "ru_inv", "a", "a_inv")
+    __slots__ = ("unit", "ten", "lu", "lu_inv", "ru", "ru_inv", "a", "a_inv")
 
-    def __init__(self, M: MonoidalCategory):
-        if M.tensor.base is not M.base and M.tensor.base != M.base:
-            raise TableError("tensor is over a different category than its monoidal structure")
-        self.cat = cx = _CatIndex(M.base)
-        self.ten = _TensorIndex(M.tensor, cx)
+    def __init__(self, cx, unit: int, tables: list, grid=_full_grid):
         on, mn = cx.obj_no, cx.mor_no
-        if M.unit not in on:
-            raise TableError(f"unit object {M.unit!r} is not in the category")
-        self.unit = on[M.unit]
-        self.lu, self.lu_inv, self.ru, self.ru_inv = (
-            _full_grid(getattr(M, table), table, mn, on)
-            for table in ("lunitor", "lunitor_inv", "runitor", "runitor_inv"))
-        self.a, self.a_inv = (
-            _full_grid(getattr(M, table), table, mn, on, on, on)
-            for table in ("associator", "associator_inv"))
+        self.unit = unit
+        self.ten = _TensorIndex(cx, tables[:3], grid)
+        self.lu, self.lu_inv, self.ru, self.ru_inv = (grid(*t, mn, on) for t in tables[3:7])
+        self.a, self.a_inv = (grid(*t, mn, on, on, on) for t in tables[7:])
+
+
+def _index_monoidal(M: MonoidalCategory) -> tuple[_CatIndex, _MonoidalIndex]:
+    """M's category index and monoidal index; building them is M's validation."""
+    if M.tensor.base is not M.base and M.tensor.base != M.base:
+        raise TableError("tensor is over a different category than its monoidal structure")
+    cx = _CatIndex(M.base)
+    if M.unit not in cx.obj_no:
+        raise TableError(f"unit object {M.unit!r} is not in the category")
+    tables = _tensor_tables(M.tensor) + [(getattr(M, t), t) for t in _ISO_TABLES]
+    return cx, _MonoidalIndex(cx, cx.obj_no[M.unit], tables)
 
 
 def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
@@ -468,42 +522,19 @@ def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
     whiskered checks, carries every loop; a witness is rendered only for
     an instance that fails.  A large table is checked in parts across
     CPUs (``report._split_families``)."""
-    mx = _MonoidalIndex(M)
-    cx, I = mx.cat, mx.unit
-    objs, mors = cx.objects, cx.mors
-    src, tgt, ident, comp = cx.src, cx.tgt, cx.ident, cx.comp
+    cx, mx = _index_monoidal(M)
+    objs, mors, src, tgt, comp = cx.objects, cx.mors, cx.src, cx.tgt, cx.comp
     ten, lw, rw = mx.ten.obj, mx.ten.lw, mx.ten.rw
-    lu, ru, A = mx.lu, mx.ru, mx.a
+    I, lu, ru, A = mx.unit, mx.lu, mx.ru, mx.a
     n_obj, n_mor = len(objs), len(mors)
 
-    def iso(rep: LawReport, fwd: int, bwd: int, s: int, t: int, law: str, where: str,
-            *at: int) -> int:
-        # where is formatted with the names of the objects at, on failure only
-        ok = 0
+    def endpoints(rep: LawReport, which: str, fwd: int, bwd: int, s: int, t: int, at) -> int:
         if src[fwd] == s and tgt[fwd] == t:
-            ok += 1
-        else:
-            rep.check(False, law + "-endpoints",
-                      f"{where.format(*(objs[i] for i in at))}: {mors[fwd]}: "
-                      f"{objs[src[fwd]]}→{objs[tgt[fwd]]}, expected {objs[s]}→{objs[t]}")
-        return ok + _iso(rep, law, fwd, bwd, s, t, objs, mors, ident, comp, "id_{}", where, at)
-
-    def unitor_isos(rep: LawReport, xs: range) -> int:
-        passed = 0
-        for x in xs:
-            passed += iso(rep, lu[x], mx.lu_inv[x], ten[I][x], x, "lunitor", "lunitor at {}", x)
-            passed += iso(rep, ru[x], mx.ru_inv[x], ten[x][I], x, "runitor", "runitor at {}", x)
-        return passed
-
-    def associator_isos(rep: LawReport, xs: range) -> int:
-        passed = 0
-        for x in xs:
-            for y in range(n_obj):
-                for z in range(n_obj):
-                    passed += iso(rep, A[x][y][z], mx.a_inv[x][y][z],
-                                  ten[ten[x][y]][z], ten[x][ten[y][z]], "associator",
-                                  "associator at ({},{},{})", x, y, z)
-        return passed
+            return 1
+        rep.check(False, which + "-endpoints",
+                  f"{_place(which, objs, at)}: {mors[fwd]}: "
+                  f"{objs[src[fwd]]}→{objs[tgt[fwd]]}, expected {objs[s]}→{objs[t]}")
+        return 0
 
     def unitor_naturality(rep: LawReport, fs: range) -> int:
         passed = 0
@@ -587,14 +618,14 @@ def check_monoidal_laws(M: MonoidalCategory) -> LawReport:
 
     rep = LawReport()
     _split_families(rep, _whiskered_families(cx, mx.ten) + [
-        (n_obj, 6 * n_obj, unitor_isos),
-        (n_obj, 3 * n_obj ** 3, associator_isos),
+        (n_obj, 6 * n_obj, lambda rep, xs: _unitor_isos(
+            rep, xs, "", cx, mx, endpoints, "id_{}")),
+        (n_obj, 3 * n_obj ** 3, lambda rep, xs: _associator_isos(
+            rep, xs, "", cx, mx, endpoints, "id_{}")),
         (n_mor, 2 * n_mor, unitor_naturality),
         (n_mor, 3 * n_mor * n_obj ** 2, associator_naturality),
-        (n_obj, n_obj ** 2, lambda rep, xs: _triangle(
-            rep, xs, "triangle", I, comp, lw, rw, lu, ru, A, triangle)),
-        (n_obj, n_obj ** 4, lambda rep, ws: _pentagon(
-            rep, ws, "pentagon", objs, mors, comp, ten, lw, rw, A))])
+        (n_obj, n_obj ** 2, lambda rep, xs: _triangle(rep, xs, "triangle", cx, mx, triangle)),
+        (n_obj, n_obj ** 4, lambda rep, ws: _pentagon(rep, ws, "pentagon", cx, mx))])
     return rep
 
 
@@ -896,7 +927,7 @@ def from_monoidal_doc(doc) -> MonoidalCategory:
                            for f in ("lunitor", "lunitor_inv", "runitor", "runitor_inv")),
                          _doc_rows(doc["associator"], assoc, "associator"),
                          _doc_rows(doc["associator_inv"], assoc, "associator_inv"))
-    _MonoidalIndex(M)  # building the index is the validation
+    _index_monoidal(M)  # building the indexes is the validation
     return M
 
 

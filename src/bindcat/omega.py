@@ -633,8 +633,7 @@ def _param_initiality_report(PB: ParamBifunctor, mu: dict[str, InitialAlgebra],
 
 # --- poset instances ----------------------------------------------------------
 
-def poset_initial_algebra(C: FinCategory, F: FinFunctor,
-                          max_stage: int | None = None) -> str:
+def poset_initial_algebra(C: FinCategory, F: FinFunctor) -> str:
     """Least fixed point of a monotone endo-map presented as a functor on
     a poset-shaped category: iterate from the initial object."""
     bottoms = [x for x in C.objects
@@ -642,7 +641,7 @@ def poset_initial_algebra(C: FinCategory, F: FinFunctor,
     if len(bottoms) != 1:
         raise ChainError("the category has no unique initial object")
     x = bottoms[0]
-    for _ in range((max_stage or len(C.objects)) + 1):
+    for _ in range(len(C.objects) + 1):
         nxt = F.obj(x)
         if nxt == x:
             return x

@@ -283,6 +283,8 @@ class Substitution:
                 f"substitution from scope {self.source} needs {self.source} images, "
                 f"got {len(self.images)}")
         for img in self.images:
+            if not isinstance(img, Term):
+                raise ScopeError(f"substitution image is not a term: {img!r}")
             if img.scope != self.target:
                 raise ScopeError(
                     f"substitution image {render_term(img)} is in scope {img.scope}, "

@@ -112,6 +112,18 @@ def test_load_displayed_rejects_repeated_json_keys(fixtures, tmp_path):
         load_displayed(tmp_path / "base.json")
 
 
+def test_load_displayed_names_a_file_nested_too_deeply(fixtures, tmp_path):
+    # json recurses once per level; nesting past the recursion limit is bad input
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    with pytest.raises(TableError, match=re.escape(f"{nested}: JSON nested too deeply")):
+        load_displayed(nested)
+    doc = json.loads((fixtures / "three_objects.json").read_text())
+    (tmp_path / "fiber.json").write_text(json.dumps(dict(doc, base="nested.json")))
+    with pytest.raises(TableError, match=re.escape(f"{nested}: JSON nested too deeply")):
+        load_displayed(tmp_path / "fiber.json")
+
+
 # --- the tables are the only state ------------------------------------------------
 
 def test_a_morphism_added_in_place_is_checked_like_a_fresh_table():

@@ -35,9 +35,9 @@ BUILT = {
         "lwhisker-composition", "disp-lwhisker-composition"},
     ("monoidal.py", "law + 'rwhisker-composition'"): {
         "rwhisker-composition", "disp-rwhisker-composition"},
-    ("monoidal.py", "law + '-endpoints'"): {
+    ("monoidal.py", "which + '-endpoints'"): {
         "lunitor-endpoints", "runitor-endpoints", "associator-endpoints"},
-    ("monoidal.py", "law + '-iso'"): {
+    ("monoidal.py", "law + which + '-iso'"): {
         "lunitor-iso", "runitor-iso", "associator-iso",
         "disp-lunitor-iso", "disp-runitor-iso", "disp-associator-iso"},
     ("displayed.py", "f'disp-{which}-totality'"): {

@@ -1,6 +1,8 @@
 """The table checkers index their tables afresh on every call, their
 check counts on End(chain 3) stay as pinned, index grids share equal
-rows, and the row-sharing pentagon agrees with a plain loop."""
+rows, the row-sharing pentagon agrees with a plain loop, and each loop
+shared by the base and displayed checkers counts the same on a base
+index and on its trivial displayed one."""
 
 import itertools
 
@@ -16,9 +18,10 @@ from bindcat import (
     total_monoidal,
     trivial_displayed_monoidal,
 )
-from bindcat.displayed import _DispIndex, _DispMonoidalIndex
-from bindcat.fincat import _grid
-from bindcat.monoidal import _MonoidalIndex, _pentagon
+from bindcat.displayed import _disp_monoidal_index, _DispIndex
+from bindcat.fincat import _assoc_law, _grid, _unit_laws
+from bindcat.monoidal import (_associator_isos, _index_monoidal, _interchange, _pentagon,
+                              _triangle, _unitor_isos, _whisker_composition, _whisker_identities)
 from bindcat.report import LawReport
 
 
@@ -99,7 +102,7 @@ def test_grid_keeps_equal_rows_of_one_grid_as_one_list():
 
 def test_two_grids_share_no_row(chain3):
     # associator and associator_inv hold the same numbers on End(chain 3)
-    mx = _MonoidalIndex(chain3)
+    _, mx = _index_monoidal(chain3)
     rows = _row_ids(mx.a)
     assert len(rows) == 10  # distinct rows among 100
     assert len({tuple(row) for plane in mx.a for row in plane}) == 10
@@ -141,12 +144,13 @@ def _plain_pentagon(rep, law, objs, mors, comp, ten, lw, rw, A) -> int:
     return passed
 
 
-def _both_pentagons(*tables) -> tuple:
+def _both_pentagons(cx, mx) -> tuple:
     out = []
-    for kernel in (lambda rep, *args: _pentagon(rep, range(len(tables[0])), *args),
-                   _plain_pentagon):
+    tables = (cx.objects, cx.mors, cx.comp, mx.ten.obj, mx.ten.lw, mx.ten.rw, mx.a)
+    for kernel in (lambda rep: _pentagon(rep, range(len(cx.objects)), "pentagon", cx, mx),
+                   lambda rep: _plain_pentagon(rep, "pentagon", *tables)):
         rep = LawReport()
-        passed = kernel(rep, "pentagon", *tables)
+        passed = kernel(rep)
         out.append((passed, [(v.law, v.witness) for v in rep.violations]))
     return tuple(out)
 
@@ -156,12 +160,12 @@ def _unshared(grid) -> list:
 
 
 def test_pentagon_agrees_with_a_plain_loop_when_no_row_is_shared():
-    mx = _MonoidalIndex(endofunctor_monoidal(chain_category(4)).monoidal)
-    cx, tx = mx.cat, mx.ten
-    ten, lw, rw = ([list(row) for row in g] for g in (tx.obj, tx.lw, tx.rw))
-    A = _unshared(mx.a)
-    assert len(_row_ids(A)) == 35 ** 2
-    rows, plain = _both_pentagons(cx.objects, cx.mors, cx.comp, ten, lw, rw, A)
+    cx, mx = _index_monoidal(endofunctor_monoidal(chain_category(4)).monoidal)
+    tx = mx.ten
+    tx.obj, tx.lw, tx.rw = ([list(row) for row in g] for g in (tx.obj, tx.lw, tx.rw))
+    mx.a = _unshared(mx.a)
+    assert len(_row_ids(mx.a)) == 35 ** 2
+    rows, plain = _both_pentagons(cx, mx)
     assert rows == plain == (35 ** 4, [])
 
 
@@ -169,11 +173,11 @@ def test_pentagon_agrees_with_a_plain_loop_over_absent_entries(chain3):
     DM = trivial_displayed_monoidal(chain3)
     for key in list(DM.disp_associator)[::37][:3]:
         del DM.disp_associator[key]
-    mx = _MonoidalIndex(chain3)
-    dx = _DispIndex(DM.disp_cat, mx.cat)
-    dm = _DispMonoidalIndex(DM, dx)
+    cx, _ = _index_monoidal(chain3)
+    dx = _DispIndex(DM.disp_cat, cx)
+    dm = _disp_monoidal_index(DM, dx)
     assert sum(row.count(None) for plane in dm.a for row in plane) == 3
-    rows, plain = _both_pentagons(dx.objs, dx.mors, dx.comp, dm.ten, dm.lw, dm.rw, dm.a)
+    rows, plain = _both_pentagons(dx, dm)
     assert rows == plain == (9_867, [])
 
 
@@ -183,11 +187,10 @@ def test_pentagon_agrees_with_a_plain_loop_on_a_changed_associator(chain3):
     old = M.associator[key]
     M.associator[key] = _other([m for m, _, _ in M.base.morphisms], old)
     try:
-        mx = _MonoidalIndex(M)
+        cx, mx = _index_monoidal(M)
     finally:
         M.associator[key] = old
-    cx, tx = mx.cat, mx.ten
-    rows, plain = _both_pentagons(cx.objects, cx.mors, cx.comp, tx.obj, tx.lw, tx.rw, mx.a)
+    rows, plain = _both_pentagons(cx, mx)
     assert rows == plain
     assert rows[0] == 9_991 and len(rows[1]) == 3
     assert rows[1][0] == ("pentagon", "at (F1,Id,Id,Id): two-step side = id_F1, "
@@ -204,9 +207,55 @@ def test_pentagon_agrees_with_a_plain_loop_on_single_changes(chain3, table):
         old = entries[key]
         entries[key] = _other(mors, old)
         try:
-            mx = _MonoidalIndex(chain3)
+            cx, mx = _index_monoidal(chain3)
         finally:
             entries[key] = old
-        cx, tx = mx.cat, mx.ten
-        rows, plain = _both_pentagons(cx.objects, cx.mors, cx.comp, tx.obj, tx.lw, tx.rw, mx.a)
+        rows, plain = _both_pentagons(cx, mx)
         assert rows == plain, key
+
+
+# --- the shared loops on base and displayed indexes ----------------------------------
+
+def _endpoints(cx):
+    def entry(rep, which, fwd, bwd, s, t, at) -> int:
+        ok = cx.src[fwd] == s and cx.tgt[fwd] == t
+        rep.check(ok, which + "-endpoints", f"{which} at {at}")
+        return int(ok)
+    return entry
+
+
+def _witness(*args) -> str:
+    return f"at {args}"
+
+
+SHARED_LOOPS = {
+    "unit laws": lambda rep, cx, mx: _unit_laws(rep, "", cx, "id_{}"),
+    "associativity": lambda rep, cx, mx: _assoc_law(rep, "", cx),
+    "whisker identities": lambda rep, cx, mx: _whisker_identities(
+        rep, range(len(cx.objects)), "", cx, mx.ten, "⊗", "id_{}"),
+    "whisker composition": lambda rep, cx, mx: _whisker_composition(
+        rep, range(len(cx.comp_items)), "", cx, mx.ten, "⊗"),
+    "interchange": lambda rep, cx, mx: _interchange(
+        rep, range(len(cx.mors)), "interchange", cx, mx.ten, _witness),
+    "unitor isos": lambda rep, cx, mx: _unitor_isos(
+        rep, range(len(cx.objects)), "", cx, mx, _endpoints(cx), "id_{}"),
+    "associator isos": lambda rep, cx, mx: _associator_isos(
+        rep, range(len(cx.objects)), "", cx, mx, _endpoints(cx), "id_{}"),
+    "triangle": lambda rep, cx, mx: _triangle(
+        rep, range(len(cx.objects)), "triangle", cx, mx, _witness),
+    "pentagon": lambda rep, cx, mx: _pentagon(rep, range(len(cx.objects)), "pentagon", cx, mx),
+}
+
+
+@pytest.mark.parametrize("loop", list(SHARED_LOOPS))
+def test_a_shared_loop_counts_alike_on_base_and_trivial_displayed(chain3, loop):
+    DM = trivial_displayed_monoidal(chain3)
+    cx, mx = _index_monoidal(chain3)
+    dx = _DispIndex(DM.disp_cat, cx)
+    dm = _disp_monoidal_index(DM, dx)
+    counts = []
+    for ix, index in ((cx, mx), (dx, dm)):
+        rep = LawReport()
+        counts.append(SHARED_LOOPS[loop](rep, ix, index))
+        assert rep.violations == [], loop
+    assert counts[0] == counts[1] > 0

@@ -301,6 +301,12 @@ def test_substitution_validation():
         Substitution(1, 1, (Var(2, 1),))
 
 
+def test_a_substitution_image_must_be_a_term():
+    # as check_term rejects a non-term argument, not with an AttributeError
+    with pytest.raises(ScopeError, match="^substitution image is not a term: 'x'$"):
+        Substitution(1, 1, ("x",))
+
+
 # ------------- substitution -------------
 
 
