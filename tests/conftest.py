@@ -1,6 +1,7 @@
-"""Shared test setup: strict scope checking on, fixture-path helper,
-sweeps forced to split across processes, and the table check counts of
-End(chain k) derived by brute force."""
+"""Shared test setup: a fixture-path helper, sweeps forced to split
+across processes, and the table check counts of End(chain k) derived by
+brute force.  It sets nothing in ``bindcat``: the suite tests the
+library as shipped."""
 
 import itertools
 import os
@@ -11,11 +12,6 @@ from typing import NamedTuple
 import pytest
 
 import bindcat.report
-import bindcat.terms
-
-# The scope invariant checks are off by default (they cost a constant
-# factor on every cell allocation); the whole test suite runs with them on.
-bindcat.terms.CHECK_SCOPES = True
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

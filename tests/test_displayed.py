@@ -124,6 +124,15 @@ def test_load_displayed_names_a_file_nested_too_deeply(fixtures, tmp_path):
         load_displayed(tmp_path / "fiber.json")
 
 
+def test_load_displayed_names_a_malformed_base_file(fixtures, tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    doc = json.loads((fixtures / "three_objects.json").read_text())
+    (tmp_path / "fiber.json").write_text(json.dumps(dict(doc, base="broken.json")))
+    with pytest.raises(TableError, match=re.escape(f"{broken}: Expecting property name")):
+        load_displayed(tmp_path / "fiber.json")
+
+
 # --- the tables are the only state ------------------------------------------------
 
 def test_a_morphism_added_in_place_is_checked_like_a_fresh_table():

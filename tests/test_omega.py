@@ -252,7 +252,7 @@ def test_adamek_detects_non_stabilizing_chain():
         return EnumSetObj(lambda d: X.level(d) + [len(X.level(d))])
 
     F = EnumEndofunctor("grow", apply, lambda h: h, lambda d: d)
-    alg = adamek_initial_algebra(F, max_stage=5)
+    alg = adamek_initial_algebra(F)
     with pytest.raises(ChainError, match="did not stabilize"):
         alg.carrier.level(0)
 
@@ -268,7 +268,7 @@ def swap_functor() -> EnumEndofunctor:
 
 
 def test_adamek_detects_non_monotone_chain():
-    alg = adamek_initial_algebra(swap_functor(), max_stage=5)
+    alg = adamek_initial_algebra(swap_functor())
     with pytest.raises(ChainError, match="not included"):
         alg.carrier.level(0)
 

@@ -1,15 +1,19 @@
 """Well-scoped terms over a binding signature: construction, enumeration,
 substitution (weakening included), and the substitution monad laws."""
 
+import ast
 import copy
 import gc
 import hashlib
 import itertools
 import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +53,7 @@ from bindcat.terms import (
 )
 
 LAM = parse_signature("sig lam { app : [0, 0]; abs : [1]; }")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def lam_term(scope, text):
@@ -86,6 +91,48 @@ def test_var_index_must_be_in_scope():
         Var(0, 0)
     with pytest.raises(ScopeError):
         Var(2, 2)
+
+
+# Run in a fresh interpreter, which imports no conftest: the library as
+# shipped.  Each error is kept, and with it the frame that raised, so a
+# term entered before its check failed would stay alive and be found by
+# the second build of the bad Ctor.
+AS_SHIPPED = """
+from bindcat.terms import Ctor, ScopeError, Var
+
+kept = []
+
+def rejected(build):
+    try:
+        build()
+    except ScopeError as exc:
+        kept.append(exc)
+        return True
+    return False
+
+bad_ctor = lambda: Ctor(2, "abs", (Var(1, 0),))
+print(rejected(lambda: Var(2, 2)), rejected(bad_ctor), rejected(bad_ctor),
+      Ctor(0, "abs", (Var(1, 0),)).scope)
+"""
+
+
+def test_scope_checks_run_in_the_library_as_shipped():
+    proc = subprocess.run([sys.executable, "-c", AS_SHIPPED], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True", "0"]
+
+
+def test_no_module_reads_the_retired_scope_switch():
+    # CHECK_SCOPES stays only for the benchmark's worker, which refuses a
+    # run where it is true; the checks themselves are not switchable
+    assert bindcat.terms.CHECK_SCOPES is False
+    loads = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "bindcat").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+             and getattr(node, "id", getattr(node, "attr", None)) == "CHECK_SCOPES"]
+    assert loads == []
 
 
 def test_check_term_rejects_foreign_child():
@@ -174,19 +221,6 @@ def test_interning_keeps_no_term_alive():
     del t
     gc.collect()
     assert ref() is None
-
-
-def test_scope_checks_run_when_the_table_answers(monkeypatch):
-    # built while checks were off, so both are in the table ill-scoped
-    monkeypatch.setattr(bindcat.terms, "CHECK_SCOPES", False)
-    bad_var = Var(2, 2)
-    bad_ctor = Ctor(2, "abs", (Var(1, 0),))
-    monkeypatch.setattr(bindcat.terms, "CHECK_SCOPES", True)
-    with pytest.raises(ScopeError):
-        Var(2, 2)
-    with pytest.raises(ScopeError):
-        Ctor(2, "abs", (Var(1, 0),))
-    assert bad_var.index == 2 and bad_ctor.scope == 2
 
 
 def test_substitution_interns_through_the_scope_checked_helper(monkeypatch):
