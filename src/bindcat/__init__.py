@@ -19,8 +19,9 @@ from .monoidal import (EndofunctorMonoidal, EnumerationOverflow, Monad, Monoid,
                        check_monad, check_monoid, check_monoidal_laws,
                        check_whiskered_bifunctor, classical_from_whiskered,
                        endofunctor_monoidal, enumerate_endofunctors,
-                       enumerate_monoids, from_monoidal_doc, monad_to_monoid,
-                       monoid_to_monad, to_monoidal_doc, whiskered_from_classical)
+                       enumerate_monoids, from_monoidal_doc, functor_category,
+                       monad_to_monoid, monoid_to_monad, to_monoidal_doc,
+                       whiskered_from_classical)
 from .omega import (ChainError, EnumEndofunctor, EnumSetObj, InitialAlgebra,
                     IterationError, NaturalityError, OmegaChain,
                     ParamAlgebraFamily, ParamBifunctor, adamek_initial_algebra,

@@ -1,5 +1,5 @@
-"""Tensors in whiskered (curried) form, monoidal categories over finite
-tables, monoids, and the endofunctor instance where monoids are monads.
+"""Whiskered tensors, monoidal categories over finite tables, monoids,
+functor categories [C, D], and End(C) on the diagonal: monoids there are monads.
 
 The whiskered presentation is the canonical one here: a tensor is an
 object table plus left and right whiskering tables.  The classical
@@ -683,7 +683,7 @@ def enumerate_monoids(M: MonoidalCategory) -> list[Monoid]:
     return out
 
 
-# --- endofunctor categories -------------------------------------------------
+# --- functor categories ----------------------------------------------------
 
 def _lawful(candidates, check, bound: int, what: str) -> list:
     """The candidates that ``check(rep, candidate)`` passes; more than
@@ -705,87 +705,80 @@ def _homs(cx: _CatIndex) -> list[list[list[int]]]:
             for x in range(len(cx.into))]
 
 
-def _endofunctors(cx: _CatIndex, bound: int) -> list[tuple[tuple, tuple]]:
-    """Every functor C → C as ``_functor_index`` gives it, by exhaustive
-    search over object maps and hom-constrained morphism maps."""
-    src, tgt, ident = cx.src, cx.tgt, cx.ident
-    homs = _homs(cx)
+def _functors(cs: _CatIndex, ct: _CatIndex, bound: int) -> list[tuple[tuple, tuple]]:
+    """Every functor from the category indexed by ``cs`` to the one indexed
+    by ``ct``, as ``_functor_index`` gives it, by exhaustive search over
+    object maps and hom-constrained morphism maps."""
+    src, tgt, ident = cs.src, cs.tgt, cs.ident
+    homs = _homs(ct)
     non_id = [f for f, x in enumerate(src) if f != ident[x] or x != tgt[f]]
 
     def candidates():
-        for fo in itertools.product(range(len(cx.objects)), repeat=len(cx.objects)):
-            fm = [ident[fo[x]] for x in src]  # an identity goes to an identity
+        for fo in itertools.product(range(len(ct.objects)), repeat=len(cs.objects)):
+            fm = [ct.ident[fo[x]] for x in src]  # an identity goes to an identity
             for picks in itertools.product(*(homs[fo[src[f]]][fo[tgt[f]]] for f in non_id)):
                 for f, m in zip(non_id, picks):
                     fm[f] = m
                 yield fo, tuple(fm)
 
-    return _lawful(candidates(), lambda rep, fx: _check_functor(rep, cx, cx, fx),
-                   bound, "endofunctors")
+    return _lawful(candidates(), lambda rep, fx: _check_functor(rep, cs, ct, fx),
+                   bound, "endofunctors" if cs is ct else "functors")
 
 
-def _nat_transes(cx: _CatIndex, functors: list[tuple], bound: int) -> list[tuple]:
-    """Every natural transformation between the indexed endofunctors, as
+def _nat_transes(cs: _CatIndex, ct: _CatIndex, functors: list[tuple], bound: int) -> list[tuple]:
+    """Every natural transformation between the indexed functors, as
     (source number, target number, component numbers)."""
-    homs = _homs(cx)
+    homs = _homs(ct)
     candidates = ((i, j, comps) for i, (fo, _) in enumerate(functors)
                   for j, (go, _) in enumerate(functors)
                   for comps in itertools.product(*(homs[y][z] for y, z in zip(fo, go))))
     return _lawful(candidates, lambda rep, nx: _check_nat_trans(
-        rep, cx, cx, functors[nx[0]], functors[nx[1]], nx[2]), bound, "natural transformations")
+        rep, cs, ct, functors[nx[0]], functors[nx[1]], nx[2]), bound, "natural transformations")
 
 
-def _functor(C: FinCategory, cx: _CatIndex, fx: tuple, name: str = "") -> FinFunctor:
-    objs, mors = cx.objects, cx.mors
-    return FinFunctor(C, C, dict(zip(objs, (objs[y] for y in fx[0]))),
-                      dict(zip(mors, (mors[m] for m in fx[1]))), name=name)
+def _functor(C: FinCategory, D: FinCategory, cs, ct, fx: tuple, name: str = "") -> FinFunctor:
+    return FinFunctor(C, D, dict(zip(cs.objects, (ct.objects[y] for y in fx[0]))),
+                      dict(zip(cs.mors, (ct.mors[m] for m in fx[1]))), name=name)
 
 
 def enumerate_endofunctors(C: FinCategory, bound: int = DEFAULT_ENUM_BOUND) -> list[FinFunctor]:
-    """Every functor C → C, found by exhaustive search over object maps
-    and hom-constrained morphism maps."""
+    """Every functor C → C, unnamed, in ``functor_category(C, C)``'s order."""
     cx = _CatIndex(C)
-    return [_functor(C, cx, fx) for fx in _endofunctors(cx, bound)]
+    return [_functor(C, C, cx, cx, fx) for fx in _functors(cx, cx, bound)]
 
 
 @dataclass
-class EndofunctorMonoidal:
-    """The monoidal category of all endofunctors of a finite category,
-    together with the registries that let monoid data be read back as
-    monad data (and back) without recomputation.  The registries key a
-    functor by its ``_functor_index`` and a transformation by its
-    ``_nat_index``."""
+class _FunctorCategory:
+    """[C, D] as ``base``, with registries naming its functors and transformations
+    and keying them by ``_functor_index`` and ``_nat_index``, in ``base``'s order."""
 
-    category: FinCategory
-    monoidal: MonoidalCategory
+    base: FinCategory
     functors: dict[str, FinFunctor]
     nats: dict[str, FinNatTrans]
-    _functor_names: dict[tuple, str] = field(repr=False, default_factory=dict)
-    _nat_ids: dict[tuple, str] = field(repr=False, default_factory=dict)
+    _functor_names: dict[tuple, str] = field(repr=False)
+    _nat_ids: dict[tuple, str] = field(repr=False)
 
 
-def endofunctor_monoidal(C: FinCategory, bound: int = DEFAULT_ENUM_BOUND) -> EndofunctorMonoidal:
-    """Materialize the endofunctor category of C as a MonoidalCategory:
-    objects are the functors C→C, morphisms the natural transformations,
-    tensor is composition, and every structural component is a pointwise
-    identity (the tensor is strictly unital and associative on tables).
-
-    Functors and transformations are composed and whiskered as tuples of
-    numbers over one index of C, and named only in the tables."""
-    cx = _CatIndex(C)
-    objs, mors, ident, comp = cx.objects, cx.mors, cx.ident, cx.comp
-    fxs = _endofunctors(cx, bound)
+def functor_category(C: FinCategory, D: FinCategory,
+                     bound: int = DEFAULT_ENUM_BOUND) -> _FunctorCategory:
+    """[C, D]: the functors C → D and their natural transformations, composed as tuples
+    of numbers over one index of each category.  Functors are named ``const_x``, "Id"
+    (on the diagonal only) or ``F{i}``; transformations ``id_F``, ``F=>G`` or ``F=>G#k``."""
+    cs = _CatIndex(C)
+    ct = cs if D is C else _CatIndex(D)
+    objs, mors, ident, comp = ct.objects, ct.mors, ct.ident, ct.comp
+    fxs = _functors(cs, ct, bound)
     fn: list[str] = []
     for i, (fo, fm) in enumerate(fxs):
         name = None
-        if fo == tuple(range(len(fo))) and fm == tuple(range(len(fm))):
+        if cs is ct and fo == tuple(range(len(fo))) and fm == tuple(range(len(fm))):
             name = "Id"
         elif len(set(fo)) == 1 and all(m == ident[fo[0]] for m in fm):
             name = f"const_{objs[fo[0]]}"
         fn.append(f"F{i}" if name is None or name in fn else name)
-    f_names = {name: _functor(C, cx, fx, name) for name, fx in zip(fn, fxs)}
+    f_names = {name: _functor(C, D, cs, ct, fx, name) for name, fx in zip(fn, fxs)}
 
-    nxs = _nat_transes(cx, fxs, bound)
+    nxs = _nat_transes(cs, ct, fxs, bound)
     nn: list[str] = []
     pair_counts: dict[tuple[int, int], int] = {}
     for i, j, comps in nxs:
@@ -796,29 +789,43 @@ def endofunctor_monoidal(C: FinCategory, bound: int = DEFAULT_ENUM_BOUND) -> End
             pair_counts[(i, j)] = k + 1
             nn.append(f"{fn[i]}=>{fn[j]}" if k == 0 else f"{fn[i]}=>{fn[j]}#{k}")
     n_ids = {nid: FinNatTrans(f_names[fn[i]], f_names[fn[j]],
-                              {x: mors[c] for x, c in zip(objs, comps)}, name=nid)
+                              {x: mors[c] for x, c in zip(cs.objects, comps)}, name=nid)
              for nid, (i, j, comps) in zip(nn, nxs)}
 
     n_no = {nx: a for a, nx in enumerate(nxs)}
-    into: list[list[int]] = [[] for _ in fxs]
-    for a, (_, j, _) in enumerate(nxs):
-        into[j].append(a)
+    into = [[(a, h, ac) for a, (h, j, ac) in enumerate(nxs) if j == g] for g in range(len(fxs))]
     comp_table = {}
     for b, (i, j, bc) in enumerate(nxs):
-        for a in into[i]:  # the α with β after α defined
-            h, _, ac = nxs[a]
-            composite = tuple(comp[y][x] for y, x in zip(bc, ac))
-            comp_table[(nn[b], nn[a])] = nn[n_no[(h, j, composite)]]
-    identity = {name: f"id_{name}" for name in fn}
+        for a, h, ac in into[i]:  # the α with β after α defined
+            comp_table[(nn[b], nn[a])] = nn[n_no[(h, j, tuple(comp[y][x] for y, x in zip(bc, ac)))]]
     base = FinCategory(tuple(fn), tuple((nid, fn[i], fn[j]) for nid, (i, j, _) in zip(nn, nxs)),
-                       identity, comp_table)
+                       {name: f"id_{name}" for name in fn}, comp_table)
+    nat_ids = {(fxs[i], fxs[j], comps): nid for nid, (i, j, comps) in zip(nn, nxs)}
+    return _FunctorCategory(base, f_names, n_ids, dict(zip(fxs, fn)), nat_ids)
 
+
+@dataclass
+class EndofunctorMonoidal(_FunctorCategory):
+    """End(C): [C, C] with the composition tensor as ``monoidal``; the registries
+    read monoid data back as monad data (and back) without recomputation."""
+
+    category: FinCategory
+    monoidal: MonoidalCategory
+
+
+def endofunctor_monoidal(C: FinCategory, bound: int = DEFAULT_ENUM_BOUND) -> EndofunctorMonoidal:
+    """End(C) as a MonoidalCategory over ``functor_category(C, C)``: the tensor is
+    composition, strictly unital and associative on tables, so every structural
+    component is a pointwise identity."""
+    FC = functor_category(C, C, bound)
+    base, fn, nn, fxs = FC.base, list(FC.functors), list(FC.nats), list(FC._functor_names)
     f_no = {fx: f for f, fx in enumerate(fxs)}
+    nxs = [(f_no[fx], f_no[gx], comps) for fx, gx, comps in FC._nat_ids]
+    n_no = {nx: a for a, nx in enumerate(nxs)}
     ten = [[f_no[(tuple(fo[y] for y in go), tuple(fm[m] for m in gm))] for go, gm in fxs]
            for fo, fm in fxs]  # ten[f][g] is F∘G, x ↦ F(G(x))
     obj_table = {(fn[f], fn[g]): fn[fg] for f, row in enumerate(ten) for g, fg in enumerate(row)}
-    lwhisker = {}
-    rwhisker = {}
+    lwhisker, rwhisker = {}, {}
     for f, (fo, fm) in enumerate(fxs):
         for a, (i, j, ac) in enumerate(nxs):
             # F ⊗ α : F∘G ⇒ F∘G' with components F(α_x)
@@ -827,19 +834,12 @@ def endofunctor_monoidal(C: FinCategory, bound: int = DEFAULT_ENUM_BOUND) -> End
             rwhisker[(nn[a], fn[f])] = nn[n_no[(ten[i][f], ten[j][f], tuple(ac[y] for y in fo))]]
     tensor = WhiskeredBifunctor(base, obj_table, lwhisker, rwhisker)
 
-    lunitor = {name: identity[obj_table[("Id", name)]] for name in fn}
-    runitor = {name: identity[obj_table[(name, "Id")]] for name in fn}
-    ids = [identity[name] for name in fn]
+    ids = list(base.identity.values())  # Id ∘ F = F = F ∘ Id, so the unitors are these
     associator = {(fn[f], fn[g], fn[h]): ids[ten[ten[f][g]][h]]
                   for f, g, h in itertools.product(range(len(fn)), repeat=3)}
-    M = MonoidalCategory(
-        base, "Id", tensor,
-        lunitor, dict(lunitor), runitor, dict(runitor),
-        associator, dict(associator),
-        name="endofunctors",
-    )
-    nat_ids = {(fxs[i], fxs[j], comps): nid for nid, (i, j, comps) in zip(nn, nxs)}
-    return EndofunctorMonoidal(C, M, f_names, n_ids, dict(zip(fxs, fn)), nat_ids)
+    M = MonoidalCategory(base, "Id", tensor, *(dict(base.identity) for _ in range(4)),
+                         associator, dict(associator), name="endofunctors")
+    return EndofunctorMonoidal(**vars(FC), category=C, monoidal=M)
 
 
 def check_monad(T: Monad) -> LawReport:

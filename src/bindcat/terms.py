@@ -374,21 +374,49 @@ def _substitute(memo: dict[Term, Term], t: Term, s: Substitution, lift) -> Term:
     return got
 
 
+def _substitute_deep(memo: dict[Term, Term], t: Term, s: Substitution, lift) -> Term:
+    """``_substitute`` with the subterms still to do kept on a stack, not in
+    recursive calls, so a term of any depth is substituted.  It finishes a
+    walk that ran out of recursion from the memo that walk filled."""
+    todo = [(t, s)]
+    while todo:
+        u, su = todo[-1]
+        if u in memo:
+            todo.pop()
+        elif isinstance(u, Var):
+            memo[u] = su.images[u.index]
+        else:
+            missing = [(a, lift(su, a.scope - u.scope)) for a in u.args if a not in memo]
+            if missing:
+                todo.extend(missing)
+            else:
+                memo[u] = _ctor(su.target, u.name, tuple([memo[a] for a in u.args]))
+    return memo[t]
+
+
 def substitute(t: Term, s: Substitution) -> Term:
-    """Capture-avoiding simultaneous substitution."""
-    return _substitute({}, t, s, _remembered_lifts())
+    """Capture-avoiding simultaneous substitution, of a term of any depth."""
+    memo: dict[Term, Term] = {}
+    lift = _remembered_lifts()
+    try:  # the recursion first: it is the faster walk per term
+        return _substitute(memo, t, s, lift)
+    except RecursionError:
+        return _substitute_deep(memo, t, s, lift)
 
 
 def compose_substitutions(tau: Substitution, sigma: Substitution) -> Substitution:
-    """The substitution doing sigma first, then tau."""
+    """The substitution doing sigma first, then tau; its images may be of any depth."""
     if sigma.target != tau.source:
         raise ScopeError(
             f"cannot compose: first substitution targets scope {sigma.target}, "
             f"second starts from scope {tau.source}")
     memo: dict[Term, Term] = {}
     lift = _remembered_lifts()
-    return Substitution(sigma.source, tau.target,
-                        tuple([_substitute(memo, img, tau, lift) for img in sigma.images]))
+    try:
+        images = tuple([_substitute(memo, img, tau, lift) for img in sigma.images])
+    except RecursionError:
+        images = tuple([_substitute_deep(memo, img, tau, lift) for img in sigma.images])
+    return Substitution(sigma.source, tau.target, images)
 
 
 def check_monad_laws(sig: BindingSignature, depth: int, max_scope: int,

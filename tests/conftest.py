@@ -1,7 +1,7 @@
 """Shared test setup: a fixture-path helper, sweeps forced to split
-across processes, and the table check counts of End(chain k) derived by
-brute force.  It sets nothing in ``bindcat``: the suite tests the
-library as shipped."""
+across processes, and the sizes of [chain a, chain b] and the table check
+counts of End(chain k) derived by brute force.  It sets nothing in
+``bindcat``: the suite tests the library as shipped."""
 
 import itertools
 import os
@@ -52,6 +52,25 @@ def split(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _monotone_counts(a: int, b: int) -> tuple[int, int, int]:
+    """The functors, transformations and comp entries of [chain a, chain b]:
+    its monotone maps, the pairs F ≤ G and the chains F ≤ G ≤ H."""
+    maps = [f for f in itertools.product(range(b), repeat=a)
+            if all(x <= y for x, y in zip(f, f[1:]))]
+    pairs = [(f, g) for f in maps for g in maps
+             if all(x <= y for x, y in zip(f, g))]
+    above = Counter(f for f, _ in pairs)
+    return len(maps), len(pairs), sum(above[g] for _, g in pairs)
+
+
+@pytest.fixture(scope="session")
+def chain_functor_counts():
+    """chain_functor_counts(a, b): functors, transformations and comp
+    entries of [chain a, chain b] by brute force over monotone maps,
+    without the library."""
+    return _monotone_counts
+
+
 class EndChainCounts(NamedTuple):
     n: int  # endofunctors of chain k: its monotone maps
     m: int  # pairs F ≤ G
@@ -62,16 +81,11 @@ class EndChainCounts(NamedTuple):
 
 @pytest.fixture(scope="session")
 def end_chain_counts():
-    """end_chain_counts(k): n, m and c for End(chain k) by brute force over
-    monotone maps, without the library, and the check counts the table
-    checkers declare from them."""
+    """end_chain_counts(k): n, m and c for End(chain k), [chain k, chain k]
+    by ``chain_functor_counts``, and the check counts the table checkers
+    declare from them."""
     def counts(k: int) -> EndChainCounts:
-        maps = [f for f in itertools.product(range(k), repeat=k)
-                if all(a <= b for a, b in zip(f, f[1:]))]
-        pairs = [(f, g) for f in maps for g in maps
-                 if all(a <= b for a, b in zip(f, g))]
-        above = Counter(f for f, _ in pairs)
-        n, m, c = len(maps), len(pairs), sum(above[g] for _, g in pairs)
+        n, m, c = _monotone_counts(k, k)
         whiskered = 2 * n * m + 2 * n ** 2 + 2 * c * n + m ** 2
         monoidal = whiskered + 6 * n + 3 * n ** 3 + 2 * m + 3 * m * n ** 2 + n ** 2 + n ** 4
         return EndChainCounts(n, m, c, whiskered, monoidal)

@@ -231,6 +231,14 @@ def test_deep_gen_terms_answers(fixtures, capsys):
     assert (code, json.loads(out)["checks_run"], err) == (0, 600, "")
 
 
+def test_deep_subst_answers(fixtures, capsys):
+    # a term deeper than Python's recursion limit is substituted, not refused
+    deep = "succ(" * 1000 + "zero()" + ")" * 1000
+    code = main(["subst", "--sig", str(fixtures / "nat.sig"), "--scope", "0", deep])
+    out, err = capsys.readouterr()
+    assert (code, out.splitlines()[0], err) == (0, deep, "")
+
+
 def test_deep_mendler_demo_hits_the_stage_bound(capsys):
     # levels fill upward without recursion, so a deep level reaches the
     # chain's own bound: evenness needs a stage per level

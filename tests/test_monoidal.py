@@ -2,6 +2,7 @@
 and the endofunctor instance with its monoid/monad correspondence."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import re
@@ -18,24 +19,30 @@ from bindcat import (
     TableError,
     WhiskeredBifunctor,
     chain_category,
+    check_category_laws,
     check_functor,
     check_monad,
     check_monoid,
     check_monoidal_laws,
+    check_nat_trans,
     check_whiskered_bifunctor,
     classical_from_whiskered,
+    discrete_category,
     endofunctor_monoidal,
     enumerate_endofunctors,
     enumerate_monoids,
     from_monoidal_doc,
+    functor_category,
     identity_functor,
     identity_nat_trans,
     monad_to_monoid,
     monoid_to_monad,
+    to_doc,
     to_monoidal_doc,
     walking_arrow,
     whiskered_from_classical,
 )
+from test_pointed import idempotent_arrow
 
 # --- tensors on the walking arrow ------------------------------------------------
 #
@@ -281,7 +288,7 @@ def test_monoid_with_unknown_ids_is_structural(two_chain_endo):
 
 
 def test_enumeration_bound():
-    with pytest.raises(EnumerationOverflow):
+    with pytest.raises(EnumerationOverflow, match="^more than 2 endofunctors; raise the bound"):
         enumerate_endofunctors(chain_category(2), bound=2)
 
 
@@ -290,6 +297,96 @@ def test_enumerating_over_a_missing_identity_is_structural():
     W.identity.pop("b")
     with pytest.raises(TableError, match="^identity table has no entry for 'b'$"):
         enumerate_endofunctors(W)
+
+
+# --- functor categories [C, D] ------------------------------------------------------
+
+CHAIN_PAIRS = [(2, 3, (6, 20, 50)), (3, 2, (4, 10, 20)), (3, 4, (20, 175, 980))]
+
+
+def _sizes(FC) -> tuple[int, int, int]:
+    return len(FC.base.objects), len(FC.base.morphisms), len(FC.base.comp)
+
+
+@pytest.mark.parametrize("a, b, sizes", CHAIN_PAIRS, ids=[f"{a}-{b}" for a, b, _ in CHAIN_PAIRS])
+def test_chain_functor_categories_match_the_monotone_maps(a, b, sizes, chain_functor_counts):
+    FC = functor_category(chain_category(a), chain_category(b))
+    assert _sizes(FC) == sizes == chain_functor_counts(a, b)
+    assert check_category_laws(FC.base).ok
+
+
+CATEGORIES = {f"chain {k}": lambda k=k: chain_category(k) for k in range(1, 5)}
+CATEGORIES.update({"walking arrow": walking_arrow, "discrete ab": lambda: discrete_category("ab"),
+                   "idempotent": idempotent_arrow})
+IDEMPOTENT_PAIRS = [("idempotent", "chain 2", (3, 6, 10)), ("chain 2", "idempotent", (5, 31, 175)),
+                    ("idempotent", "idempotent", (9, 87, 770))]
+
+
+@pytest.mark.parametrize("c, d, sizes", IDEMPOTENT_PAIRS,
+                         ids=[f"{c}-{d}" for c, d, _ in IDEMPOTENT_PAIRS])
+def test_functor_categories_over_the_idempotent_base(c, d, sizes):
+    C = CATEGORIES[c]()
+    D = C if d == c else CATEGORIES[d]()  # the same category on the diagonal
+    FC = functor_category(C, D)
+    assert _sizes(FC) == sizes
+    assert check_category_laws(FC.base).ok
+    for F in FC.functors.values():
+        assert (F.source, F.target) == (C, D) and check_functor(F).ok, F.name
+    for t in FC.nats.values():
+        assert check_nat_trans(t).ok, t.name
+
+
+def test_the_diagonal_functor_category_is_the_endofunctor_base():
+    C = idempotent_arrow()
+    FC, E = functor_category(C, C), endofunctor_monoidal(C)
+    assert json.dumps(to_doc(FC.base)) == json.dumps(to_doc(E.monoidal.base))
+    assert (FC.functors, FC.nats) == (E.functors, E.nats)
+    assert (FC._functor_names, FC._nat_ids) == (E._functor_names, E._nat_ids)
+
+
+def test_only_the_diagonal_names_an_identity_functor():
+    C = walking_arrow()
+    D = FinCategory(C.objects, C.morphisms + (("g", "a", "b"),), dict(C.identity),
+                    {**C.comp, ("g", "id_a"): "g", ("id_b", "g"): "g"})
+    FC = functor_category(C, D)
+    inclusion = ((0, 1), (0, 1, 2))  # the numbers of an identity, over another category
+    assert list(FC.functors) == ["const_a", "F1", "F2", "const_b"]
+    assert FC._functor_names[inclusion] == "F1"
+    assert FC.functors["F1"].on_mor == {"id_a": "id_a", "id_b": "id_b", "f": "f"}
+    assert "Id" in functor_category(C, C).functors
+
+
+def test_functor_category_bounds_name_what_overflowed():
+    C, D = chain_category(2), chain_category(3)
+    with pytest.raises(EnumerationOverflow, match="^more than 5 functors; raise the bound"):
+        functor_category(C, D, bound=5)
+    with pytest.raises(EnumerationOverflow, match="^more than 6 natural transformations;"):
+        functor_category(C, D, bound=6)
+    with pytest.raises(EnumerationOverflow, match="^more than 2 endofunctors;"):
+        functor_category(C, C, bound=2)
+
+
+# the first 16 hex digits of the SHA-256 of End(C)'s monoidal document and of
+# enumerate_endofunctors's (on_obj, on_mor, name) list
+END_DIGESTS = {
+    "chain 1": ("bd171ab926f3b3b2", "81fb2bb50646e832"),
+    "chain 2": ("6020c374d2c26e10", "1afdfc91f59621be"),
+    "chain 3": ("0b8a655bcb45d630", "c0be8bf54c44260f"),
+    "chain 4": ("6cd82aadc3f2b643", "6a60aac437d42b36"),
+    "walking arrow": ("331b24599ec55450", "c75ef07e034ffd40"),
+    "discrete ab": ("518c95361c1f7234", "e7dbbb93360c8be2"),
+    "idempotent": ("e26b28ec2b50d96c", "f0a2318fc9ba196d"),
+}
+
+
+@pytest.mark.parametrize("name", END_DIGESTS)
+def test_endofunctor_tables_are_pinned(name):
+    def digest(doc) -> str:
+        return hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
+    C = CATEGORIES[name]()
+    functors = [(F.on_obj, F.on_mor, F.name) for F in enumerate_endofunctors(C)]
+    assert (digest(to_monoidal_doc(endofunctor_monoidal(C).monoidal)),
+            digest(functors)) == END_DIGESTS[name]
 
 
 def _closure_operators(n: int) -> set[tuple[int, ...]]:

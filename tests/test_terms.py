@@ -437,6 +437,48 @@ def test_composition_is_sigma_then_tau_on_the_whole_grid():
             tuple(reference_substitute(img, tau) for img in sigma.images))
 
 
+def test_the_stack_walk_matches_the_reference_on_the_grid():
+    # the walk that finishes a substitution too deep for the recursion
+    terms, subs = lam_grid()
+    for n in terms:
+        for s in subs[n]:
+            memo, lift = {}, bindcat.terms._remembered_lifts()
+            for t in terms[n]:
+                got = bindcat.terms._substitute_deep(memo, t, s, lift)
+                assert got == reference_substitute(t, s)
+
+
+DEEP = 10_000
+
+
+def succs(t, k):
+    for _ in range(k):
+        t = Ctor(t.scope, "succ", (t,))
+    return t
+
+
+def test_substitute_finishes_a_term_deeper_than_the_stack():
+    assert substitute(nat_term(DEEP), Substitution(0, 0, ())) is nat_term(DEEP)
+    sigma = Substitution(1, 0, (nat_term(1),))
+    assert substitute(succs(Var(1, 0), DEEP), sigma) is nat_term(DEEP + 1)
+
+
+def test_compose_finishes_an_image_deeper_than_the_stack():
+    sigma = Substitution(1, 1, (succs(Var(1, 0), DEEP),))
+    tau = Substitution(1, 0, (nat_term(0),))
+    assert compose_substitutions(tau, sigma).images == (nat_term(DEEP),)
+    assert compose_substitutions(unit_substitution(0), Substitution(1, 0, (nat_term(DEEP),))) \
+        == Substitution(1, 0, (nat_term(DEEP),))
+
+
+def test_a_deep_substitution_finishes_under_a_binder():
+    # the recursion runs out below the binder, so the stack walk lifts sigma
+    t = Ctor(1, "abs", (Ctor(2, "app", (Var(2, 0), succs(Var(2, 1), DEEP // 3))),))
+    sigma = Substitution(1, 0, (lam_term(0, "abs(var 0)"),))
+    body = succs(lam_term(1, "abs(var 0)"), DEEP // 3)
+    assert substitute(t, sigma) is Ctor(0, "abs", (Ctor(1, "app", (Var(1, 0), body)),))
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_composition_agrees_with_sequencing(data):
