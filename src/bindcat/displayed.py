@@ -9,13 +9,13 @@ can key on them directly.  Fibers may be empty.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from .fincat import (FinCategory, FinFunctor, TableError, _assoc_law, _CatIndex, _comp_index,
                      _doc_category, _doc_fields, _doc_map, _doc_rows, _functor_index, _grid,
-                     _indexing, _read_doc, _unit_laws, pair_mor, pair_obj)
+                     _indexing, _read_doc, _Renamed, _unit_laws, pair_mor, pair_obj)
 from .monoidal import (_ISO_TABLES, MonoidalCategory, WhiskeredBifunctor, _associator_isos,
                        _index_monoidal, _interchange, _MonoidalIndex, _pentagon, _place,
                        _triangle, _unitor_isos, _whisker_composition, _whisker_identities)
@@ -440,6 +440,15 @@ def check_displayed_monoidal(DM: DisplayedMonoidal) -> LawReport:
     return rep
 
 
+def _refilled(keys: dict, values) -> dict:
+    """A table with the keys of ``keys``, in their order, holding
+    ``values`` in turn; it is sized for them at the start and never grows."""
+    out = dict.fromkeys(keys)
+    for key, value in zip(keys, values):
+        out[key] = value
+    return out
+
+
 def total_monoidal(DM: DisplayedMonoidal) -> MonoidalCategory:
     """Monoidal structure on the total category; the projection from
     total_category is strict monoidal for it by construction.  A missing
@@ -448,29 +457,29 @@ def total_monoidal(DM: DisplayedMonoidal) -> MonoidalCategory:
     dx = _DispIndex(DM.disp_cat, cx)
     _disp_monoidal_index(DM, dx)  # building the indexes is the validation
     total, _, pobj, pmor = _total_category(DM.disp_cat.base, cx, dx)
+    del cx, dx  # the copies below read only the pair ids
+
+    def renamed(table: str, keys, names=pmor):
+        """The displayed table's entries at ``keys`` in turn, renamed to pair ids."""
+        disp = getattr(DM, table)
+        for key in keys:
+            try:
+                yield names[disp[key]]
+            except KeyError:
+                raise TableError(
+                    f"displayed monoidal table {table} has no entry for {key!r}") from None
 
     def paired(table: str, keys, pair_keys, names=pmor) -> dict:
         """The displayed table renamed to pair ids: the entry at each of
         ``keys`` goes under the matching one of ``pair_keys``."""
-        disp = getattr(DM, table)
-        out = {}
-        for key, pair_key in zip(keys, pair_keys):
-            try:
-                out[pair_key] = names[disp[key]]
-            except KeyError:
-                raise TableError(
-                    f"displayed monoidal table {table} has no entry for {key!r}") from None
-        return out
+        return dict(zip(pair_keys, renamed(table, keys, names)))
 
     dobjs, pobjs = list(pobj), list(pobj.values())
     dmors, pmors = list(pmor), list(pmor.values())
-    pair_triples = list(itertools.product(pobjs, repeat=3))
     tensor = WhiskeredBifunctor(
         total,
-        paired("disp_tensor", itertools.product(dobjs, repeat=2),
-               itertools.product(pobjs, repeat=2), pobj),
-        paired("disp_lwhisker", itertools.product(dobjs, dmors),
-               itertools.product(pobjs, pmors)),
+        paired("disp_tensor", product(dobjs, repeat=2), product(pobjs, repeat=2), pobj),
+        paired("disp_lwhisker", product(dobjs, dmors), product(pobjs, pmors)),
         paired("disp_rwhisker", ((ff, zz) for zz in dobjs for ff in dmors),
                ((ff, zz) for zz in pobjs for ff in pmors)))
     return MonoidalCategory(
@@ -481,31 +490,23 @@ def total_monoidal(DM: DisplayedMonoidal) -> MonoidalCategory:
         paired("disp_lunitor_inv", dobjs, pobjs),
         paired("disp_runitor", dobjs, pobjs),
         paired("disp_runitor_inv", dobjs, pobjs),
-        paired("disp_associator", itertools.product(dobjs, repeat=3), pair_triples),
-        paired("disp_associator_inv", itertools.product(dobjs, repeat=3), pair_triples),
+        (associator := paired("disp_associator", product(dobjs, repeat=3),
+                              product(pobjs, repeat=3))),
+        # a second walk, so that a missing associator entry is named first
+        _refilled(associator, renamed("disp_associator_inv", product(dobjs, repeat=3))),
         name="total",
     )
 
 
 # --- canonical small instances ----------------------------------------------
 
-class _Starred(dict):
-    """Map from a base id to its displayed id ``id^``, built by one
-    construction and dropped when it returns, so that every table of that
-    construction shares one string per base id."""
-
-    def __missing__(self, ident: str) -> str:
-        self[ident] = name = f"{ident}^"
-        return name
-
-
 def trivial_displayed(C: FinCategory) -> DisplayedCategory:
     """One displayed object over every base object, one displayed morphism
     over every base morphism; the total category mirrors the base."""
-    return _trivial_displayed(C, _Starred())
+    return _trivial_displayed(C, _Renamed("{}^".format))
 
 
-def _trivial_displayed(C: FinCategory, star: _Starred) -> DisplayedCategory:
+def _trivial_displayed(C: FinCategory, star: _Renamed) -> DisplayedCategory:
     fiber_obj = {x: [star[x]] for x in C.objects}
     disp_hom = {(f, star[x], star[y]): [star[f]] for f, x, y in C.morphisms}
     disp_id = {star[x]: star[C.id_of(x)] for x in C.objects}
@@ -514,13 +515,18 @@ def _trivial_displayed(C: FinCategory, star: _Starred) -> DisplayedCategory:
 
 
 def trivial_displayed_monoidal(M: MonoidalCategory) -> DisplayedMonoidal:
+    """``trivial_displayed`` over M's base with M's monoidal structure
+    copied onto it: each displayed table holds the starred base entry at
+    the starred key, in the order of the base's objects and morphisms.
+    Every table shares one string per displayed id, and the two associator
+    tables share one key tuple per triple.  A missing base entry raises as
+    the base table's lookup does."""
     C = M.base
-    star = _Starred()
+    star = _Renamed("{}^".format)
     D = _trivial_displayed(C, star)
     T = M.tensor
     mors = [f for f, _, _ in C.morphisms]
-    triples = lambda: itertools.product(C.objects, repeat=3)
-    disp_triples = [(star[x], star[y], star[z]) for x, y, z in triples()]
+    triples = lambda: product(C.objects, repeat=3)
     return DisplayedMonoidal(
         base_monoidal=M,
         disp_cat=D,
@@ -535,10 +541,9 @@ def trivial_displayed_monoidal(M: MonoidalCategory) -> DisplayedMonoidal:
         disp_lunitor_inv={star[x]: star[M.lunitor_inv[x]] for x in C.objects},
         disp_runitor={star[x]: star[M.runitor[x]] for x in C.objects},
         disp_runitor_inv={star[x]: star[M.runitor_inv[x]] for x in C.objects},
-        disp_associator={key: star[M.associator[base_key]]
-                         for key, base_key in zip(disp_triples, triples())},
-        disp_associator_inv={key: star[M.associator_inv[base_key]]
-                             for key, base_key in zip(disp_triples, triples())},
+        disp_associator=(assoc := {(star[x], star[y], star[z]): star[M.associator[x, y, z]]
+                                   for x, y, z in triples()}),
+        disp_associator_inv=_refilled(assoc, (star[M.associator_inv[t]] for t in triples())),
     )
 
 

@@ -440,21 +440,38 @@ def pair_mor(f: str, g: str) -> str:
     return f"({f},{g})"
 
 
+class _Renamed(dict):
+    """Map from an id, or a tuple of ids, to the new id ``render`` makes
+    of it, built by one construction and dropped when it returns, so that
+    every table of that construction shares one string per new id."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key) -> str:
+        self[key] = name = self.render(key)
+        return name
+
+
 def product_category(C: FinCategory, D: FinCategory) -> FinCategory:
-    """Product category with pairwise tables; ids are rendered pairs."""
-    objects = tuple(pair_obj(x, y) for x in C.objects for y in D.objects)
+    """Product category with pairwise tables; ids are rendered pairs, each
+    rendered once and shared by every table."""
+    pobj = _Renamed(lambda xy: pair_obj(*xy))
+    pmor = _Renamed(lambda fg: pair_mor(*fg))
+    objects = tuple(pobj[x, y] for x in C.objects for y in D.objects)
     morphisms = tuple(
-        (pair_mor(f, g), pair_obj(fx, gx), pair_obj(fy, gy))
+        (pmor[f, g], pobj[fx, gx], pobj[fy, gy])
         for f, fx, fy in C.morphisms
         for g, gx, gy in D.morphisms
     )
     identity = {
-        pair_obj(x, y): pair_mor(C.identity[x], D.identity[y])
+        pobj[x, y]: pmor[C.identity[x], D.identity[y]]
         for x in C.objects
         for y in D.objects
     }
     comp = {
-        (pair_mor(g1, g2), pair_mor(f1, f2)): pair_mor(h1, h2)
+        (pmor[g1, g2], pmor[f1, f2]): pmor[h1, h2]
         for (g1, f1), h1 in C.comp.items()
         for (g2, f2), h2 in D.comp.items()
     }

@@ -210,7 +210,7 @@ def test_negative_bounds_exit_2(fixtures, capsys, sig, argv):
     assert "must not be negative, got -1" in err
 
 
-@pytest.mark.parametrize("input_", ["check-cat"])
+@pytest.mark.parametrize("input_", ["check-cat", "check-monoidal", "check-displayed"])
 def test_deeply_nested_input_exits_2(tmp_path, capsys, input_):
     # input nested deeper than Python's recursion limit is an input error
     # that names the file, not a law violation
@@ -219,7 +219,18 @@ def test_deeply_nested_input_exits_2(tmp_path, capsys, input_):
     code = main([input_, str(nested), "--json"])
     out, err = capsys.readouterr()
     assert (code, json.loads(out)["status"]) == (2, "error")
-    assert str(nested) in err
+    assert err == f"error: {nested}: JSON nested too deeply to decode\n"
+
+
+def test_a_recursion_error_in_a_checker_is_not_bad_input(fixtures, monkeypatch):
+    # only the readers turn deep input into an input error: a checker that
+    # runs out of recursion is a fault of the program, and main lets it out
+    def runs_out(C):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("bindcat.cli.check_category_laws", runs_out)
+    with pytest.raises(RecursionError):
+        main(["check-cat", str(fixtures / "walking_arrow.json")])
 
 
 def test_deep_gen_terms_answers(fixtures, capsys):
