@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .fincat import (FinCategory, FinFunctor, TableError, _assoc_law, _CatIndex, _comp_index,
-                     _doc_category, _doc_fields, _doc_map, _doc_rows, _functor_index, _grid,
-                     _indexing, _read_doc, _Renamed, _unit_laws, pair_mor, pair_obj)
+from .fincat import (_COMP_ROW, FinCategory, FinFunctor, TableError, _assoc_law, _CatIndex,
+                     _comp_index, _doc_category, _doc_fields, _doc_map, _doc_rows,
+                     _functor_index, _grid, _indexing, _read_doc, _Renamed, _unit_laws,
+                     pair_mor, pair_obj)
 from .monoidal import (_ISO_TABLES, MonoidalCategory, WhiskeredBifunctor, _associator_isos,
                        _index_monoidal, _interchange, _MonoidalIndex, _pentagon, _place,
                        _triangle, _unitor_isos, _whisker_composition, _whisker_identities)
@@ -449,6 +450,16 @@ def _refilled(keys: dict, values) -> dict:
     return out
 
 
+def _renamed_entries(table: dict, what: str, keys, names):
+    """The entries of ``table`` at ``keys`` in turn, each renamed by
+    ``names``; a missing entry is a TableError naming ``what`` and its key."""
+    for key in keys:
+        try:
+            yield names[table[key]]
+        except KeyError:
+            raise TableError(f"{what} has no entry for {key!r}") from None
+
+
 def total_monoidal(DM: DisplayedMonoidal) -> MonoidalCategory:
     """Monoidal structure on the total category; the projection from
     total_category is strict monoidal for it by construction.  A missing
@@ -461,13 +472,8 @@ def total_monoidal(DM: DisplayedMonoidal) -> MonoidalCategory:
 
     def renamed(table: str, keys, names=pmor):
         """The displayed table's entries at ``keys`` in turn, renamed to pair ids."""
-        disp = getattr(DM, table)
-        for key in keys:
-            try:
-                yield names[disp[key]]
-            except KeyError:
-                raise TableError(
-                    f"displayed monoidal table {table} has no entry for {key!r}") from None
+        return _renamed_entries(getattr(DM, table), f"displayed monoidal table {table}", keys,
+                                names)
 
     def paired(table: str, keys, pair_keys, names=pmor) -> dict:
         """The displayed table renamed to pair ids: the entry at each of
@@ -486,10 +492,7 @@ def total_monoidal(DM: DisplayedMonoidal) -> MonoidalCategory:
         total,
         pobj[DM.disp_unit],
         tensor,
-        paired("disp_lunitor", dobjs, pobjs),
-        paired("disp_lunitor_inv", dobjs, pobjs),
-        paired("disp_runitor", dobjs, pobjs),
-        paired("disp_runitor_inv", dobjs, pobjs),
+        *(paired("disp_" + t, dobjs, pobjs) for t in _ISO_TABLES[:4]),
         (associator := paired("disp_associator", product(dobjs, repeat=3),
                               product(pobjs, repeat=3))),
         # a second walk, so that a missing associator entry is named first
@@ -519,31 +522,27 @@ def trivial_displayed_monoidal(M: MonoidalCategory) -> DisplayedMonoidal:
     copied onto it: each displayed table holds the starred base entry at
     the starred key, in the order of the base's objects and morphisms.
     Every table shares one string per displayed id, and the two associator
-    tables share one key tuple per triple.  A missing base entry raises as
-    the base table's lookup does."""
+    tables share one key tuple per triple.  A missing base entry is a
+    TableError naming its table and key, as ``check_monoidal_laws`` names it."""
     C = M.base
     star = _Renamed("{}^".format)
     D = _trivial_displayed(C, star)
     T = M.tensor
     mors = [f for f, _, _ in C.morphisms]
+    dobjs = [star[x] for x in C.objects]
+
+    def starred(table: str, keys):
+        return _renamed_entries(getattr(M, table), table, keys, star)
+
     triples = lambda: product(C.objects, repeat=3)
     return DisplayedMonoidal(
-        base_monoidal=M,
-        disp_cat=D,
-        disp_unit=star[M.unit],
-        disp_tensor={(star[x], star[y]): star[T.obj(x, y)]
-                     for x in C.objects for y in C.objects},
-        disp_lwhisker={(star[x], star[f]): star[T.lw(x, f)]
-                       for x in C.objects for f in mors},
-        disp_rwhisker={(star[f], star[z]): star[T.rw(f, z)]
-                       for z in C.objects for f in mors},
-        disp_lunitor={star[x]: star[M.lunitor[x]] for x in C.objects},
-        disp_lunitor_inv={star[x]: star[M.lunitor_inv[x]] for x in C.objects},
-        disp_runitor={star[x]: star[M.runitor[x]] for x in C.objects},
-        disp_runitor_inv={star[x]: star[M.runitor_inv[x]] for x in C.objects},
-        disp_associator=(assoc := {(star[x], star[y], star[z]): star[M.associator[x, y, z]]
-                                   for x, y, z in triples()}),
-        disp_associator_inv=_refilled(assoc, (star[M.associator_inv[t]] for t in triples())),
+        M, D, star[M.unit],
+        {(star[x], star[y]): star[T.obj(x, y)] for x in C.objects for y in C.objects},
+        {(star[x], star[f]): star[T.lw(x, f)] for x in C.objects for f in mors},
+        {(star[f], star[z]): star[T.rw(f, z)] for z in C.objects for f in mors},
+        *(dict(zip(dobjs, starred(t, C.objects))) for t in _ISO_TABLES[:4]),
+        (assoc := dict(zip(product(dobjs, repeat=3), starred("associator", triples())))),
+        _refilled(assoc, starred("associator_inv", triples())),
     )
 
 
@@ -574,7 +573,7 @@ def from_displayed_doc(doc, base: FinCategory) -> DisplayedCategory:
             raise TableError(f"duplicate disp_hom bucket {key}")
         disp_hom[key] = list(row["mors"])
     ids = _doc_map(doc, "disp_id", "displayed objects", "displayed morphisms")
-    disp_comp = _doc_rows(doc["disp_comp"], ("after", "first", "result"), "disp_comp")
+    disp_comp = _doc_rows(doc["disp_comp"], _COMP_ROW, "disp_comp")
     D = DisplayedCategory(base, dict(fibers), disp_hom, ids, disp_comp)
     _DispIndex(D, _CatIndex(base))  # building the index is the validation
     return D

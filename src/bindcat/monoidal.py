@@ -26,6 +26,7 @@ from .fincat import (
     _CatIndex,
     _check_functor,
     _check_nat_trans,
+    _DOC_FIELDS,
     _doc_category,
     _doc_fields,
     _doc_map,
@@ -33,6 +34,7 @@ from .fincat import (
     _full_grid,
     _functor_index,
     _nat_index,
+    _rows,
 )
 from .report import LawReport, _split_families
 
@@ -483,6 +485,7 @@ class MonoidalCategory:
     name: str = ""
 
 
+# four unitor tables keyed on objects ([:4]), then two associator tables on triples ([4:])
 _ISO_TABLES = ("lunitor", "lunitor_inv", "runitor", "runitor_inv", "associator", "associator_inv")
 
 
@@ -882,7 +885,7 @@ def check_monad(T: Monad) -> LawReport:
 def monoid_to_monad(E: EndofunctorMonoidal, m: Monoid) -> Monad:
     """Read monoid data as monad data through the registries; nothing is
     recomputed."""
-    if m.carrier not in E.functors:
+    if m.carrier not in E.functors or m.unit_map not in E.nats or m.mult not in E.nats:
         raise TableError("monoid is not over an endofunctor monoidal category instance")
     return Monad(E.functors[m.carrier], E.nats[m.unit_map], E.nats[m.mult])
 
@@ -898,34 +901,28 @@ def monad_to_monoid(E: EndofunctorMonoidal, T: Monad) -> Monoid:
 
 # --- JSON interchange -------------------------------------------------------
 
-_MONOIDAL_FIELDS = {"objects", "morphisms", "identity", "comp", "unit", "tensor",
-                    "lunitor", "lunitor_inv", "runitor", "runitor_inv",
-                    "associator", "associator_inv"}
+# each tensor table by document name: its WhiskeredBifunctor attribute, its row fields
+_TENSOR_ROWS = {"obj": ("obj_table", ("left", "right", "result")),
+                "lwhisker": ("lwhisker", ("obj", "mor", "result")),
+                "rwhisker": ("rwhisker", ("mor", "obj", "result"))}
+_ASSOC_ROW = ("x", "y", "z", "result")
+_MONOIDAL_FIELDS = _DOC_FIELDS | {"unit", "tensor", *_ISO_TABLES}
 
 
 def from_monoidal_doc(doc) -> MonoidalCategory:
     _doc_fields(doc, _MONOIDAL_FIELDS, "monoidal")
-    base = _doc_category({k: doc[k] for k in ("objects", "morphisms", "identity", "comp")})
+    base = _doc_category({k: doc[k] for k in _DOC_FIELDS})
     unit = doc["unit"]
     if not isinstance(unit, str):
         raise TableError("'unit' must be an object id string")
     tdoc = doc["tensor"]
-    if not isinstance(tdoc, dict) or set(tdoc) != {"obj", "lwhisker", "rwhisker"}:
-        raise TableError("'tensor' must have exactly obj/lwhisker/rwhisker tables")
-
-    tensor = WhiskeredBifunctor(
-        base,
-        _doc_rows(tdoc["obj"], ("left", "right", "result"), "tensor obj"),
-        _doc_rows(tdoc["lwhisker"], ("obj", "mor", "result"), "tensor lwhisker"),
-        _doc_rows(tdoc["rwhisker"], ("mor", "obj", "result"), "tensor rwhisker"),
-    )
-
-    assoc = ("x", "y", "z", "result")
+    if not isinstance(tdoc, dict) or set(tdoc) != set(_TENSOR_ROWS):
+        raise TableError(f"'tensor' must have exactly {'/'.join(_TENSOR_ROWS)} tables")
+    tensor = WhiskeredBifunctor(base, *(_doc_rows(tdoc[t], row, f"tensor {t}")
+                                        for t, (_, row) in _TENSOR_ROWS.items()))
     M = MonoidalCategory(base, unit, tensor,
-                         *(_doc_map(doc, f, "object ids", "morphism ids")
-                           for f in ("lunitor", "lunitor_inv", "runitor", "runitor_inv")),
-                         _doc_rows(doc["associator"], assoc, "associator"),
-                         _doc_rows(doc["associator_inv"], assoc, "associator_inv"))
+                         *(_doc_map(doc, t, "object ids", "morphism ids") for t in _ISO_TABLES[:4]),
+                         *(_doc_rows(doc[t], _ASSOC_ROW, t) for t in _ISO_TABLES[4:]))
     _index_monoidal(M)  # building the indexes is the validation
     return M
 
@@ -933,20 +930,8 @@ def from_monoidal_doc(doc) -> MonoidalCategory:
 def to_monoidal_doc(M: MonoidalCategory) -> dict:
     doc = to_doc(M.base)
     doc["unit"] = M.unit
-    doc["tensor"] = {
-        "obj": [{"left": x, "right": y, "result": o}
-                for (x, y), o in M.tensor.obj_table.items()],
-        "lwhisker": [{"obj": x, "mor": f, "result": m}
-                     for (x, f), m in M.tensor.lwhisker.items()],
-        "rwhisker": [{"mor": f, "obj": z, "result": m}
-                     for (f, z), m in M.tensor.rwhisker.items()],
-    }
-    doc["lunitor"] = dict(M.lunitor)
-    doc["lunitor_inv"] = dict(M.lunitor_inv)
-    doc["runitor"] = dict(M.runitor)
-    doc["runitor_inv"] = dict(M.runitor_inv)
-    doc["associator"] = [{"x": x, "y": y, "z": z, "result": m}
-                         for (x, y, z), m in M.associator.items()]
-    doc["associator_inv"] = [{"x": x, "y": y, "z": z, "result": m}
-                             for (x, y, z), m in M.associator_inv.items()]
+    doc["tensor"] = {t: _rows(getattr(M.tensor, attr), row)
+                     for t, (attr, row) in _TENSOR_ROWS.items()}
+    doc |= {t: dict(getattr(M, t)) for t in _ISO_TABLES[:4]}
+    doc |= {t: _rows(getattr(M, t), _ASSOC_ROW) for t in _ISO_TABLES[4:]}
     return doc

@@ -39,10 +39,12 @@ from bindcat import (
     monoid_to_monad,
     to_doc,
     to_monoidal_doc,
+    total_monoidal,
     walking_arrow,
     whiskered_from_classical,
 )
-from test_pointed import idempotent_arrow
+from test_cocycles import categorical_group, cocycle, negation, twisted_coboundary
+from test_pointed import idempotent_arrow, pointed_endofunctors
 
 # --- tensors on the walking arrow ------------------------------------------------
 #
@@ -387,6 +389,37 @@ def test_endofunctor_tables_are_pinned(name):
     functors = [(F.on_obj, F.on_mor, F.name) for F in enumerate_endofunctors(C)]
     assert (digest(to_monoidal_doc(endofunctor_monoidal(C).monoidal)),
             digest(functors)) == END_DIGESTS[name]
+
+
+# the first 16 hex digits of the SHA-256 of the monoidal document of inputs
+# that are not End(C): non-strict associators, and total categories whose
+# tables are keyed on pair ids
+DOC_DIGESTS = {
+    "Z/3, omega_1": (lambda: categorical_group(3, 3, cocycle(3, 1)), "c9cda7265cfc26a7"),
+    "twisted Z/2": (lambda: categorical_group(2, 3, twisted_coboundary, negation),
+                    "1f047930fcc823af"),
+    "total Ptd(chain 3)": (lambda: total_monoidal(pointed_endofunctors(
+        endofunctor_monoidal(chain_category(3)).monoidal)), "d114362aef46cb37"),
+    "total Ptd(idempotent)": (lambda: total_monoidal(pointed_endofunctors(
+        endofunctor_monoidal(idempotent_arrow()).monoidal)), "3c973b7ea88997b7"),
+}
+
+
+@pytest.mark.parametrize("name", DOC_DIGESTS)
+def test_monoidal_documents_are_pinned_and_read_back(name):
+    build, want = DOC_DIGESTS[name]
+    text = json.dumps(to_monoidal_doc(build()))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
+    assert json.dumps(to_monoidal_doc(from_monoidal_doc(json.loads(text)))) == text
+
+
+@pytest.mark.parametrize("monoid", [Monoid("nope", "id_Id", "id_Id"),
+                                    Monoid("Id", "nope", "id_Id"), Monoid("Id", "id_Id", "nope")],
+                         ids=["carrier", "unit", "mult"])
+def test_monoid_to_monad_rejects_an_unknown_id(two_chain_endo, monoid):
+    with pytest.raises(TableError,
+                       match="^monoid is not over an endofunctor monoidal category instance$"):
+        monoid_to_monad(two_chain_endo, monoid)
 
 
 def _closure_operators(n: int) -> set[tuple[int, ...]]:

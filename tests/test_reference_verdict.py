@@ -6,6 +6,9 @@ single-entry deletion and change of three lawful monoidal categories
 (a ``TableError`` counts as a rejection), and on End(chain 2) with one comp
 entry added on each non-composable pair.  Where they disagree is pinned:
 a new disagreement is a law the library misses, or one it invents.
+``check_displayed_monoidal`` is held to the reference verdict on the total
+monoidal category in the same way, on single-entry variants of the
+displayed tables of two displayed monoidal categories.
 
 Today every disagreement is the same gap: ``check_monoidal_laws`` runs no
 category law on its base, so it accepts a base whose comp table lacks a
@@ -18,14 +21,15 @@ from pathlib import Path
 
 import pytest
 
-from bindcat import (TableError, chain_category, check_category_laws, check_monoidal_laws,
-                     endofunctor_monoidal, from_monoidal_doc)
+from bindcat import (TableError, chain_category, check_category_laws, check_displayed_monoidal,
+                     check_monoidal_laws, endofunctor_monoidal, from_monoidal_doc,
+                     total_monoidal, trivial_displayed_monoidal)
 import monoidal_reference
 from monoidal_reference import ref_lawful
 from test_cocycles import categorical_group, cocycle, negation, twisted_coboundary
 from test_law_census import laws, sites  # noqa: F401 (fixtures)
-from test_pointed import idempotent_arrow
-from test_tables_golden import MONOIDAL_TABLES, _changed, _swapped
+from test_pointed import idempotent_arrow, pointed_endofunctors
+from test_tables_golden import DISPLAYED_TABLES, MONOIDAL_TABLES, _changed, _swapped
 
 TABLES = MONOIDAL_TABLES + [("identity", "base", "identity", "mor")]
 
@@ -37,11 +41,16 @@ GAP = {("End(chain 2)", "comp", key, None) for key in [
     ("Id=>const_1", "id_Id"), ("id_const_1", "Id=>const_1")]}
 
 
-def library_accepts(M) -> bool:
+def accepted(verdict) -> bool:
+    """``verdict()``, with a TableError counted as a rejection."""
     try:
-        return check_monoidal_laws(M).ok
+        return verdict()
     except TableError:
         return False
+
+
+def library_accepts(M) -> bool:
+    return accepted(lambda: check_monoidal_laws(M).ok)
 
 
 def rings(M) -> dict:
@@ -49,16 +58,21 @@ def rings(M) -> dict:
     return {"mor": [m for m, _, _ in M.base.morphisms], "obj": list(M.base.objects)}
 
 
-def variants(M):
+def every_other(ring: list, old: str) -> list:
+    return [v for v in ring if v != old]
+
+
+def variants(M, tables=TABLES, values=None, changes=every_other):
     """(table, key, value, holder, attribute, changed table) for every deletion
-    (value None) of an entry of M's tables and every change of its value to
-    another of the same sort."""
-    values = rings(M)
-    for name, path, attr, ring in TABLES:
+    (value None) of an entry of M's ``tables`` and every change of its value
+    that ``changes(ring, old)`` lists, from the ring of its sort in ``values``
+    (by default, every other value of that sort in M)."""
+    values = values or rings(M)
+    for name, path, attr, ring in tables:
         holder = getattr(M, path) if path else M
         table = getattr(holder, attr)
         for key, old in table.items():
-            for new in [None] + [v for v in values[ring] if v != old]:
+            for new in [None] + changes(values[ring], old):
                 out = dict(table)
                 if new is None:
                     del out[key]
@@ -152,3 +166,39 @@ def test_the_reference_spells_no_library_law(laws):  # noqa: F811
     # so the census still counts only the tests that make a law fail
     words = set(re.findall(r"[\w-]+", Path(monoidal_reference.__file__).read_text("utf-8")))
     assert sorted(words & laws) == []
+
+
+def next_in_ring(ring: list, old: str) -> list:
+    return [ring[(ring.index(old) + 1) % len(ring)]]
+
+
+def displayed_verdicts(DM, changes):
+    """(table, key, value, displayed verdict, reference verdict on the total)
+    for every variant of DM's displayed tables, each value changed as
+    ``changes`` lists."""
+    D = DM.disp_cat
+    values = {"mor": [ff for bucket in D.disp_hom.values() for ff in bucket],
+              "obj": [xx for x in D.base.objects for xx in D.fiber(x)]}
+    for name, key, new, holder, attr, table in variants(DM, DISPLAYED_TABLES, values, changes):
+        restore = _swapped(holder, attr, table)
+        try:
+            yield (name, key, new, accepted(lambda: check_displayed_monoidal(DM).ok),
+                   accepted(lambda: ref_lawful(total_monoidal(DM)) is None))
+        finally:
+            restore()
+
+
+DISPLAYED_CORPORA = {
+    "Ptd(chain 3)": (lambda: pointed_endofunctors(
+        endofunctor_monoidal(chain_category(3)).monoidal), next_in_ring, 940),
+    "trivial End(chain 2)": (lambda: trivial_displayed_monoidal(end_chain_2()), every_other,
+                             717),
+}
+
+
+@pytest.mark.parametrize("corpus", DISPLAYED_CORPORA)
+def test_the_displayed_checker_agrees_with_the_reference_on_the_total(corpus):
+    build, changes, size = DISPLAYED_CORPORA[corpus]
+    runs = list(displayed_verdicts(build(), changes))
+    assert len(runs) == size
+    assert [run[:3] for run in runs if run[3] != run[4]] == []

@@ -1,8 +1,8 @@
 """The builders that copy whole tables under new ids — the trivial
 displayed monoidal category, the total monoidal category and the product
 category — against pinned digests of their tables, the memory they hold
-while building beyond what they return, and the order in which they name
-missing entries."""
+while building beyond what they return, and how and in which order they
+name missing entries."""
 
 import gc
 import hashlib
@@ -13,6 +13,7 @@ import pytest
 from bindcat import (
     TableError,
     chain_category,
+    check_monoidal_laws,
     endofunctor_monoidal,
     product_category,
     total_monoidal,
@@ -250,9 +251,34 @@ def test_a_missing_associator_is_named_before_a_missing_inverse():
     M = endofunctor_monoidal(chain_category(2)).monoidal
     first, *_, last = M.associator
     del M.associator_inv[first], M.associator[last]
-    with pytest.raises(KeyError) as caught:
+    with pytest.raises(TableError) as caught:
         trivial_displayed_monoidal(M)
-    assert caught.value.args == (last,)
+    assert str(caught.value) == f"associator has no entry for {last!r}"
+
+
+@pytest.mark.parametrize("table, key", [
+    ("lunitor", "const_0"), ("lunitor_inv", "const_0"), ("runitor_inv", "const_1"),
+    ("associator", ("const_0",) * 3), ("associator_inv", ("Id", "const_1", "Id"))],
+    ids=lambda v: v if isinstance(v, str) else ",".join(v))
+def test_trivial_displayed_monoidal_names_a_missing_entry_as_the_checker_does(table, key):
+    M = endofunctor_monoidal(chain_category(2)).monoidal
+    del getattr(M, table)[key]
+    with pytest.raises(TableError) as checker:
+        check_monoidal_laws(M)
+    with pytest.raises(TableError) as builder:
+        trivial_displayed_monoidal(M)
+    assert str(builder.value) == str(checker.value) == f"{table} has no entry for {key!r}"
+
+
+def test_product_category_names_a_missing_identity():
+    C = chain_category(2)
+    C.identity = {"0": "id_0"}
+    with pytest.raises(TableError, match="^no identity morphism recorded for object '1'$"):
+        product_category(C, C)
+    T = endofunctor_monoidal(chain_category(2)).monoidal.tensor
+    del T.base.identity["const_1"]
+    with pytest.raises(TableError, match="^no identity morphism recorded for object 'const_1'$"):
+        classical_from_whiskered(T)
 
 
 def test_total_monoidal_names_a_missing_associator_before_its_inverse():
